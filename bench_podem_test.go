@@ -47,10 +47,7 @@ func BenchmarkPodemHardFaults(b *testing.B) {
 	// Direct flow on the largest corpus member: past the explicit-state
 	// ceiling, PODEM is the only deterministic phase there is.
 	c := benchPodemCircuit(b, "s953")
-	base, err := GenerateDirect(c, InputStuckAt, func() Options { o := directOpts; o.SkipPodem = true; return o }())
-	if err != nil {
-		b.Fatal(err)
-	}
+	base := runDirect(b, c, InputStuckAt, func() Options { o := directOpts; o.SkipPodem = true; return o }())
 	hard := base.Total - base.Covered
 	for _, podemOn := range []bool{false, true} {
 		b.Run(fmt.Sprintf("s953/podem-%s", onOff(podemOn)), func(b *testing.B) {
@@ -58,11 +55,7 @@ func BenchmarkPodemHardFaults(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := directOpts
 				o.SkipPodem = !podemOn
-				var err error
-				res, err = GenerateDirect(c, InputStuckAt, o)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runDirect(b, c, InputStuckAt, o)
 			}
 			if podemOn && res.Covered <= base.Covered {
 				b.Fatalf("PODEM adds no coverage over random alone: %d vs %d", res.Covered, base.Covered)
@@ -84,14 +77,14 @@ func BenchmarkPodemHardFaults(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fbBase := Generate(g, InputStuckAt, func() Options { o := cssgOpts; o.SkipPodem = true; return o }()).Fallback
+	fbBase := generate(b, g, InputStuckAt, func() Options { o := cssgOpts; o.SkipPodem = true; return o }()).Fallback
 	for _, podemOn := range []bool{false, true} {
 		b.Run(fmt.Sprintf("hazard/podem-%s", onOff(podemOn)), func(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
 				o := cssgOpts
 				o.SkipPodem = !podemOn
-				res = Generate(g, InputStuckAt, o)
+				res = generate(b, g, InputStuckAt, o)
 			}
 			if podemOn && res.Fallback >= fbBase {
 				b.Fatalf("PODEM saves no fallback searches: %d vs %d", res.Fallback, fbBase)

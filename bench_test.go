@@ -46,8 +46,8 @@ func benchSuite(b *testing.B, suite []Benchmark) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out := Generate(g, OutputStuckAt, Options{Seed: 1})
-				in := Generate(g, InputStuckAt, Options{Seed: 1})
+				out := generate(b, g, OutputStuckAt, Options{Seed: 1})
+				in := generate(b, g, InputStuckAt, Options{Seed: 1})
 				covered = out.Covered + in.Covered
 				total = out.Total + in.Total
 			}
@@ -96,14 +96,14 @@ func BenchmarkRandomTPGAblation(b *testing.B) {
 	b.Run("with-random", func(b *testing.B) {
 		var rnd int
 		for i := 0; i < b.N; i++ {
-			res := Generate(g, InputStuckAt, Options{Seed: 1})
+			res := generate(b, g, InputStuckAt, Options{Seed: 1})
 			rnd = res.ByPhase[1] // PhaseRandom
 		}
 		b.ReportMetric(float64(rnd), "rnd-detections")
 	})
 	b.Run("three-phase-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Generate(g, InputStuckAt, Options{Seed: 1, SkipRandom: true})
+			generate(b, g, InputStuckAt, Options{Seed: 1, SkipRandom: true})
 		}
 	})
 }
@@ -169,9 +169,9 @@ func BenchmarkParallelVsSerialFaultSim(b *testing.B) {
 //     evaluations;
 //   - collapsed-1: the default configuration — event engine,
 //     representatives only, verdicts fanned out — on the same batch;
-//   - wide/<engine>/lanes-64|128|256: a 256-sequence workload chunked
-//     by lane width, for both engines — the multi-word throughput and
-//     the convergence-coupling comparison.
+//   - wide/<engine>/lanes-64|256: a 256-sequence workload chunked by
+//     lane width, for both engines — the multi-word throughput and the
+//     convergence-coupling comparison.
 //
 // Every variant drops a fault at its first detection, and every variant
 // must report the same detected count — asserted against the scalar
@@ -266,14 +266,14 @@ func BenchmarkFaultSimEngines(b *testing.B) {
 
 	// Multi-word pattern throughput: the same fault universe against a
 	// 256-sequence workload, chunked by lane width, for both engines.
-	// A sweep batch settles until its slowest lane converges, which is
-	// why 128 sweep lanes were near break-even; the event engine only
+	// A sweep batch settles until its slowest lane converges, which
+	// blunts the win of wide sweep lanes; the event engine only
 	// re-evaluates gates with active lanes, decoupling the batch from
 	// its slowest member.
 	wideSeqs := mkSeqs(256)
 	wideWant := serialFaultSim(c, universe, wideSeqs)
 	for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-		for _, lw := range []int{64, 128, 256} {
+		for _, lw := range []int{64, 256} {
 			eng, lw := eng, lw
 			b.Run("wide/"+eng.String()+"/lanes-"+strconv.Itoa(lw), func(b *testing.B) {
 				runEngine(b, wideSeqs, fsim.Options{Workers: 1, Lanes: lw, Engine: eng, NoCollapse: true}, wideWant)
@@ -356,7 +356,7 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 			}
 			return total, stats
 		}
-		for _, lanes := range []int{64, 128, 256} {
+		for _, lanes := range []int{64, 256} {
 			wantDet, _ := detectedAt(b, fsim.EngineSweep, lanes)
 			for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
 				eng, lanes := eng, lanes
@@ -490,10 +490,7 @@ func BenchmarkCompactTable1(b *testing.B) {
 		opts := Options{Seed: 1, Faults: model.sel}
 		var work []workload
 		for _, bm := range suite {
-			g, res, err := GenerateForCircuit(bm.Circuit, InputStuckAt, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			g, res := runCSSG(b, bm.Circuit, InputStuckAt, opts)
 			progs := Programs(g, res)
 			orig, err := MeasureProgramCoverage(bm.Circuit, progs, InputStuckAt, opts)
 			if err != nil {
@@ -683,10 +680,7 @@ func BenchmarkTesterValidation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, res, err := GenerateForCircuit(c, InputStuckAt, Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g, res := runCSSG(b, c, InputStuckAt, Options{Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ValidateOnTester(g, res, 5, 1); err != nil {
@@ -776,10 +770,7 @@ func BenchmarkDFTRecovery(b *testing.B) {
 	b.Run("before", func(b *testing.B) {
 		var cov float64
 		for i := 0; i < b.N; i++ {
-			_, res, err := GenerateForCircuit(c, InputStuckAt, Options{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
+			_, res := runCSSG(b, c, InputStuckAt, Options{Seed: 1})
 			cov = res.Coverage()
 		}
 		b.ReportMetric(100*cov, "%cov")
@@ -787,10 +778,7 @@ func BenchmarkDFTRecovery(b *testing.B) {
 	b.Run("after", func(b *testing.B) {
 		var cov float64
 		for i := 0; i < b.N; i++ {
-			_, res, err := GenerateForCircuit(instrumented, InputStuckAt, Options{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
+			_, res := runCSSG(b, instrumented, InputStuckAt, Options{Seed: 1})
 			cov = res.Coverage()
 		}
 		b.ReportMetric(100*cov, "%cov")
@@ -864,7 +852,7 @@ func BenchmarkTransitionFaults(b *testing.B) {
 		b.Run(ref, func(b *testing.B) {
 			var cov float64
 			for i := 0; i < b.N; i++ {
-				res := Generate(g, TransitionFaults, Options{Seed: 1})
+				res := generate(b, g, TransitionFaults, Options{Seed: 1})
 				cov = res.Coverage()
 			}
 			b.ReportMetric(100*cov, "%cov")

@@ -51,7 +51,7 @@ type Entry struct {
 	// suffix stripped.
 	Name string `json:"name"`
 	// Model, Engine and Lanes are lifted from the path segments when
-	// present (e.g. EventVsSweepTable1/both/event/lanes-128).
+	// present (e.g. EventVsSweepTable1/both/event/lanes-256).
 	Model  string `json:"model,omitempty"`
 	Engine string `json:"engine,omitempty"`
 	Lanes  int    `json:"lanes,omitempty"`

@@ -32,20 +32,10 @@ func parseFaultSelection(s string) (satpg.FaultSelection, error) {
 
 func parseLanes(n int) (int, error) {
 	switch n {
-	case 0, 64, 128, 256:
+	case 0, 64, 256:
 		return n, nil
 	}
-	return 0, fmt.Errorf("unsupported -lanes %d (want 64, 128 or 256)", n)
-}
-
-func parseEngine(s string) (satpg.FaultSimEngine, error) {
-	switch s {
-	case "event":
-		return satpg.EventEngine, nil
-	case "sweep":
-		return satpg.SweepEngine, nil
-	}
-	return 0, fmt.Errorf("unknown -fsim-engine %q (want event or sweep)", s)
+	return 0, fmt.Errorf("unsupported -lanes %d (want 64 or 256)", n)
 }
 
 func parseCompactMode(s string) (satpg.CompactMode, error) {

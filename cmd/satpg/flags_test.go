@@ -10,8 +10,8 @@ import (
 
 // Every flag-keyword resolver must reject unknown values with an error
 // that names the flag and lists the valid choices — a typo'd keyword
-// silently falling back to a default is how a sweep-oracle comparison
-// quietly runs the event engine twice.
+// silently falling back to a default runs a different experiment than
+// the one asked for.
 
 func TestParseModel(t *testing.T) {
 	if m, err := parseModel("input"); err != nil || m != satpg.InputStuckAt {
@@ -39,29 +39,16 @@ func TestParseFaultSelection(t *testing.T) {
 }
 
 func TestParseLanes(t *testing.T) {
-	for _, ok := range []int{0, 64, 128, 256} {
+	for _, ok := range []int{0, 64, 256} {
 		if n, err := parseLanes(ok); err != nil || n != ok {
 			t.Fatalf("parseLanes(%d) = %d, %v", ok, n, err)
 		}
 	}
-	for _, bad := range []int{1, 32, 96, 512} {
+	for _, bad := range []int{1, 32, 96, 128, 512} {
 		_, err := parseLanes(bad)
-		if err == nil || !strings.Contains(err.Error(), "-lanes") || !strings.Contains(err.Error(), "64, 128 or 256") {
+		if err == nil || !strings.Contains(err.Error(), "-lanes") || !strings.Contains(err.Error(), "64 or 256") {
 			t.Fatalf("parseLanes(%d) error = %v; want -lanes rejection listing choices", bad, err)
 		}
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	if e, err := parseEngine("event"); err != nil || e != satpg.EventEngine {
-		t.Fatalf("parseEngine(event) = %v, %v", e, err)
-	}
-	if e, err := parseEngine("sweep"); err != nil || e != satpg.SweepEngine {
-		t.Fatalf("parseEngine(sweep) = %v, %v", e, err)
-	}
-	_, err := parseEngine("jacobi")
-	if err == nil || !strings.Contains(err.Error(), "-fsim-engine") || !strings.Contains(err.Error(), "event or sweep") {
-		t.Fatalf("parseEngine(jacobi) error = %v; want -fsim-engine rejection listing choices", err)
 	}
 }
 

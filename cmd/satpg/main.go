@@ -36,8 +36,7 @@ func main() {
 		skipRandom  = flag.Bool("skip-random", false, "disable the random TPG phase")
 		fsimFlag    = flag.Bool("fsim", false, "re-measure coverage of the generated tests with the bit-parallel fault simulator")
 		fsimWorkers = flag.Int("fsim-workers", 0, "goroutines sharding the fault list (0: GOMAXPROCS)")
-		lanes       = flag.Int("lanes", 0, "fault-simulation lane width: 64 (default), 128 or 256 patterns per sweep")
-		fsimEngine  = flag.String("fsim-engine", "event", "fault-simulation engine: event (cone-limited, default) or sweep (full-Jacobi oracle)")
+		lanes       = flag.Int("lanes", 0, "fault-simulation lane width: 64 (default) or 256 patterns per sweep")
 		compactMode = flag.String("compact", "none", "test-program compaction passes: none, reverse, dominance, greedy or all (coverage preserved fault for fault)")
 		direct      = flag.Bool("direct", false, "use the CSSG-free direct flow (automatic for circuits past the 64-signal explicit-state ceiling)")
 		skipPodem   = flag.Bool("skip-podem", false, "disable the deterministic bit-parallel PODEM phase")
@@ -98,10 +97,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	engine, err := parseEngine(*fsimEngine)
-	if err != nil {
-		fatal(err)
-	}
 	workers, err := parseWorkers(*fsimWorkers)
 	if err != nil {
 		fatal(err)
@@ -113,7 +108,7 @@ func main() {
 	opts := satpg.Options{
 		K: *k, Seed: *seed,
 		RandomSequences: *seqs, RandomLength: *seqLen, SkipRandom: *skipRandom,
-		FaultSimWorkers: workers, FaultSimLanes: laneWidth, FaultSimEngine: engine,
+		FaultSimWorkers: workers, FaultSimLanes: laneWidth,
 		Faults: sel, Compact: cmode,
 		SkipPodem: *skipPodem, PodemBudget: *podemBudget, PodemCycles: *podemCycles,
 	}

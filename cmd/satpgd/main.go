@@ -83,7 +83,11 @@ func main() {
 		ShardAttempts: *shardTries,
 	})
 	defer srv.Close()
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	// Bodies are capped by the service (service.MaxRequestBytes); the
+	// header timeout stops a client that never finishes its headers from
+	// holding a connection open.  No whole-request or write timeout:
+	// coverage queries and NDJSON streams legitimately run for minutes.
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,15 +1,77 @@
 package satpg
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/fsim"
+)
+
+// The facade measures coverage on the production event engine only;
+// the full-sweep engine lives on inside fsim as the differential
+// oracle.  The root-package parity suites therefore drive fsim
+// directly, on the test sets the whole flow generates.
+
+// engineVerdicts measures tests on one fsim engine at one lane width
+// with FaultSimBatch's semantics: reset observation checked, each test
+// judged against its declared responses (generated tests always carry
+// them), and each fault credited to its first detection.
+func engineVerdicts(t *testing.T, c *Circuit, model FaultModel, sel FaultSelection, tests []Test, lanes int, engine fsim.EngineKind) ([]FaultCoverage, fsim.Stats) {
+	t.Helper()
+	universe := SelectedUniverse(c, model, sel)
+	s, err := fsim.New(c, universe, fsim.Options{Lanes: lanes, Engine: engine, CheckReset: true})
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name, err)
+	}
+	seqs := make([][]uint64, len(tests))
+	expected := make([][]uint64, len(tests))
+	for i, tst := range tests {
+		seqs[i], expected[i] = tst.Patterns, tst.Expected
+	}
+	verdicts := make([]FaultCoverage, len(universe))
+	for i, f := range universe {
+		verdicts[i] = FaultCoverage{Fault: f, TestIndex: -1, Cycle: -1}
+	}
+	err = s.SimulateSequences(seqs, expected, nil, func(base int, br *fsim.BatchResult) {
+		for _, d := range br.Detections {
+			v := &verdicts[d.Fault]
+			if v.Detected {
+				continue
+			}
+			v.Detected, v.Cycle = true, d.Cycle
+			if d.Cycle >= 0 {
+				v.TestIndex = base + d.Lane
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name, err)
+	}
+	return verdicts, s.Stats()
+}
+
+// crossEngineCompare measures the tests on both engines at one lane
+// width and requires identical per-fault verdicts; it returns the event
+// engine's verdicts and both engines' work counters.
+func crossEngineCompare(t *testing.T, c *Circuit, model FaultModel, sel FaultSelection, tests []Test, lanes int) (ev []FaultCoverage, evStats, swStats fsim.Stats) {
+	t.Helper()
+	ev, evStats = engineVerdicts(t, c, model, sel, tests, lanes, fsim.EngineEvent)
+	sw, swStats := engineVerdicts(t, c, model, sel, tests, lanes, fsim.EngineSweep)
+	for fi := range ev {
+		e, s := ev[fi], sw[fi]
+		if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
+			t.Errorf("%s %v lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
+				c.Name, model, lanes, e.Fault.Describe(c),
+				e.Detected, e.TestIndex, e.Cycle, s.Detected, s.TestIndex, s.Cycle)
+		}
+	}
+	return ev, evStats, swStats
+}
 
 // TestEventEngineParityOnSuite pins the event-driven cone-limited
 // engine to the full-sweep oracle on the Table-1 benchmarks: for both
-// fault models and every lane width, FaultSimBatch must report
-// identical per-fault verdicts, and the event engine must not do more
-// gate-evaluation work than the sweeps.  One benchmark additionally
-// runs the whole ATPG flow under each engine — the random phase
-// batches its walks through fsim, so the flows must agree fault for
-// fault.
+// fault models and both lane widths, the engines must report identical
+// per-fault verdicts on the generated tests, and the event engine must
+// not do more gate-evaluation work than the sweeps.
 func TestEventEngineParityOnSuite(t *testing.T) {
 	suite := SpeedIndependentSuite()
 	if testing.Short() {
@@ -17,32 +79,12 @@ func TestEventEngineParityOnSuite(t *testing.T) {
 	}
 	var evEvals, swEvals int64
 	for _, bm := range suite {
-		_, res, err := GenerateForCircuit(bm.Circuit, InputStuckAt, Options{Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", bm.Name, err)
-		}
+		_, res := runCSSG(t, bm.Circuit, InputStuckAt, Options{Seed: 1})
 		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
-			for _, lanes := range []int{64, 128, 256} {
-				ev, err := FaultSimBatch(bm.Circuit, model, res.Tests,
-					Options{FaultSimLanes: lanes, FaultSimEngine: EventEngine})
-				if err != nil {
-					t.Fatalf("%s: %v", bm.Name, err)
-				}
-				sw, err := FaultSimBatch(bm.Circuit, model, res.Tests,
-					Options{FaultSimLanes: lanes, FaultSimEngine: SweepEngine})
-				if err != nil {
-					t.Fatalf("%s: %v", bm.Name, err)
-				}
-				for fi := range ev.PerFault {
-					e, s := ev.PerFault[fi], sw.PerFault[fi]
-					if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
-						t.Errorf("%s %v lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
-							bm.Name, model, lanes, e.Fault.Describe(bm.Circuit),
-							e.Detected, e.TestIndex, e.Cycle, s.Detected, s.TestIndex, s.Cycle)
-					}
-				}
-				evEvals += ev.Stats.GateEvals
-				swEvals += sw.Stats.GateEvals
+			for _, lanes := range []int{64, 256} {
+				_, ev, sw := crossEngineCompare(t, bm.Circuit, model, SelectStuckAt, res.Tests, lanes)
+				evEvals += ev.GateEvals
+				swEvals += sw.GateEvals
 			}
 		}
 	}
@@ -51,42 +93,4 @@ func TestEventEngineParityOnSuite(t *testing.T) {
 	}
 	t.Logf("suite gate evals: event %d, sweep %d (%.1f%%)", evEvals, swEvals,
 		100*float64(evEvals)/float64(swEvals))
-
-	// Full ATPG parity: same circuit, same seed, both engines.
-	c := suite[0].Circuit
-	g, err := Abstract(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := Generate(g, InputStuckAt, Options{Seed: 1, FaultSimEngine: EventEngine})
-	sw := Generate(g, InputStuckAt, Options{Seed: 1, FaultSimEngine: SweepEngine})
-	if ev.Covered != sw.Covered || ev.Untestable != sw.Untestable ||
-		ev.Aborted != sw.Aborted || len(ev.Tests) != len(sw.Tests) {
-		t.Fatalf("ATPG diverged across engines: event cov=%d unt=%d ab=%d tests=%d, sweep cov=%d unt=%d ab=%d tests=%d",
-			ev.Covered, ev.Untestable, ev.Aborted, len(ev.Tests),
-			sw.Covered, sw.Untestable, sw.Aborted, len(sw.Tests))
-	}
-	for p, n := range ev.ByPhase {
-		if sw.ByPhase[p] != n {
-			t.Errorf("phase %v count differs: event %d, sweep %d", p, n, sw.ByPhase[p])
-		}
-	}
-	for i := range ev.PerFault {
-		e, s := ev.PerFault[i], sw.PerFault[i]
-		if e.Detected != s.Detected || e.Phase != s.Phase || e.TestIndex != s.TestIndex {
-			t.Errorf("fault %s: event {det=%v phase=%v test=%d}, sweep {det=%v phase=%v test=%d}",
-				e.Fault.Describe(c), e.Detected, e.Phase, e.TestIndex, s.Detected, s.Phase, s.TestIndex)
-		}
-	}
-	for i := range ev.Tests {
-		if len(ev.Tests[i].Patterns) != len(sw.Tests[i].Patterns) {
-			t.Fatalf("test %d length differs across engines", i)
-		}
-		for j := range ev.Tests[i].Patterns {
-			if ev.Tests[i].Patterns[j] != sw.Tests[i].Patterns[j] ||
-				ev.Tests[i].Expected[j] != sw.Tests[i].Expected[j] {
-				t.Fatalf("test %d cycle %d differs across engines", i, j)
-			}
-		}
-	}
 }

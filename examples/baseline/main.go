@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ours := satpg.Generate(g, satpg.OutputStuckAt, satpg.Options{Seed: 1})
+		ours, err := satpg.GenerateCtx(context.Background(), g, satpg.OutputStuckAt, satpg.Options{Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		cmp := satpg.CompareBaseline(g, satpg.OutputStuckAt)
 		fmt.Printf("%s (output stuck-at, %d faults)\n", ref, cmp.Total)
 		fmt.Printf("  this paper (CSSG):        %d guaranteed detections\n", ours.Covered)

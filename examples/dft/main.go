@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,12 @@ func main() {
 	c := dft.DemoCircuit()
 	fmt.Printf("circuit %s: %d gates, outputs %d\n", c.Name, c.NumGates(), len(c.Outputs))
 
-	g, res, err := satpg.GenerateForCircuit(c, satpg.InputStuckAt, satpg.Options{Seed: 1})
+	opts := satpg.Options{Seed: 1, Flow: satpg.FlowCSSG}
+	res, err := satpg.Run(context.Background(), c, satpg.InputStuckAt, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	g := res.Graph
 	fmt.Println("before DFT:", res.Summary())
 	for _, fr := range res.PerFault {
 		if fr.Untestable {
@@ -47,7 +50,7 @@ func main() {
 	fmt.Printf("inserted control point on bc: +%d inputs, circuit now %s\n",
 		instrumented.NumInputs()-c.NumInputs(), instrumented.Name)
 
-	_, res2, err := satpg.GenerateForCircuit(instrumented, satpg.InputStuckAt, satpg.Options{Seed: 1})
+	res2, err := satpg.Run(context.Background(), instrumented, satpg.InputStuckAt, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,10 @@ func main() {
 
 	// Step 2: test generation for input stuck-at faults (which subsume
 	// output stuck-at faults).
-	res := satpg.Generate(g, satpg.InputStuckAt, satpg.Options{Seed: 1})
+	res, err := satpg.GenerateCtx(context.Background(), g, satpg.InputStuckAt, satpg.Options{Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("atpg:       ", res.Summary())
 
 	// Step 3: the tests are plain synchronous stimulus/response

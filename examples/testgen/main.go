@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,8 +33,14 @@ func main() {
 	fmt.Printf("test-cycle bound: τ = α·|σ| = %.1f ns for α = 2 ns\n", g.CycleBound(2.0))
 
 	opts := satpg.Options{Seed: 1}
-	out := satpg.Generate(g, satpg.OutputStuckAt, opts)
-	in := satpg.Generate(g, satpg.InputStuckAt, opts)
+	out, err := satpg.GenerateCtx(context.Background(), g, satpg.OutputStuckAt, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	in, err := satpg.GenerateCtx(context.Background(), g, satpg.InputStuckAt, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(satpg.TableHeader())
 	fmt.Println(satpg.TableRow(c.Name, out, in))
 	fmt.Printf("flow time: %v\n", time.Since(start).Round(time.Millisecond))

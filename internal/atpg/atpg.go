@@ -101,15 +101,11 @@ type Options struct {
 	// random phase across this many goroutines (0: GOMAXPROCS).
 	FaultSimWorkers int
 	// FaultSimLanes selects the lane width of the bit-parallel fault
-	// simulation: 64 (default), 128 or 256 random walks ride one batch.
+	// simulation: 64 (default) or 256 random walks ride one batch.
 	// Unsupported values fall back to the default width.  The generated
 	// tests and per-fault verdicts are identical across widths; wider
 	// lanes amortise each sweep over more walks.
 	FaultSimLanes int
-	// FaultSimEngine selects the settling strategy of the bit-parallel
-	// fault simulation: event-driven cone-limited (default) or full
-	// Jacobi sweeps.  The results are identical either way.
-	FaultSimEngine fsim.EngineKind
 	// SkipPodem disables the deterministic PODEM phase that runs
 	// between the random walks and the exhaustive fallback.
 	SkipPodem bool
@@ -138,7 +134,7 @@ func (o Options) withDefaults() Options {
 		o.MaxFaultySet = 1024
 	}
 	switch o.FaultSimLanes {
-	case 0, 64, 128, 256:
+	case 0, 64, 256:
 	default:
 		// A library-facing option must not panic the flow; fall back to
 		// the default width (cmd/satpg rejects bad -lanes up front).
@@ -280,7 +276,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 	}
 
 	// Phase 1: random TPG.  The walks are drawn exactly as before, but
-	// fault simulation is batched: a lane-width of walks (64–256, per
+	// fault simulation is batched: a lane-width of walks (64 or 256, per
 	// FaultSimLanes) rides one fsim.Batch and every remaining fault is
 	// evaluated against all of them in one pass, sharded across
 	// workers.  NoDrop keeps the full
@@ -298,7 +294,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		}
 		fs, err := fsim.New(g.C, universe, fsim.Options{
 			Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-			Engine: opts.FaultSimEngine, NoDrop: true,
+			NoDrop: true,
 		})
 		if err != nil {
 			// Unreachable: faults.Universe never emits the Transition

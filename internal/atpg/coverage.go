@@ -32,10 +32,9 @@ type CoverageReport struct {
 	Detected int
 	PerFault []FaultCoverage
 	Workers  int
-	Lanes    int             // lane width the measurement ran at
-	Classes  int             // simulated equivalence classes (≤ Total)
-	Engine   fsim.EngineKind // settling strategy the measurement ran with
-	Stats    fsim.Stats      // applied patterns and gate evaluations
+	Lanes    int        // lane width the measurement ran at
+	Classes  int        // simulated equivalence classes (≤ Total)
+	Stats    fsim.Stats // applied patterns and gate evaluations
 	Elapsed  time.Duration
 
 	// Shard/Shards identify a 1-of-N partial measurement (Shards ≤ 1:
@@ -59,40 +58,21 @@ func (r *CoverageReport) Coverage() float64 {
 
 // Summary renders a one-line report.
 func (r *CoverageReport) Summary() string {
-	return fmt.Sprintf("fsim cov=%d/%d (%.2f%%) classes=%d lanes=%d workers=%d engine=%s gate-evals/pattern=%.1f elapsed=%v",
+	return fmt.Sprintf("fsim cov=%d/%d (%.2f%%) classes=%d lanes=%d workers=%d gate-evals/pattern=%.1f elapsed=%v",
 		r.Detected, r.Total, 100*r.Coverage(), r.Classes, r.Lanes, r.Workers,
-		r.Engine, r.Stats.EvalsPerPattern(), r.Elapsed.Round(time.Microsecond))
+		r.Stats.EvalsPerPattern(), r.Elapsed.Round(time.Microsecond))
 }
 
-// CoverageOf measures the guaranteed fault coverage of a test set with
-// the bit-parallel pattern-parallel engine: tests ride the lanes of
-// each fsim batch (64, 128 or 256 wide), only one representative per
-// structural equivalence class is simulated, the class list is sharded
-// across workers, and a fault is dropped from later batches the moment
-// one test detects it.  The verdict is the conservative ternary one — a
-// fault counts only when some primary output settles definitely
-// opposite the expected response (or the reset response) under every
-// delay assignment.  Tests must carry their Expected outputs (every
-// Test built by this package does).
-func CoverageOf(c *netlist.Circuit, universe []faults.Fault, tests []Test, workers, lanes int, engine fsim.EngineKind) (*CoverageReport, error) {
-	return CoverageOfOpts(c, universe, tests, CoverageOptions{Workers: workers, Lanes: lanes, Engine: engine})
-}
-
-// CoverageOptions tunes CoverageOfOpts beyond the positional knobs of
-// CoverageOf.
+// CoverageOptions tunes CoverageOfCtx.
 type CoverageOptions struct {
-	Workers int             // fault-class shard goroutines (0: GOMAXPROCS)
-	Lanes   int             // tests per batch: 64 (default), 128 or 256
-	Engine  fsim.EngineKind // event (default) or sweep
+	Workers int // fault-class shard goroutines (0: GOMAXPROCS)
+	Lanes   int // tests per batch: 64 (default) or 256
 	// Shard/Shards select a 1-of-N partition of the representative
 	// fault classes (fsim.Options.ShardIndex/ShardCount): the report
 	// covers only the owned slice, for merging with the other shards'
 	// reports via MergeShardReports.  Shards ≤ 1 measures everything.
 	Shard  int
 	Shards int
-	// Pipeline overlaps each batch's fault settling with the next
-	// batch's good-trace computation (fsim.Options.Pipeline).
-	Pipeline bool
 	// OnBatch, when set, is called after each simulated batch with the
 	// base test index of the batch, the number of new detections it
 	// contributed, and the cumulative detected count — the streaming
@@ -100,30 +80,31 @@ type CoverageOptions struct {
 	OnBatch func(base, detections, cumDetected int)
 }
 
-// CoverageOfOpts is CoverageOf with the full option set.  Unlike the
-// ATPG-built tests CoverageOf was designed for, the test set may lack
-// Expected responses: if any test omits them, every fault is judged
-// against the good machine's own (simulated) response instead of
-// declared ones — the form service-submitted bare pattern programs
-// arrive in.
-func CoverageOfOpts(c *netlist.Circuit, universe []faults.Fault, tests []Test, opts CoverageOptions) (*CoverageReport, error) {
-	return CoverageOfCtx(context.Background(), c, universe, tests, opts)
-}
-
-// CoverageOfCtx is CoverageOfOpts with cooperative cancellation,
-// checked between lane-width batches: a cancelled measurement returns
-// ctx.Err() and no report (a partial coverage number is a lie — it
-// undercounts silently).
+// CoverageOfCtx measures the guaranteed fault coverage of a test set
+// with the bit-parallel pattern-parallel engine: tests ride the lanes
+// of each fsim batch (64 or 256 wide), only one representative per
+// structural equivalence class is simulated, the class list is sharded
+// across workers, and a fault is dropped from later batches the moment
+// one test detects it.  The verdict is the conservative ternary one — a
+// fault counts only when some primary output settles definitely
+// opposite the expected response (or the reset response) under every
+// delay assignment.  The test set may lack Expected responses: if any
+// test omits them, every fault is judged against the good machine's
+// own (simulated) response instead of declared ones — the form
+// service-submitted bare pattern programs arrive in.
+//
+// Cancellation is checked between lane-width batches: a cancelled
+// measurement returns ctx.Err() and no report (a partial coverage
+// number is a lie — it undercounts silently).
 func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fault, tests []Test, opts CoverageOptions) (*CoverageReport, error) {
 	start := time.Now()
 	if opts.Shards > 0 && (opts.Shard < 0 || opts.Shard >= opts.Shards) {
 		return nil, fmt.Errorf("atpg: shard index %d out of range for %d shards", opts.Shard, opts.Shards)
 	}
 	s, err := fsim.New(c, universe, fsim.Options{
-		Workers: opts.Workers, Lanes: opts.Lanes, Engine: opts.Engine,
+		Workers: opts.Workers, Lanes: opts.Lanes,
 		CheckReset: true,
 		ShardIndex: opts.Shard, ShardCount: opts.Shards,
-		Pipeline: opts.Pipeline,
 	})
 	if err != nil {
 		return nil, err
@@ -134,7 +115,6 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 		Workers:  opts.Workers,
 		Lanes:    s.Lanes(),
 		Classes:  s.NumClasses(),
-		Engine:   s.Engine(),
 	}
 	if rep.Workers <= 0 {
 		rep.Workers = runtime.GOMAXPROCS(0)
@@ -209,7 +189,6 @@ func MergeShardReports(reports []*CoverageReport) (*CoverageReport, error) {
 		Total:    first.Total,
 		PerFault: make([]FaultCoverage, first.Total),
 		Lanes:    first.Lanes,
-		Engine:   first.Engine,
 	}
 	covered := make([]bool, first.Total)
 	for _, r := range reports {

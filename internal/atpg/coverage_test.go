@@ -1,10 +1,10 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/fsim"
 )
 
 // The coverage of the full ATPG result, re-measured with the batched
@@ -17,7 +17,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 	res := Run(g, faults.InputSA, Options{Seed: 1})
 	universe := faults.Universe(g.C, faults.InputSA)
 
-	rep, err := CoverageOf(g.C, universe, res.Tests, 2, 128, fsim.EngineEvent)
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, res.Tests, CoverageOptions{Workers: 2, Lanes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 	// Ternary-phase detections must be re-found by the measurement.
 	for fi, fr := range res.PerFault {
 		if fr.Detected && (fr.Phase == PhaseRandom || fr.Phase == PhaseSim) && !rep.PerFault[fi].Detected {
-			t.Errorf("%s: covered in phase %s but missed by CoverageOf",
+			t.Errorf("%s: covered in phase %s but missed by CoverageOfCtx",
 				fr.Fault.Describe(g.C), fr.Phase)
 		}
 	}
@@ -62,7 +62,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 func TestCoverageOfEmptyTestSet(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	universe := faults.Universe(g.C, faults.OutputSA)
-	rep, err := CoverageOf(g.C, universe, nil, 1, 0, fsim.EngineEvent)
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, nil, CoverageOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestCoverageOfEmptyTestSet(t *testing.T) {
 }
 
 // The transition universe rides the batched simulator via directional
-// overrides; CoverageOf must accept it and agree with the exact
+// overrides; CoverageOfCtx must accept it and agree with the exact
 // machine on the reset-only verdicts.
 func TestCoverageOfAcceptsTransitionFaults(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	universe := faults.Universe(g.C, faults.Transition)
-	rep, err := CoverageOf(g.C, universe, nil, 1, 0, fsim.EngineEvent)
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, nil, CoverageOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,6 @@ func New(nvars int) *Manager {
 // (via panic/recover in Protect) when exceeded.
 func (m *Manager) SetMaxNodes(n int) { m.maxNodes = n }
 
-// NumVars returns the number of variables.
-func (m *Manager) NumVars() int { return m.nvars }
-
 // Size returns the number of live nodes in the arena (including the two
 // terminals).
 func (m *Manager) Size() int { return len(m.nodes) }
@@ -207,15 +204,6 @@ func (m *Manager) AndN(fs ...Ref) Ref {
 	r := True
 	for _, f := range fs {
 		r = m.And(r, f)
-	}
-	return r
-}
-
-// OrN folds Or over its arguments (False for none).
-func (m *Manager) OrN(fs ...Ref) Ref {
-	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
 	}
 	return r
 }

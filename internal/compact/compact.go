@@ -98,12 +98,10 @@ func ParseMode(s string) (Mode, bool) {
 }
 
 // Options tunes the matrix-building fault simulation; zero values
-// select the fsim defaults (GOMAXPROCS workers, 64 lanes, the
-// event-driven engine).
+// select the fsim defaults (GOMAXPROCS workers, 64 lanes).
 type Options struct {
 	Workers int
 	Lanes   int
-	Engine  fsim.EngineKind
 }
 
 // Result is the outcome of one compaction.

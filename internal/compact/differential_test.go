@@ -4,7 +4,7 @@ package compact
 // pass must be bit-identical to per-test × per-fault verdicts of the
 // scalar ternary machine (sim.Machine) — reset comparison included —
 // on seeded random cyclic circuits, at every lane width and with both
-// engines.  This is the matrix analogue of internal/fsim's
+// fsim engines.  This is the matrix analogue of internal/fsim's
 // differential suites, pushed up to the program/compaction layer.
 
 import (
@@ -52,14 +52,30 @@ func scalarMatrix(c *netlist.Circuit, universe []faults.Fault, progs []tester.Pr
 	return mx
 }
 
+// sweepRows computes the detection matrix of the programs on fsim's
+// full-sweep oracle engine, with the options BuildMatrix passes.  Only
+// fsim.Options selects that engine, so the oracle legs of the
+// compaction suites call fsim directly.
+func sweepRows(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault, lanes int) ([]fsim.LaneMask, error) {
+	seqs := make([][]uint64, len(progs))
+	expected := make([][]uint64, len(progs))
+	resetExp := make([]uint64, len(progs))
+	for i, p := range progs {
+		seqs[i], expected[i], resetExp[i] = p.Patterns, p.Expected, p.ResetExpected
+	}
+	rows, _, err := fsim.DetectionMatrix(c, universe, seqs, expected, resetExp,
+		fsim.Options{Workers: 2, Lanes: lanes, Engine: fsim.EngineSweep, CheckReset: true})
+	return rows, err
+}
+
 func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 	type cfg struct {
 		lanes  int
 		engine fsim.EngineKind
 	}
 	cfgs := []cfg{
-		{64, fsim.EngineEvent}, {128, fsim.EngineEvent}, {256, fsim.EngineEvent},
-		{64, fsim.EngineSweep}, {128, fsim.EngineSweep}, {256, fsim.EngineSweep},
+		{64, fsim.EngineEvent}, {256, fsim.EngineEvent},
+		{64, fsim.EngineSweep}, {256, fsim.EngineSweep},
 	}
 	seeds := 20
 	nProgs := 80 // spans two 64-lane batches, exercises the base-shifted fold
@@ -80,19 +96,28 @@ func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 		progs := randPrograms(rng, c, nProgs, 5)
 		ref := scalarMatrix(c, universe, progs)
 		for _, cf := range cfgs {
-			mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2, Lanes: cf.lanes, Engine: cf.engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mx.NumTests != len(progs) {
-				t.Fatalf("seed %d: NumTests %d, want %d", seed, mx.NumTests, len(progs))
+			var rows []fsim.LaneMask
+			if cf.engine == fsim.EngineSweep {
+				var err error
+				if rows, err = sweepRows(c, progs, universe, cf.lanes); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2, Lanes: cf.lanes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mx.NumTests != len(progs) {
+					t.Fatalf("seed %d: NumTests %d, want %d", seed, mx.NumTests, len(progs))
+				}
+				rows = mx.Rows
 			}
 			for fi := range universe {
 				for ti := range progs {
-					if mx.Covers(fi, ti) != ref[fi][ti] {
+					if rows[fi].Has(ti) != ref[fi][ti] {
 						t.Fatalf("seed %d lanes=%d engine=%s: fault %s × test %d: matrix %v, scalar %v",
 							seed, cf.lanes, cf.engine, universe[fi].Describe(c), ti,
-							mx.Covers(fi, ti), ref[fi][ti])
+							rows[fi].Has(ti), ref[fi][ti])
 					}
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/fsim"
 	"repro/internal/randckt"
 	"repro/internal/tester"
 )
@@ -32,7 +31,7 @@ func FuzzCompact(f *testing.F) {
 		sel := faults.Selection(selByte % 3)
 		universe := faults.SelectUniverse(c, faults.InputSA, sel)
 		progs := randPrograms(rng, c, n, ml)
-		orig, err := tester.MeasureCoverage(c, progs, universe, 1, 0, fsim.EngineEvent)
+		orig, err := tester.MeasureCoverage(c, progs, universe, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +43,7 @@ func FuzzCompact(f *testing.F) {
 			if cr.After > cr.Before || len(cr.Programs) != cr.After {
 				t.Fatalf("mode %s: size grew: %d -> %d", mode, cr.Before, cr.After)
 			}
-			got, err := tester.MeasureCoverage(c, cr.Programs, universe, 1, 0, fsim.EngineEvent)
+			got, err := tester.MeasureCoverage(c, cr.Programs, universe, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

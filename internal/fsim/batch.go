@@ -10,8 +10,8 @@ import (
 
 // DefaultLanes is the default lane width of the pattern-parallel
 // simulator: 64 independent test sequences per machine word.
-// Options.Lanes widens a Simulator to 128 or 256 lanes (two or four
-// words per vector).
+// Options.Lanes widens a Simulator to 256 lanes (four words per
+// vector).
 const DefaultLanes = 64
 
 // Batch is a set of independent test sequences (at most the simulator's

@@ -8,7 +8,7 @@ import (
 
 // Good-trace cache: the good machine's response trace over a batch is a
 // pure function of (circuit, lane width, sequence set), and the same
-// sequence set is routinely simulated several times — atpg.CoverageOf
+// sequence set is routinely simulated several times — atpg.CoverageOfCtx
 // then tester.MeasureCoverage on the same tests, repeated SimulateBatch
 // calls while diagnosing, the differential sweeps.  The cache is shared
 // across Simulator instances so those repeats skip the redundant good

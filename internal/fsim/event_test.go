@@ -46,7 +46,7 @@ func TestEventVsSweepDetectedSets(t *testing.T) {
 		}
 		universe := append(faults.OutputUniverse(c), faults.InputUniverse(c)...)
 
-		for _, lanes := range []int{64, 128, 256} {
+		for _, lanes := range []int{64, 256} {
 			run := func(engine EngineKind) (*Simulator, [][]LaneMask) {
 				s, err := New(c, universe, Options{
 					Workers: 2, Lanes: lanes, Engine: engine,

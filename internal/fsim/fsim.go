@@ -9,8 +9,8 @@
 // "many tests × many faults" this is the winning shape, because it
 // composes with the standard ATPG scaling moves:
 //
-//   - wide lanes: Options.Lanes selects 64, 128 or 256 test sequences
-//     per sweep (one, two or four machine words per signal vector);
+//   - wide lanes: Options.Lanes selects 64 or 256 test sequences per
+//     sweep (one or four machine words per signal vector);
 //   - fault collapsing: structurally equivalent faults (faults.Collapse)
 //     are simulated once per class and the verdict is fanned back out to
 //     every member, so the simulated universe is smaller than the
@@ -38,8 +38,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/lanevec"
@@ -82,10 +80,11 @@ type Options struct {
 	// each worker keeps its lane machine across batches.
 	Workers int
 	// Engine selects event-driven cone-limited settling (default) or
-	// the full-sweep oracle.  Detected sets are identical either way.
+	// the full-sweep oracle.  Detected sets are identical either way;
+	// only the differential tests and microbenchmarks pick the sweep.
 	Engine EngineKind
 	// Lanes is the number of test sequences simulated per sweep: 64
-	// (default), 128 or 256.  Wider lanes trade more work per gate
+	// (default) or 256.  Wider lanes trade more work per gate
 	// evaluation for fewer sweeps per batch; the detected sets are
 	// identical across widths.
 	Lanes int
@@ -116,15 +115,6 @@ type Options struct {
 	// disjoint union.  ShardCount ≤ 1 means unsharded.
 	ShardIndex int
 	ShardCount int
-
-	// Pipeline overlaps batches: while the workers settle the faults of
-	// the current batch, the next batch's good trace is computed (and
-	// published to the shared cache) in the background, so the serial
-	// good-trace phase of batch k+1 runs under the parallel fault phase
-	// of batch k.  Results are bit-identical either way; only the
-	// Stats/TraceCacheStats hit-miss attribution shifts (the prefetch
-	// takes the miss, the batch takes a hit).
-	Pipeline bool
 
 	// eagerSeed forces the event engine's pre-overhaul eager cone
 	// seeding: full state load per fault, every cone gate enqueued per
@@ -191,20 +181,6 @@ func (m LaneMask) ContainedIn(o LaneMask) bool {
 	return true
 }
 
-// FirstLane returns the lowest set lane, or -1 when empty.
-func (m LaneMask) FirstLane() int {
-	for wi, w := range m {
-		if w != 0 {
-			for b := 0; b < 64; b++ {
-				if w>>uint(b)&1 == 1 {
-					return wi*64 + b
-				}
-			}
-		}
-	}
-	return -1
-}
-
 // Equal compares two masks, zero-extending the shorter one (nil equals
 // the all-zero mask of any width).
 func (m LaneMask) Equal(o LaneMask) bool {
@@ -251,7 +227,6 @@ type BatchResult struct {
 // per-fault hot paths stay monomorphic.
 type laneRunner interface {
 	run(b *Batch) (*BatchResult, error)
-	prefetch(b *Batch)
 	addStats(st *Stats)
 }
 
@@ -345,8 +320,6 @@ type Simulator struct {
 	ndet     int
 
 	patterns int64 // applied patterns, summed over lanes
-
-	pfwg sync.WaitGroup // in-flight Pipeline prefetches
 }
 
 // New builds a simulator for the fault universe.  Stuck-at faults
@@ -447,22 +420,14 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 	switch lanes {
 	case lanevec.Lanes1:
 		s.runner = newEngine[lanevec.V1](s)
-	case lanevec.Lanes2:
-		s.runner = newEngine[lanevec.V2](s)
 	case lanevec.Lanes4:
 		s.runner = newEngine[lanevec.V4](s)
 	default:
-		return nil, fmt.Errorf("fsim: unsupported lane width %d (want %d, %d or %d)",
-			lanes, lanevec.Lanes1, lanevec.Lanes2, lanevec.Lanes4)
+		return nil, fmt.Errorf("fsim: unsupported lane width %d (want %d or %d)",
+			lanes, lanevec.Lanes1, lanevec.Lanes4)
 	}
 	return s, nil
 }
-
-// NumFaults returns the universe size.
-func (s *Simulator) NumFaults() int { return len(s.universe) }
-
-// Engine returns the configured engine kind.
-func (s *Simulator) Engine() EngineKind { return s.opts.Engine }
 
 // Stats returns the cumulative work counters.
 func (s *Simulator) Stats() Stats {
@@ -578,7 +543,10 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 		record(0, br)
 		return nil
 	}
-	chunk := func(base int) Batch {
+	for base := 0; base < len(seqs); base += s.lanes {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		end := min(base+s.lanes, len(seqs))
 		b := Batch{Seqs: seqs[base:end]}
 		if expected != nil {
@@ -587,27 +555,7 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 		if resetExpected != nil {
 			b.ResetExpected = resetExpected[base:end]
 		}
-		return b
-	}
-	for base := 0; base < len(seqs); base += s.lanes {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b := chunk(base)
-		if s.opts.Pipeline && base+s.lanes < len(seqs) {
-			// Overlap: compute the next batch's good trace (into the
-			// shared cache) while this batch's faults settle.  The join
-			// below bounds it to one in-flight prefetch, so the dedicated
-			// prefetch machine and arenas are never shared.
-			nb := chunk(base + s.lanes)
-			s.pfwg.Add(1)
-			go func() {
-				defer s.pfwg.Done()
-				s.runner.prefetch(&nb)
-			}()
-		}
 		br, err := s.SimulateBatch(b)
-		s.pfwg.Wait()
 		if err != nil {
 			return err
 		}
@@ -642,17 +590,8 @@ type engine[V lanevec.Vec[V]] struct {
 	workers []*machine[V]     // sticky per-worker machines
 	pk      packedBatch[V]    // pooled packed-batch arenas, reused per run
 
-	// Prefetch state (Options.Pipeline): its own machine and arenas so
-	// the background good run of batch k+1 never contends with batch
-	// k's machines.  Touched only by the single in-flight prefetch
-	// goroutine; joined before any same-goroutine reuse.
-	pf   *machine[V]
-	pfPk packedBatch[V]
-
-	// The counters below are written by the batch goroutine and the
-	// prefetch goroutine concurrently, hence atomic.
-	allocs                 atomic.Int64 // engine-side backing-array allocations
-	cacheHits, cacheMisses atomic.Int64 // this Simulator's trace-cache outcomes
+	allocs                 int64 // engine-side backing-array allocations
+	cacheHits, cacheMisses int64 // this Simulator's trace-cache outcomes
 }
 
 func newEngine[V lanevec.Vec[V]](s *Simulator) *engine[V] {
@@ -665,35 +604,15 @@ func newEngine[V lanevec.Vec[V]](s *Simulator) *engine[V] {
 
 // addStats folds the engine's work counters into st.
 func (e *engine[V]) addStats(st *Stats) {
-	st.Allocs += e.allocs.Load()
-	st.CacheHits += e.cacheHits.Load()
-	st.CacheMisses += e.cacheMisses.Load()
-	for _, m := range []*machine[V]{e.good, e.pf} {
+	st.Allocs += e.allocs
+	st.CacheHits += e.cacheHits
+	st.CacheMisses += e.cacheMisses
+	for _, m := range append([]*machine[V]{e.good}, e.workers...) {
 		if m != nil {
 			st.GateEvals += m.eng.GateEvals()
 			st.Allocs += m.allocs
 		}
 	}
-	for _, m := range e.workers {
-		if m != nil {
-			st.GateEvals += m.eng.GateEvals()
-			st.Allocs += m.allocs
-		}
-	}
-}
-
-func (e *engine[V]) goodMachine() *machine[V] {
-	if e.good == nil {
-		e.good = newMachine[V](e.s.c)
-	}
-	return e.good
-}
-
-func (e *engine[V]) prefetchMachine() *machine[V] {
-	if e.pf == nil {
-		e.pf = newMachine[V](e.s.c)
-	}
-	return e.pf
 }
 
 // sufficientTrace reports whether a trace satisfies the requirement
@@ -707,18 +626,18 @@ func sufficientTrace[V lanevec.Vec[V]](tr *goodTrace[V], needCycles, needStates 
 // before (by this or any other Simulator), waiting on an in-flight
 // computation by any other goroutine (singleflight — N identical
 // concurrent queries settle the good circuit once), and
-// computing+publishing it on m otherwise.  needCycles requests the
-// per-cycle output trace on top of the reset response; needStates
-// additionally requests the full-state fixpoint trace the cone-limited
-// engine consumes.
-func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], m *machine[V], needCycles, needStates bool) *goodTrace[V] {
+// computing+publishing it on the sticky good machine otherwise.
+// needCycles requests the per-cycle output trace on top of the reset
+// response; needStates additionally requests the full-state fixpoint
+// trace the cone-limited engine consumes.
+func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], needCycles, needStates bool) *goodTrace[V] {
 	var zero V
 	key := traceKey{c: e.s.c, width: zero.Size(), hash: hashSeqs(b.Seqs)}
 	for {
 		if cached := lookupTrace(key, b.Seqs); cached != nil {
 			tr := cached.(*goodTrace[V])
 			if sufficientTrace(tr, needCycles, needStates) {
-				e.cacheHits.Add(1)
+				e.cacheHits++
 				return tr
 			}
 		}
@@ -729,51 +648,37 @@ func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], m *machine[V], needCy
 			// published via storeTrace) serves directly; a nil result
 			// means the leader failed — loop and compute ourselves.
 			if tr, ok := fl.tr.(*goodTrace[V]); ok && tr != nil {
-				e.cacheHits.Add(1)
+				e.cacheHits++
 				return tr
 			}
 			continue
 		}
-		e.cacheMisses.Add(1)
-		tr := e.computeTrace(b, pk, m, needCycles, needStates)
+		e.cacheMisses++
+		tr := e.computeTrace(pk, needCycles, needStates)
 		storeTrace(key, b.Seqs, tr)
 		finishTraceFlight(fl, tr)
 		return tr
 	}
 }
 
-// computeTrace records the good machine's trace for the batch on m.
-func (e *engine[V]) computeTrace(b *Batch, pk *packedBatch[V], m *machine[V], needCycles, needStates bool) *goodTrace[V] {
+// computeTrace records the good machine's trace for the packed batch.
+func (e *engine[V]) computeTrace(pk *packedBatch[V], needCycles, needStates bool) *goodTrace[V] {
+	if e.good == nil {
+		e.good = newMachine[V](e.s.c)
+	}
+	m := e.good
 	tr := &goodTrace[V]{}
 	if needStates {
 		tr.runEvents(m, pk, e.topo)
 		// Derive the diff bitsets eagerly so their cost is accounted to
 		// the Simulator that recorded the trace (cache hits then find
 		// them precomputed).
-		e.allocs.Add(tr.diffs(e.s.c).allocs)
+		e.allocs += tr.diffs(e.s.c).allocs
 	} else {
 		tr.run(m, pk, needCycles)
 	}
-	e.allocs.Add(tr.allocs)
+	e.allocs += tr.allocs
 	return tr
-}
-
-// prefetch computes (and publishes to the shared cache) the good trace
-// of a future batch, on dedicated arenas and a dedicated machine, so
-// it can run while the current batch's faults settle.  Only the event
-// engine prefetches: it always needs the full-state trace, whereas a
-// sweep batch with declared responses needs no good run at all.
-func (e *engine[V]) prefetch(b *Batch) {
-	if e.mode != EngineEvent {
-		return
-	}
-	pk := &e.pfPk
-	var pfAllocs int64
-	if err := pack[V](e.s.c, b, pk, &pfAllocs); err != nil {
-		return // the real run will surface the error
-	}
-	e.allocs.Add(pfAllocs)
-	e.traceFor(b, pk, e.prefetchMachine(), true, true)
 }
 
 // run simulates one batch: pack, fill the response trace, then settle
@@ -791,7 +696,7 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	if b.ResetExpected != nil {
 		pk.traceFromResetExpected(s.c, b, &packAllocs)
 	}
-	e.allocs.Add(packAllocs)
+	e.allocs += packAllocs
 	res := &BatchResult{Lanes: make([]LaneMask, len(s.universe))}
 	// Filter each unit down to its live classes, re-summing weights so
 	// the pool balances today's survivors, not the seed universe (after
@@ -827,10 +732,10 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	var tr *goodTrace[V]
 	var df *traceDiffs
 	if e.mode == EngineEvent {
-		tr = e.traceFor(b, pk, e.goodMachine(), true, true)
+		tr = e.traceFor(b, pk, true, true)
 		df = tr.diffs(s.c)
 	} else if needReset || needCycles {
-		tr = e.traceFor(b, pk, e.goodMachine(), needCycles, false)
+		tr = e.traceFor(b, pk, needCycles, false)
 	}
 	if tr != nil {
 		if pk.reset1 == nil {

@@ -34,7 +34,7 @@ func TestLaneMaskCountAndContainedIn(t *testing.T) {
 
 // TestDetectionMatrixRaggedTrailingBatches pins the multi-batch fold on
 // sequence counts that leave the final batch partially filled and the
-// final mask word partially used (65 sequences at 64 lanes, 129 at 128,
+// final mask word partially used (65 and 129 sequences at 64 lanes,
 // every count at 256).  Each row must agree bit for bit with a
 // per-sequence reference (one matrix pass per single sequence), carry
 // no phantom lanes at or past the sequence count — a padded lane
@@ -84,7 +84,7 @@ func TestDetectionMatrixRaggedTrailingBatches(t *testing.T) {
 		counts = []int{65, 129}
 	}
 	for _, nseq := range counts {
-		for _, lanes := range []int{64, 128, 256} {
+		for _, lanes := range []int{64, 256} {
 			rows, _, err := DetectionMatrix(c, universe, all[:nseq], nil, nil,
 				Options{Lanes: lanes, CheckReset: true})
 			if err != nil {
@@ -163,7 +163,7 @@ func TestDetectionMatrixMatchesChunkedBatches(t *testing.T) {
 
 		var ref []LaneMask
 		for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-			for _, lanes := range []int{64, 128, 256} {
+			for _, lanes := range []int{64, 256} {
 				opts := Options{Workers: 2, Lanes: lanes, Engine: engine, CheckReset: true}
 				rows, stats, err := DetectionMatrix(c, universe, seqs, nil, nil, opts)
 				if err != nil {

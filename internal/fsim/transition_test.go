@@ -128,7 +128,7 @@ func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 		universe := faults.TransitionUniverse(c)
 		want := materialisedMatrix(c, universe, seqs)
 
-		for _, lanes := range []int{64, 128, 256} {
+		for _, lanes := range []int{64, 256} {
 			for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
 				for _, noCollapse := range []bool{false, true} {
 					got := engineMatrix(t, c, universe, seqs, lanes, engine, noCollapse)
@@ -190,7 +190,7 @@ func TestTransitionSuiteParity(t *testing.T) {
 		seqs := randSeqs(rng, c.NumInputs(), nseq, cycles)
 		universe := append(faults.InputUniverse(c), faults.TransitionUniverse(c)...)
 		want := materialisedMatrix(c, universe, seqs)
-		for _, lanes := range []int{64, 128, 256} {
+		for _, lanes := range []int{64, 256} {
 			for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
 				got := engineMatrix(t, c, universe, seqs, lanes, engine, false)
 				for fi := range universe {

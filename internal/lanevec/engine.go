@@ -293,8 +293,6 @@ func (e *Engine[V]) Settle() {
 	switch e := any(e).(type) {
 	case *Engine[V1]:
 		settle64(e)
-	case *Engine[V2]:
-		settle128(e)
 	case *Engine[V4]:
 		settle256(e)
 	}

@@ -209,8 +209,6 @@ func (e *Engine[V]) runEvents(raise bool) {
 	switch e := any(e).(type) {
 	case *Engine[V1]:
 		runEvents64(e, raise)
-	case *Engine[V2]:
-		runEvents128(e, raise)
 	case *Engine[V4]:
 		runEvents256(e, raise)
 	}

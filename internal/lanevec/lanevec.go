@@ -2,7 +2,7 @@
 // every fault-simulation engine in the repository.
 //
 // A lane vector packs one bit per simulated lane into a small fixed-size
-// array of machine words: V1 carries 64 lanes, V2 128, V4 256.  Each
+// array of machine words: V1 carries 64 lanes, V4 256.  Each
 // signal of a circuit is encoded as two lane vectors — the "may be 1"
 // and "may be 0" possibility words of the ternary domain (both set
 // encodes Φ) — and the Eichelberger A/B Jacobi sweeps operate on whole
@@ -35,16 +35,12 @@ import "math/bits"
 // V1 is a 64-lane vector: one machine word.
 type V1 [1]uint64
 
-// V2 is a 128-lane vector: two machine words.
-type V2 [2]uint64
-
 // V4 is a 256-lane vector: four machine words.
 type V4 [4]uint64
 
 // Widths supported by the engine, in lanes.
 const (
 	Lanes1 = 64  // lanes of a V1
-	Lanes2 = 128 // lanes of a V2
 	Lanes4 = 256 // lanes of a V4
 )
 
@@ -54,7 +50,7 @@ const (
 // methods keep their concrete signatures, which is what allows the
 // compiler to stencil and inline them per width.
 type Vec[V any] interface {
-	V1 | V2 | V4
+	V1 | V4
 
 	// And returns the lanewise conjunction v & o.
 	And(o V) V
@@ -129,64 +125,6 @@ func (V1) Size() int { return 64 }
 
 // Words returns the underlying words.
 func (v V1) Words() []uint64 { return []uint64{v[0]} }
-
-// And returns v & o.
-func (v V2) And(o V2) V2 { return V2{v[0] & o[0], v[1] & o[1]} }
-
-// Or returns v | o.
-func (v V2) Or(o V2) V2 { return V2{v[0] | o[0], v[1] | o[1]} }
-
-// AndNot returns v &^ o.
-func (v V2) AndNot(o V2) V2 { return V2{v[0] &^ o[0], v[1] &^ o[1]} }
-
-// Xor returns v ^ o.
-func (v V2) Xor(o V2) V2 { return V2{v[0] ^ o[0], v[1] ^ o[1]} }
-
-// IsZero reports whether no lane bit is set.
-func (v V2) IsZero() bool { return v[0]|v[1] == 0 }
-
-// Eq reports lanewise equality.
-func (v V2) Eq(o V2) bool { return v[0] == o[0] && v[1] == o[1] }
-
-// WithBit returns v with lane l's bit set.
-func (v V2) WithBit(l int) V2 {
-	v[l>>6] |= 1 << uint(l&63)
-	return v
-}
-
-// Has reports whether lane l's bit is set.
-func (v V2) Has(l int) bool { return v[l>>6]>>uint(l&63)&1 == 1 }
-
-// FirstN returns the mask of the first n lanes.
-func (V2) FirstN(n int) V2 {
-	var v V2
-	for w := range v {
-		switch {
-		case n >= (w+1)*64:
-			v[w] = ^uint64(0)
-		case n > w*64:
-			v[w] = 1<<uint(n-w*64) - 1
-		}
-	}
-	return v
-}
-
-// TrailingZeros returns the lowest set lane, or 128 when zero.
-func (v V2) TrailingZeros() int {
-	if v[0] != 0 {
-		return bits.TrailingZeros64(v[0])
-	}
-	return 64 + bits.TrailingZeros64(v[1])
-}
-
-// OnesCount returns the number of set lanes.
-func (v V2) OnesCount() int { return bits.OnesCount64(v[0]) + bits.OnesCount64(v[1]) }
-
-// Size returns 128.
-func (V2) Size() int { return 128 }
-
-// Words returns the underlying words.
-func (v V2) Words() []uint64 { return []uint64{v[0], v[1]} }
 
 // And returns v & o.
 func (v V4) And(o V4) V4 {

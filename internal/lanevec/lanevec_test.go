@@ -105,7 +105,6 @@ func testVecOps[V Vec[V]](t *testing.T) {
 }
 
 func TestVecOpsV1(t *testing.T) { testVecOps[V1](t) }
-func TestVecOpsV2(t *testing.T) { testVecOps[V2](t) }
 func TestVecOpsV4(t *testing.T) { testVecOps[V4](t) }
 
 const chainSrc = `
@@ -214,5 +213,4 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 }
 
 func TestEngineLanesV1(t *testing.T) { testEngineLanes[V1](t) }
-func TestEngineLanesV2(t *testing.T) { testEngineLanes[V2](t) }
 func TestEngineLanesV4(t *testing.T) { testEngineLanes[V4](t) }

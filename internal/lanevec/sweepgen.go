@@ -22,14 +22,13 @@ import (
 
 // sweepWidth describes one kernel instantiation.
 type sweepWidth struct {
-	Lanes int    // 64, 128, 256
-	Type  string // V1, V2, V4
+	Lanes int    // 64, 256
+	Type  string // V1, V4
 	N     int    // words per vector
 }
 
 var sweepWidths = []sweepWidth{
 	{Lanes: 64, Type: "V1", N: 1},
-	{Lanes: 128, Type: "V2", N: 2},
 	{Lanes: 256, Type: "V4", N: 4},
 }
 
@@ -43,7 +42,7 @@ func perWord(n int, sep string, f func(k int) string) string {
 }
 
 var sweepFuncs = template.FuncMap{
-	// zero: "w[0]|w[1] == 0" — the vector has no lane bit set.
+	// zero: "w[0]|w[1]|... == 0" — the vector has no lane bit set.
 	"zero": func(w sweepWidth, v string) string {
 		return perWord(w.N, "|", func(k int) string { return fmt.Sprintf("%s[%d]", v, k) }) + " == 0"
 	},
@@ -74,7 +73,7 @@ var sweepFuncs = template.FuncMap{
 	"andNotAssign": func(w sweepWidth, a, b string) string {
 		return perWord(w.N, "; ", func(k int) string { return fmt.Sprintf("%s[%d] &^= %s[%d]", a, k, b, k) })
 	},
-	// lit: `V2{a[0] | b[0], a[1] | b[1]}` — a fresh vector literal.
+	// lit: `V4{a[0] | b[0], a[1] | b[1], ...}` — a fresh vector literal.
 	"lit": func(w sweepWidth, a, op, b string) string {
 		return w.Type + "{" + perWord(w.N, ", ", func(k int) string {
 			return fmt.Sprintf("%s[%d] %s %s[%d]", a, k, op, b, k)
@@ -87,7 +86,7 @@ var sweepFuncs = template.FuncMap{
 			return fmt.Sprintf("%s[%d] = %s[%d]&^%s[%d] | %s[%d]", v, k, v, k, sub, k, add, k)
 		})
 	},
-	// diffLit: `V2{(a[0]^b[0]) | (c[0]^d[0]), ...}` — the changed-lane
+	// diffLit: `V4{(a[0]^b[0]) | (c[0]^d[0]), ...}` — the changed-lane
 	// mask between two (p1, p0) vector pairs.
 	"diffLit": func(w sweepWidth, a, b, c, d string) string {
 		return w.Type + "{" + perWord(w.N, ", ", func(k int) string {

@@ -144,9 +144,6 @@ func ParseV(r rune) (V, error) {
 // Vec is a vector of ternary values, indexed by signal.
 type Vec []V
 
-// NewVec returns an all-zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns a copy of the vector.
 func (x Vec) Clone() Vec {
 	y := make(Vec, len(x))

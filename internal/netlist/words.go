@@ -97,31 +97,6 @@ func (c *Circuit) EvalBinaryW(gi int, state []uint64) bool {
 	return g.Tbl[idx] == logic.One
 }
 
-// EvalBinaryPinnedW is EvalBinaryPinned over a multi-word packed state.
-func (c *Circuit) EvalBinaryPinnedW(gi int, state []uint64, pin int, v bool) bool {
-	g := &c.Gates[gi]
-	idx := 0
-	for j, f := range g.Fanin {
-		if state[f>>6]>>uint(f&63)&1 == 1 {
-			idx |= 1 << uint(j)
-		}
-	}
-	if g.Kind.SelfDependent() {
-		o := g.Out
-		if state[o>>6]>>uint(o&63)&1 == 1 {
-			idx |= 1 << uint(len(g.Fanin))
-		}
-	}
-	if pin >= 0 {
-		if v {
-			idx |= 1 << uint(pin)
-		} else {
-			idx &^= 1 << uint(pin)
-		}
-	}
-	return g.Tbl[idx] == logic.One
-}
-
 // ExcitedW is Excited over a multi-word packed state.
 func (c *Circuit) ExcitedW(gi int, state []uint64) bool {
 	o := c.Gates[gi].Out

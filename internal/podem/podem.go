@@ -46,7 +46,7 @@ import (
 // Options configures a Generator.  The zero value selects 64 lanes, a
 // 512-assignment decision budget and 8 frames per target.
 type Options struct {
-	// Lanes is the decision-branch width: 64, 128 or 256 (0 → 64).
+	// Lanes is the decision-branch width: 64 or 256 (0 → 64).
 	// A group of k unassigned PIs needs 2^k lanes, so wider engines
 	// explore deeper groups per settle.
 	Lanes int
@@ -127,12 +127,10 @@ func New(c *netlist.Circuit, opts Options) (*Generator, error) {
 	switch opts.Lanes {
 	case lanevec.Lanes1:
 		g.impl = newGen[lanevec.V1](c, opts)
-	case lanevec.Lanes2:
-		g.impl = newGen[lanevec.V2](c, opts)
 	case lanevec.Lanes4:
 		g.impl = newGen[lanevec.V4](c, opts)
 	default:
-		return nil, fmt.Errorf("podem: unsupported lane width %d (want 64, 128 or 256)", opts.Lanes)
+		return nil, fmt.Errorf("podem: unsupported lane width %d (want 64 or 256)", opts.Lanes)
 	}
 	return g, nil
 }

@@ -159,11 +159,13 @@ func (s *Server) runShard(ctx context.Context, shard, shards int, req *CoverageR
 			peer.reportSuccess()
 			return rep, nil
 		}
-		peer.reportFailure()
 		errs = append(errs, fmt.Errorf("shard %d attempt %d via %s: %w", shard, attempt+1, peer.url, err))
 		if !isRetryable(err) {
+			// The request is at fault, not the peer (it answered 4xx,
+			// or was never contacted): leave the peer's health alone.
 			return nil, errors.Join(errs...)
 		}
+		peer.reportFailure()
 	}
 	if !s.cfg.NoLocalFallback && ctx.Err() == nil {
 		rep, err := s.localShard(ctx, c, universe, req, shard, shards)
@@ -256,10 +258,6 @@ func (s *Server) dispatchShard(ctx context.Context, peerURL string, shard, shard
 // the coordinator computing a shard itself yields exactly the verdicts
 // the assigned worker would have.
 func (s *Server) localShard(ctx context.Context, c *netlist.Circuit, universe []faults.Fault, req *CoverageRequest, shard, shards int) (*atpg.CoverageReport, error) {
-	engine, err := resolveEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = s.cfg.Workers
@@ -269,7 +267,7 @@ func (s *Server) localShard(ctx context.Context, c *netlist.Circuit, universe []
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
 	return atpg.CoverageOfCtx(ctx, c, universe, tests, atpg.CoverageOptions{
-		Workers: workers, Lanes: req.Lanes, Engine: engine,
+		Workers: workers, Lanes: req.Lanes,
 		Shard: shard, Shards: shards,
 	})
 }

@@ -265,6 +265,60 @@ func TestCoordinatorNoLocalFallbackJoinsAllErrors(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMalformedRequestsKeepPeersHealthy: a bad request is
+// the client's fault, never a worker's.  The coordinator must reject it
+// with a 400 before fanning out, and a 4xx a worker itself returns must
+// not count against that worker's health — otherwise a few malformed
+// queries mark every peer down and push all later traffic onto the
+// coordinator-local fallback.
+func TestCoordinatorMalformedRequestsKeepPeersHealthy(t *testing.T) {
+	text, c := loadISCAS(t, "s27")
+	tests := randomTests(c, 16, 4, 17)
+	coord := newCoordinator(t, fastDispatch(service.Config{
+		Peers: []string{newWorker(t).URL, newWorker(t).URL},
+	}))
+	for _, req := range []*service.CoverageRequest{
+		{CircuitText: text, Tests: tests, Lanes: 96},
+		{CircuitText: text, Tests: tests, Lanes: 128},
+		{CircuitText: text, Tests: tests, Model: "both"},
+	} {
+		if rec := postJSON(t, coord, "/v1/coverage", req); rec.Code != http.StatusBadRequest {
+			t.Fatalf("malformed request %+v = %d %s; want 400", req, rec.Code, rec.Body.String())
+		}
+	}
+	for _, ps := range coord.PeerStates() {
+		if ps.State != service.PeerHealthy {
+			t.Fatalf("peer %s is %s after malformed requests; want healthy", ps.URL, ps.State)
+		}
+	}
+	decodeCoverage(t, postJSON(t, coord, "/v1/coverage", &service.CoverageRequest{CircuitText: text, Tests: tests}))
+	if n := metricValue(t, coord, "satpgd_shard_local_fallbacks_total"); n != 0 {
+		t.Fatalf("valid request after malformed ones ran %d shards locally; want 0", n)
+	}
+
+	// A worker that rejects what the coordinator accepted (a version
+	// skew, say) fails the query, but it answered: it stays healthy.
+	var hits atomic.Int64
+	rejecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, `{"error":"unsupported request"}`, http.StatusUnprocessableEntity)
+	}))
+	t.Cleanup(rejecting.Close)
+	coord = newCoordinator(t, fastDispatch(service.Config{Peers: []string{rejecting.URL}}))
+	for i := 0; i < 3; i++ {
+		rec := postJSON(t, coord, "/v1/coverage", &service.CoverageRequest{CircuitText: text, Tests: tests})
+		if rec.Code != http.StatusBadGateway {
+			t.Fatalf("request %d against a rejecting worker = %d %s; want 502", i, rec.Code, rec.Body.String())
+		}
+	}
+	if hits.Load() != 3 {
+		t.Fatalf("rejecting worker saw %d dispatches, want 3 (a 4xx is not retried)", hits.Load())
+	}
+	if st := coord.PeerStates()[0].State; st != service.PeerHealthy {
+		t.Fatalf("worker answering 4xx is %s; want healthy", st)
+	}
+}
+
 // TestCoordinatorRejectsStreaming: the coordinator cannot stream a
 // merged report batch-by-batch, and must say so instead of silently
 // downgrading the request to a plain response.

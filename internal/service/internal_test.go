@@ -132,3 +132,26 @@ func TestSleepBackoff(t *testing.T) {
 		t.Fatal("cancelled backoff still slept")
 	}
 }
+
+// TestStoreKeysStable pins the result-store keys of a default coverage
+// request and a default compaction request to the values earlier
+// builds computed, so a store directory they wrote keeps serving those
+// requests as hits.  A key change must be deliberate: it orphans every
+// stored result.
+func TestStoreKeysStable(t *testing.T) {
+	id := CircuitID("circuit demo\ninput A B\noutput y\ngate na NOT A\ngate c C na B\ngate y OR c B\ninit A=0 B=0 na=1 c=1 y=1\n")
+	cov := &CoverageRequest{Circuit: id, Tests: []TestJSON{
+		{Patterns: []uint64{1, 3, 2}, Expected: []uint64{0, 1, 1}},
+		{Patterns: []uint64{2}},
+	}}
+	cmp := &CompactRequest{Circuit: id, Programs: []ProgramJSON{
+		{Patterns: []uint64{1, 3}, Expected: []uint64{0, 1}, ResetExpected: 1},
+		{Patterns: []uint64{2}, Expected: []uint64{1}},
+	}}
+	if got, want := coverageKey(id, cov), "cov-9a90dcd1ba502ad1554afd7a35e32d5a"; got != want {
+		t.Errorf("coverage key = %s, want %s", got, want)
+	}
+	if got, want := compactKey(id, cmp), "cmp-cb8ed1e2c20b3abd5be4cb1e11859a54"; got != want {
+		t.Errorf("compaction key = %s, want %s", got, want)
+	}
+}

@@ -17,10 +17,15 @@ import (
 // a directory (`satpgd -store DIR`).
 //
 // Scheduling knobs (workers, streaming) stay out of the key: they
-// change how fast the answer arrives, never what it is.  Engine, lane
-// width and shard restriction are hashed even though the engines are
+// change how fast the answer arrives, never what it is.  Lane width
+// and shard restriction are hashed even though the engine is
 // parity-pinned across them — a cache must never be the thing that
 // papers over a parity bug.
+//
+// The keys keep a constant "event" in the slot that once hashed a
+// selectable fault-simulation engine, so a store written before the
+// event engine became the only one still serves the requests that
+// never named an engine (TestStoreKeysStable pins this).
 
 // canon substitutes a keyword's documented default for the empty
 // string so "", "input" and explicit defaults share a key.
@@ -55,9 +60,9 @@ func coverageKey(circuitID string, req *CoverageRequest) string {
 		lanes = 64
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00",
+	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00event\x00%d\x00%d\x00%d\x00",
 		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
-		canon(req.Engine, "event"), lanes, req.Shard, req.Shards)
+		lanes, req.Shard, req.Shards)
 	for _, t := range req.Tests {
 		hashWords(h, t.Patterns)
 		hashWords(h, t.Expected)
@@ -73,9 +78,9 @@ func compactKey(circuitID string, req *CompactRequest) string {
 		lanes = 64
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00%s\x00%d\x00%s\x00",
+	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00event\x00%d\x00%s\x00",
 		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
-		canon(req.Engine, "event"), lanes, canon(req.Mode, "all"))
+		lanes, canon(req.Mode, "all"))
 	var b [8]byte
 	for _, p := range req.Programs {
 		hashWords(h, p.Patterns)

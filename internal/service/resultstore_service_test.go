@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -101,7 +102,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 // way.
 func TestCompactServedFromStore(t *testing.T) {
 	text, c := loadISCAS(t, "s27")
-	res, err := satpg.GenerateDirect(c, satpg.InputStuckAt, satpg.Options{Seed: 3})
+	res, err := satpg.Run(context.Background(), c, satpg.InputStuckAt, satpg.Options{Seed: 3, Flow: satpg.FlowDirect})
 	if err != nil {
 		t.Fatal(err)
 	}

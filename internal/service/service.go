@@ -62,10 +62,19 @@
 // verdict-affecting request dimension; a repeated audit replays from
 // the store (response carries "from_store": true) instead of
 // re-simulating, surviving process restarts.
+//
+// # Input bounds
+//
+// Every POST body is capped at MaxRequestBytes (413 past it), and every
+// request field is validated — circuit, model, faults, lanes, mode,
+// flow — before the result store is probed or any peer is contacted,
+// so a malformed query is a 400 that costs neither a store miss nor a
+// peer's health.
 package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -84,6 +93,15 @@ import (
 	"repro/internal/resultstore"
 	"repro/internal/tester"
 )
+
+// MaxRequestBytes caps every POST body.  The largest body the
+// repository's own clients send — its tests, the service benchmarks
+// and the audit benchmark workload, coordinator shard requests
+// included — is the 29,101-byte s953 netlist, so the cap leaves over
+// 500× headroom (room for a circuit at the MaxSignals ceiling with
+// tens of thousands of test cycles) while bounding what one request
+// can make the server buffer.
+const MaxRequestBytes = 16 << 20
 
 // Config tunes a Server.
 type Config struct {
@@ -179,10 +197,10 @@ type Server struct {
 // New builds a Server.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg,
-		circuits: NewCircuitStore(cfg.CircuitCap),
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
+		cfg:       cfg,
+		circuits:  NewCircuitStore(cfg.CircuitCap),
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
 		stopProbe: make(chan struct{}),
 	}
 	s.defClient = &http.Client{Timeout: s.shardTimeout() + 30*time.Second}
@@ -229,13 +247,12 @@ func (s *Server) Close() {
 // accessors).
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
-// Circuits exposes the intern store (for load generators reporting its
-// hit rate).
-func (s *Server) Circuits() *CircuitStore { return s.circuits }
-
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
+	if r.Method == http.MethodPost {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -245,6 +262,27 @@ func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// bodyError answers a failed body read: 413 when the body ran past
+// MaxRequestBytes, 400 otherwise.
+func (s *Server) bodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	s.httpError(w, http.StatusBadRequest, err)
+}
+
+// decodeJSON decodes the request body into v, answering the failure
+// itself; it reports whether the handler may proceed.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		s.bodyError(w, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
 }
 
 // writeJSON renders v as the response body and reports whether the
@@ -280,7 +318,7 @@ type CircuitInfo struct {
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	text, err := io.ReadAll(r.Body)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+		s.bodyError(w, err)
 		return
 	}
 	id, c, err := s.circuits.Intern(string(text), "submitted")
@@ -314,8 +352,7 @@ type CoverageRequest struct {
 
 	Model   string     `json:"model,omitempty"`   // input (default) | output
 	Faults  string     `json:"faults,omitempty"`  // sa (default) | transition | both
-	Engine  string     `json:"engine,omitempty"`  // event (default) | sweep
-	Lanes   int        `json:"lanes,omitempty"`   // 64 (default) | 128 | 256
+	Lanes   int        `json:"lanes,omitempty"`   // 64 (default) | 256
 	Workers int        `json:"workers,omitempty"` // 0: server default
 	Tests   []TestJSON `json:"tests"`
 
@@ -358,10 +395,9 @@ type CoverageResponse struct {
 	Classes   int           `json:"classes"`
 	Lanes     int           `json:"lanes"`
 	Workers   int           `json:"workers"`
-	Engine    string        `json:"engine"`
 	Shard     int           `json:"shard,omitempty"`
 	Shards    int           `json:"shards,omitempty"`
-	Owned     []uint64      `json:"owned,omitempty"` // bitmask words, fault i at bit i%64 of word i/64
+	Owned     []uint64      `json:"owned,omitempty"`      // bitmask words, fault i at bit i%64 of word i/64
 	FromStore bool          `json:"from_store,omitempty"` // replayed from the result store, no simulation ran
 	PerFault  []VerdictJSON `json:"per_fault"`
 	Patterns  int64         `json:"patterns"`
@@ -388,41 +424,52 @@ func (s *Server) resolveCircuit(id, text string) (string, *netlist.Circuit, erro
 	return "", nil, fmt.Errorf("one of circuit or circuit_text is required")
 }
 
-// resolveUniverse maps the request's model/faults keywords to the
-// fault universe, with cmd/satpg's keyword vocabulary.
-func resolveUniverse(c *netlist.Circuit, model, sel string) ([]faults.Fault, error) {
+// resolveFaults maps the request's model/faults keywords to the fault
+// model and selection, with cmd/satpg's keyword vocabulary.
+func resolveFaults(model, sel string) (faults.Type, faults.Selection, error) {
 	fm := faults.InputSA
 	switch model {
 	case "", "input":
 	case "output":
 		fm = faults.OutputSA
 	default:
-		return nil, fmt.Errorf("unknown model %q (want input or output)", model)
+		return 0, 0, fmt.Errorf("unknown model %q (want input or output)", model)
 	}
 	fs := faults.SelStuckAt
 	if sel != "" {
 		var ok bool
 		if fs, ok = faults.ParseSelection(sel); !ok {
-			return nil, fmt.Errorf("unknown faults %q (want sa, transition or both)", sel)
+			return 0, 0, fmt.Errorf("unknown faults %q (want sa, transition or both)", sel)
 		}
+	}
+	return fm, fs, nil
+}
+
+// checkLanes rejects a lane width the fault simulator does not run.
+func checkLanes(n int) error {
+	switch n {
+	case 0, 64, 256:
+		return nil
+	}
+	return fmt.Errorf("unsupported lanes %d (want 64 or 256)", n)
+}
+
+// resolveUniverse validates the request's model, faults and lanes
+// fields and returns the fault universe they select.
+func resolveUniverse(c *netlist.Circuit, model, sel string, lanes int) ([]faults.Fault, error) {
+	fm, fs, err := resolveFaults(model, sel)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkLanes(lanes); err != nil {
+		return nil, err
 	}
 	return faults.SelectUniverse(c, fm, fs), nil
 }
 
-func resolveEngine(s string) (fsim.EngineKind, error) {
-	switch s {
-	case "", "event":
-		return fsim.EngineEvent, nil
-	case "sweep":
-		return fsim.EngineSweep, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want event or sweep)", s)
-}
-
 func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	var req CoverageRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	coordinating := len(s.cfg.Peers) > 0 && !req.Local && req.Shards == 0
@@ -439,12 +486,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	universe, err := resolveUniverse(c, req.Model, req.Faults)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	engine, err := resolveEngine(req.Engine)
+	universe, err := resolveUniverse(c, req.Model, req.Faults, req.Lanes)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -491,7 +533,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
 	opts := atpg.CoverageOptions{
-		Workers: workers, Lanes: req.Lanes, Engine: engine,
+		Workers: workers, Lanes: req.Lanes,
 		Shard: req.Shard, Shards: req.Shards,
 	}
 
@@ -559,8 +601,7 @@ func coverageResponse(circuitID string, rep *atpg.CoverageReport) *CoverageRespo
 		Kind: "report", CircuitID: circuitID,
 		Total: rep.Total, Detected: rep.Detected, Coverage: rep.Coverage(),
 		Classes: rep.Classes, Lanes: rep.Lanes, Workers: rep.Workers,
-		Engine: rep.Engine.String(),
-		Shard:  rep.Shard, Shards: rep.Shards,
+		Shard: rep.Shard, Shards: rep.Shards,
 		PerFault:  make([]VerdictJSON, len(rep.PerFault)),
 		Patterns:  rep.Stats.Patterns,
 		GateEvals: rep.Stats.GateEvals,
@@ -602,9 +643,6 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 		},
 		Elapsed: time.Duration(resp.ElapsedNS),
 	}
-	if resp.Engine == "sweep" {
-		rep.Engine = fsim.EngineSweep
-	}
 	for i, v := range resp.PerFault {
 		rep.PerFault[i] = atpg.FaultCoverage{
 			Fault: universe[i], Detected: v.Detected, TestIndex: v.Test, Cycle: v.Cycle,
@@ -627,8 +665,7 @@ type GenerateRequest struct {
 
 	Model   string `json:"model,omitempty"`   // input (default) | output
 	Faults  string `json:"faults,omitempty"`  // sa (default) | transition | both
-	Engine  string `json:"engine,omitempty"`  // event (default) | sweep
-	Lanes   int    `json:"lanes,omitempty"`   // 64 (default) | 128 | 256
+	Lanes   int    `json:"lanes,omitempty"`   // 64 (default) | 256
 	Workers int    `json:"workers,omitempty"` // 0: server default
 	Flow    string `json:"flow,omitempty"`    // auto (default) | cssg | direct
 
@@ -668,8 +705,7 @@ type GenerateResponse struct {
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	id, c, err := s.resolveCircuit(req.Circuit, req.CircuitText)
@@ -677,24 +713,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	fm := faults.InputSA
-	switch req.Model {
-	case "", "input":
-	case "output":
-		fm = faults.OutputSA
-	default:
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("unknown model %q (want input or output)", req.Model))
-		return
+	fm, sel, err := resolveFaults(req.Model, req.Faults)
+	if err == nil {
+		err = checkLanes(req.Lanes)
 	}
-	sel := faults.SelStuckAt
-	if req.Faults != "" {
-		var ok bool
-		if sel, ok = faults.ParseSelection(req.Faults); !ok {
-			s.httpError(w, http.StatusBadRequest, fmt.Errorf("unknown faults %q (want sa, transition or both)", req.Faults))
-			return
-		}
-	}
-	engine, err := resolveEngine(req.Engine)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -723,7 +745,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	opts := atpg.Options{
 		Seed:            req.Seed,
 		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
-		FaultSimWorkers: workers, FaultSimLanes: req.Lanes, FaultSimEngine: engine,
+		FaultSimWorkers: workers, FaultSimLanes: req.Lanes,
 		SkipPodem: req.SkipPodem, PodemBudget: req.PodemBudget, PodemCycles: req.PodemCycles,
 	}
 	universe := faults.SelectUniverse(c, fm, sel)
@@ -784,7 +806,6 @@ type CompactRequest struct {
 	CircuitText string        `json:"circuit_text,omitempty"`
 	Model       string        `json:"model,omitempty"`
 	Faults      string        `json:"faults,omitempty"`
-	Engine      string        `json:"engine,omitempty"`
 	Lanes       int           `json:"lanes,omitempty"`
 	Workers     int           `json:"workers,omitempty"`
 	Mode        string        `json:"mode,omitempty"` // none | reverse | dominance | greedy | all (default)
@@ -799,15 +820,14 @@ type CompactResponse struct {
 	After     int           `json:"after"`
 	Kept      []int         `json:"kept"`
 	Programs  []ProgramJSON `json:"programs"`
-	Detected  int           `json:"detected"` // fault classes the program covers (preserved exactly)
+	Detected  int           `json:"detected"`             // fault classes the program covers (preserved exactly)
 	FromStore bool          `json:"from_store,omitempty"` // replayed from the result store
 	ElapsedNS int64         `json:"elapsed_ns"`
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	var req CompactRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	id, c, err := s.resolveCircuit(req.Circuit, req.CircuitText)
@@ -815,12 +835,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	universe, err := resolveUniverse(c, req.Model, req.Faults)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	engine, err := resolveEngine(req.Engine)
+	universe, err := resolveUniverse(c, req.Model, req.Faults, req.Lanes)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -855,7 +870,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		progs[i] = tester.Program{Patterns: p.Patterns, Expected: p.Expected, ResetExpected: p.ResetExpected}
 	}
 	start := time.Now()
-	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers, Lanes: req.Lanes, Engine: engine})
+	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers, Lanes: req.Lanes})
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, err)
 		return

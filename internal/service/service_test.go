@@ -3,6 +3,7 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -92,7 +93,7 @@ func TestCoverageEndpointMatchesDirect(t *testing.T) {
 	for i, ts := range tests {
 		at[i] = atpg.Test{Patterns: ts.Patterns}
 	}
-	want, err := atpg.CoverageOfOpts(c, universe, at, atpg.CoverageOptions{})
+	want, err := atpg.CoverageOfCtx(context.Background(), c, universe, at, atpg.CoverageOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +311,12 @@ func TestCircuitSubmitThenQueryByID(t *testing.T) {
 	}
 }
 
-// TestRequestValidation: bad keyword fields must be rejected with
-// errors listing the valid choices, like cmd/satpg's flags.
+// TestRequestValidation: bad keyword fields must be rejected with a
+// 400 listing the valid choices, like cmd/satpg's flags — before the
+// result store is probed, so a malformed query is not a store miss.
 func TestRequestValidation(t *testing.T) {
 	text, c := loadISCAS(t, "s27")
-	srv := service.New(service.Config{})
+	srv := newStoredServer(t, t.TempDir())
 	tests := randomTests(c, 1, 2, 1)
 	for _, tc := range []struct {
 		req  service.CoverageRequest
@@ -323,12 +325,46 @@ func TestRequestValidation(t *testing.T) {
 		{service.CoverageRequest{Tests: tests}, "circuit or circuit_text is required"},
 		{service.CoverageRequest{CircuitText: text, Model: "both", Tests: tests}, "input or output"},
 		{service.CoverageRequest{CircuitText: text, Faults: "stuckat", Tests: tests}, "sa, transition or both"},
-		{service.CoverageRequest{CircuitText: text, Engine: "jacobi", Tests: tests}, "event or sweep"},
-		{service.CoverageRequest{CircuitText: text, Lanes: 96, Tests: tests}, "64, 128 or 256"},
+		{service.CoverageRequest{CircuitText: text, Lanes: 96, Tests: tests}, "64 or 256"},
+		{service.CoverageRequest{CircuitText: text, Lanes: 128, Tests: tests}, "64 or 256"},
 	} {
 		rec := postJSON(t, srv, "/v1/coverage", &tc.req)
-		if rec.Code == http.StatusOK || !strings.Contains(rec.Body.String(), tc.want) {
-			t.Fatalf("request %+v = %d %s; want rejection containing %q", tc.req, rec.Code, rec.Body.String(), tc.want)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Fatalf("request %+v = %d %s; want 400 containing %q", tc.req, rec.Code, rec.Body.String(), tc.want)
+		}
+	}
+	// The other two option-carrying endpoints reject the removed width
+	// the same way.
+	for path, req := range map[string]any{
+		"/v1/generate": &service.GenerateRequest{CircuitText: text, Lanes: 128},
+		"/v1/compact":  &service.CompactRequest{CircuitText: text, Lanes: 128},
+	} {
+		rec := postJSON(t, srv, path, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "64 or 256") {
+			t.Fatalf("%s with lanes 128 = %d %s; want 400 listing 64 or 256", path, rec.Code, rec.Body.String())
+		}
+	}
+	if n := metricValue(t, srv, "satpgd_result_store_misses_total"); n != 0 {
+		t.Fatalf("rejected requests probed the result store: %d misses", n)
+	}
+}
+
+// TestOversizedBodyRejected: every POST endpoint answers 413 to a body
+// past MaxRequestBytes instead of buffering it.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv := service.New(service.Config{})
+	pad := strings.Repeat("x", service.MaxRequestBytes)
+	for path, body := range map[string]string{
+		"/v1/circuits": pad + "x",
+		"/v1/coverage": `{"circuit_text":"` + pad + `"}`,
+		"/v1/generate": `{"circuit_text":"` + pad + `"}`,
+		"/v1/compact":  `{"circuit_text":"` + pad + `"}`,
+	} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body = %d %s; want 413", path, len(body), rec.Code, rec.Body.String())
 		}
 	}
 }
@@ -337,7 +373,7 @@ func TestRequestValidation(t *testing.T) {
 // the measured per-fault coverage bit-identical.
 func TestCompactEndpointPreservesCoverage(t *testing.T) {
 	text, c := loadISCAS(t, "s27")
-	res, err := satpg.GenerateDirect(c, satpg.InputStuckAt, satpg.Options{Seed: 3})
+	res, err := satpg.Run(context.Background(), c, satpg.InputStuckAt, satpg.Options{Seed: 3, Flow: satpg.FlowDirect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +505,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // produce the same verdicts as the declared-response path.
 func TestExpectedOptionalMatchesDeclared(t *testing.T) {
 	text, c := loadISCAS(t, "s27")
-	res, err := satpg.GenerateDirect(c, satpg.InputStuckAt, satpg.Options{Seed: 9})
+	res, err := satpg.Run(context.Background(), c, satpg.InputStuckAt, satpg.Options{Seed: 9, Flow: satpg.FlowDirect})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,6 @@ type Place struct {
 	Out  []int  // consuming transitions
 }
 
-// NumTrans returns the number of transitions.
-func (n *Net) NumTrans() int { return len(n.Trans) }
-
 // TransitionIndex resolves a transition to its index.
 func (n *Net) TransitionIndex(t Transition) (int, bool) {
 	i, ok := n.transIdx[t]

@@ -6,13 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fsim"
 	"repro/internal/randckt"
 	"repro/internal/sim"
 )
 
 // The multi-word differential suite: circuits past the 64-signal
 // single-word ceiling must behave bit-identically to the scalar ternary
-// oracle, across both fault-simulation engines and every lane width,
+// oracle, across both fsim engines and both lane widths,
 // and a ≤64-signal circuit pushed through the multi-word paths (via
 // SetMinStateWords) must reproduce its single-word verdicts exactly.
 
@@ -74,35 +75,15 @@ func scalarOracleDetects(c *Circuit, f Fault, tests []Test) bool {
 	return false
 }
 
-// crossEngineCompare measures the tests under both engines at one lane
-// width and requires identical per-fault verdicts; it returns the event
-// engine's report for further checking.
-func crossEngineCompare(t *testing.T, c *Circuit, model FaultModel, tests []Test, lanes int) *CoverageReport {
-	t.Helper()
-	ev, err := FaultSimBatch(c, model, tests, Options{FaultSimLanes: lanes, FaultSimEngine: EventEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := FaultSimBatch(c, model, tests, Options{FaultSimLanes: lanes, FaultSimEngine: SweepEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi := range ev.PerFault {
-		e, s := ev.PerFault[fi], sw.PerFault[fi]
-		if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
-			t.Errorf("%s lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
-				c.Name, lanes, e.Fault.Describe(c),
-				e.Detected, e.TestIndex, e.Cycle, s.Detected, s.TestIndex, s.Cycle)
-		}
-	}
-	return ev
-}
-
 // TestDirectFlowOracleOnCorpus runs the direct flow on the corpus and
 // checks (a) every kept test and credited detection replays on the
 // scalar oracle, (b) event and sweep engines agree verdict for verdict
-// at every lane width on the generated tests.
+// at both lane widths on the generated tests.
 func TestDirectFlowOracleOnCorpus(t *testing.T) {
+	// The package's three longest suites — this one,
+	// TestPodemParityCSSGFlow and TestPodemParityDirectFlow — run in
+	// parallel so the package stays inside go test's default timeout.
+	t.Parallel()
 	files := []string{"s27.ckt", "s349.ckt"}
 	if !testing.Short() {
 		files = append(files, "s953.ckt")
@@ -113,22 +94,19 @@ func TestDirectFlowOracleOnCorpus(t *testing.T) {
 		if file == "s953.ckt" {
 			opts.RandomSequences, opts.RandomLength = 24, 12
 		}
-		res, err := GenerateDirect(c, InputStuckAt, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
+		res := runDirect(t, c, InputStuckAt, opts)
 		if res.Covered == 0 || len(res.Tests) == 0 {
 			t.Fatalf("%s: direct flow produced no detections (%d tests)", file, len(res.Tests))
 		}
 		if err := ValidateDirect(c, res); err != nil {
 			t.Errorf("%s: %v", file, err)
 		}
-		lanes := []int{64, 128, 256}
+		lanes := []int{64, 256}
 		if file == "s953.ckt" {
 			lanes = []int{256}
 		}
 		for _, lw := range lanes {
-			crossEngineCompare(t, c, InputStuckAt, res.Tests, lw)
+			crossEngineCompare(t, c, InputStuckAt, SelectStuckAt, res.Tests, lw)
 		}
 	}
 }
@@ -155,20 +133,17 @@ func TestMultiWordEnginesMatchScalarOracle(t *testing.T) {
 		if c.NumSignals() <= MaxExplicitSignals {
 			t.Fatalf("band %d: circuit %s has only %d signals", bi, c.Name, c.NumSignals())
 		}
-		res, err := GenerateDirect(c, InputStuckAt, Options{Seed: 7, RandomSequences: 32, RandomLength: 12})
-		if err != nil {
-			t.Fatalf("band %d (%s): %v", bi, c.Name, err)
-		}
+		res := runDirect(t, c, InputStuckAt, Options{Seed: 7, RandomSequences: 32, RandomLength: 12})
 		t.Logf("band %d: %s, %d signals (%d words), %d tests, cov %d/%d",
 			bi, c.Name, c.NumSignals(), c.StateWords(), len(res.Tests), res.Covered, res.Total)
-		var rep *CoverageReport
-		for _, lw := range []int{64, 128, 256} {
-			rep = crossEngineCompare(t, c, InputStuckAt, res.Tests, lw)
+		var ev []FaultCoverage
+		for _, lw := range []int{64, 256} {
+			ev, _, _ = crossEngineCompare(t, c, InputStuckAt, SelectStuckAt, res.Tests, lw)
 		}
 		// Scalar spot-check: every 7th fault's verdict must match a full
 		// replay on the ternary machine.
-		for fi := 0; fi < len(rep.PerFault); fi += 7 {
-			fc := rep.PerFault[fi]
+		for fi := 0; fi < len(ev); fi += 7 {
+			fc := ev[fi]
 			if got := scalarOracleDetects(c, fc.Fault, res.Tests); got != fc.Detected {
 				t.Errorf("band %d fault %s: fsim det=%v, scalar oracle det=%v",
 					bi, fc.Fault.Describe(c), fc.Detected, got)
@@ -187,24 +162,15 @@ func TestSingleVsMultiWordBitEquality(t *testing.T) {
 		suite = suite[:3]
 	}
 	for _, bm := range suite {
-		_, res, err := GenerateForCircuit(bm.Circuit, InputStuckAt, Options{Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", bm.Name, err)
-		}
+		_, res := runCSSG(t, bm.Circuit, InputStuckAt, Options{Seed: 1})
 		forced := bm.Circuit.Clone()
 		forced.SetMinStateWords(2)
 		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
-			for _, engine := range []FaultSimEngine{EventEngine, SweepEngine} {
-				one, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimEngine: engine})
-				if err != nil {
-					t.Fatalf("%s: %v", bm.Name, err)
-				}
-				two, err := FaultSimBatch(forced, model, res.Tests, Options{FaultSimEngine: engine})
-				if err != nil {
-					t.Fatalf("%s forced: %v", bm.Name, err)
-				}
-				for fi := range one.PerFault {
-					a, b := one.PerFault[fi], two.PerFault[fi]
+			for _, engine := range []fsim.EngineKind{fsim.EngineEvent, fsim.EngineSweep} {
+				one, _ := engineVerdicts(t, bm.Circuit, model, SelectStuckAt, res.Tests, 64, engine)
+				two, _ := engineVerdicts(t, forced, model, SelectStuckAt, res.Tests, 64, engine)
+				for fi := range one {
+					a, b := one[fi], two[fi]
 					if a.Detected != b.Detected || a.TestIndex != b.TestIndex || a.Cycle != b.Cycle {
 						t.Errorf("%s %v %v fault %s: 1-word {det=%v test=%d cyc=%d} 2-word {det=%v test=%d cyc=%d}",
 							bm.Name, model, engine, a.Fault.Describe(bm.Circuit),
@@ -214,14 +180,8 @@ func TestSingleVsMultiWordBitEquality(t *testing.T) {
 			}
 		}
 		// The direct flow must be equally indifferent to the word count.
-		d1, err := GenerateDirect(bm.Circuit, InputStuckAt, Options{Seed: 3, RandomSequences: 16, RandomLength: 8})
-		if err != nil {
-			t.Fatalf("%s: %v", bm.Name, err)
-		}
-		d2, err := GenerateDirect(forced, InputStuckAt, Options{Seed: 3, RandomSequences: 16, RandomLength: 8})
-		if err != nil {
-			t.Fatalf("%s forced: %v", bm.Name, err)
-		}
+		d1 := runDirect(t, bm.Circuit, InputStuckAt, Options{Seed: 3, RandomSequences: 16, RandomLength: 8})
+		d2 := runDirect(t, forced, InputStuckAt, Options{Seed: 3, RandomSequences: 16, RandomLength: 8})
 		if d1.Covered != d2.Covered || len(d1.Tests) != len(d2.Tests) {
 			t.Fatalf("%s: direct flow diverged across word counts: cov %d/%d tests %d vs cov %d/%d tests %d",
 				bm.Name, d1.Covered, d1.Total, len(d1.Tests), d2.Covered, d2.Total, len(d2.Tests))

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +127,7 @@ func parityOptions(sel FaultSelection) Options {
 }
 
 func TestPodemParityCSSGFlow(t *testing.T) {
+	t.Parallel() // with the other long suites; see TestDirectFlowOracleOnCorpus
 	circuits := []*Circuit{
 		mustBenchmark(t, "fig1a"),
 		mustBenchmark(t, "si/chu150"),
@@ -157,6 +159,7 @@ func TestPodemParityCSSGFlow(t *testing.T) {
 }
 
 func TestPodemParityDirectFlow(t *testing.T) {
+	t.Parallel() // with the other long suites; see TestDirectFlowOracleOnCorpus
 	circuits := []*Circuit{
 		mustBenchmark(t, "fig1a"),
 		mustBenchmark(t, "si/master-read"),
@@ -177,14 +180,8 @@ func TestPodemParityDirectFlow(t *testing.T) {
 			opts := parityOptions(sel)
 			offOpts := opts
 			offOpts.SkipPodem = true
-			off, err := GenerateDirectCtx(context.Background(), c, InputStuckAt, offOpts)
-			if err != nil {
-				t.Fatalf("%s sel=%v off: %v", c.Name, sel, err)
-			}
-			on, err := GenerateDirectCtx(context.Background(), c, InputStuckAt, opts)
-			if err != nil {
-				t.Fatalf("%s sel=%v on: %v", c.Name, sel, err)
-			}
+			off := runDirect(t, c, InputStuckAt, offOpts)
+			on := runDirect(t, c, InputStuckAt, opts)
 			assertRandomVerdictsPreserved(t, c.Name+"/direct", off, on)
 		}
 	}
@@ -277,7 +274,7 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"negative workers", Options{FaultSimWorkers: -1}},
 		{"bad lane width", Options{FaultSimLanes: 96}},
-		{"unknown engine", Options{FaultSimEngine: 7}},
+		{"removed lane width", Options{FaultSimLanes: 128}},
 		{"unknown flow", Options{Flow: Flow(9)}},
 		{"negative K", Options{K: -1}},
 		{"negative podem budget", Options{PodemBudget: -5}},
@@ -286,6 +283,9 @@ func TestOptionsValidate(t *testing.T) {
 		if err := tc.opts.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.opts)
 		}
+	}
+	if err := (Options{FaultSimLanes: 128}).Validate(); err == nil || !strings.Contains(err.Error(), "64 or 256") {
+		t.Errorf("128 lanes: Validate error %v, want one listing 64 or 256", err)
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)

@@ -93,8 +93,6 @@ type (
 	FaultCoverage = atpg.FaultCoverage
 	// ProgramCoverageSummary is the tester-side coverage measurement.
 	ProgramCoverageSummary = tester.CoverageSummary
-	// FaultSimEngine selects the fault-simulation settling strategy.
-	FaultSimEngine = fsim.EngineKind
 	// FaultSimStats reports fault-simulation work counters.
 	FaultSimStats = fsim.Stats
 	// FaultSelection picks which fault universes a flow targets: the
@@ -110,24 +108,15 @@ type (
 )
 
 // MaxExplicitSignals is the signal-count ceiling of the explicit-state
-// subsystems (Abstract/Generate, the STG tooling and the timed tester
-// model), which pack one state per machine word.  The packed-state
-// simulation engines — and the GenerateDirect flow built on them — go
-// up to MaxSignals.
+// subsystems (Abstract and the CSSG flow, the STG tooling and the timed
+// tester model), which pack one state per machine word.  The
+// packed-state simulation engines — and the direct flow built on them —
+// go up to MaxSignals.
 const (
 	MaxExplicitSignals = netlist.WordBits
 	// MaxSignals is the absolute circuit-size ceiling of the multi-word
 	// packed-state engines.
 	MaxSignals = netlist.MaxSignals
-)
-
-// Fault-simulation engines.  EventEngine (the default) re-simulates
-// only each fault's fanout cone against the cached good trace;
-// SweepEngine settles the whole circuit with full Jacobi sweeps and is
-// kept as the differential oracle.  Detected sets are bit-identical.
-const (
-	EventEngine = fsim.EngineEvent
-	SweepEngine = fsim.EngineSweep
 )
 
 // Test-point kinds.
@@ -198,15 +187,11 @@ type Options struct {
 	// phase and the FaultSimBatch / coverage measurements.
 	FaultSimWorkers int
 	// FaultSimLanes selects the lane width of bit-parallel fault
-	// simulation: 64 (default, one word per signal), 128 or 256 test
+	// simulation: 64 (default, one word per signal) or 256 test
 	// sequences per sweep.  Detected sets are identical across widths;
 	// wider lanes amortise each ternary sweep over more patterns.
 	FaultSimLanes int
-	// FaultSimEngine selects event-driven cone-limited settling
-	// (EventEngine, the default) or the full-sweep oracle
-	// (SweepEngine).  Detected sets are identical either way.
-	FaultSimEngine FaultSimEngine
-	// Faults selects which universes Generate, FaultSimBatch and
+	// Faults selects which universes Run, GenerateCtx, FaultSimBatch and
 	// MeasureProgramCoverage target: the chosen stuck-at model
 	// (SelectStuckAt, the default), the transition universe
 	// (SelectTransition), or their union (SelectBoth).  Transition
@@ -279,14 +264,9 @@ func (o Options) Validate() error {
 		return fmt.Errorf("satpg: FaultSimWorkers must be ≥ 0, got %d (0 selects GOMAXPROCS)", o.FaultSimWorkers)
 	}
 	switch o.FaultSimLanes {
-	case 0, 64, 128, 256:
+	case 0, 64, 256:
 	default:
-		return fmt.Errorf("satpg: FaultSimLanes must be 64, 128 or 256, got %d", o.FaultSimLanes)
-	}
-	switch o.FaultSimEngine {
-	case EventEngine, SweepEngine:
-	default:
-		return fmt.Errorf("satpg: unknown fault-simulation engine %d (want EventEngine or SweepEngine)", o.FaultSimEngine)
+		return fmt.Errorf("satpg: FaultSimLanes must be 64 or 256, got %d", o.FaultSimLanes)
 	}
 	switch o.Flow {
 	case FlowAuto, FlowCSSG, FlowDirect:
@@ -313,7 +293,6 @@ func (o Options) atpgOpts() atpg.Options {
 		SkipFaultSim:    o.SkipFaultSim,
 		FaultSimWorkers: o.FaultSimWorkers,
 		FaultSimLanes:   o.FaultSimLanes,
-		FaultSimEngine:  o.FaultSimEngine,
 		SkipPodem:       o.SkipPodem,
 		PodemBudget:     o.PodemBudget,
 		PodemCycles:     o.PodemCycles,
@@ -405,38 +384,18 @@ func Run(ctx context.Context, c *Circuit, model FaultModel, opts Options) (*Resu
 	return atpg.RunUniverseCtx(ctx, g, model, universe, opts.atpgOpts())
 }
 
-// Generate runs the CSSG-flow ATPG (§5) on a prebuilt CSSG over the
-// universe Options.Faults selects (the model's stuck-at faults by
-// default; SelectTransition or SelectBoth widen it to the gross
-// gate-delay extension).
-//
-// Deprecated: Use Run (or GenerateCtx when the CSSG is prebuilt) —
-// they validate options and support cancellation.  Generate is kept
-// as a thin wrapper and never returns partial results.
-func Generate(g *CSSG, model FaultModel, opts Options) *Result {
-	res, _ := GenerateCtx(context.Background(), g, model, opts)
-	return res
-}
-
-// GenerateCtx is the context-aware CSSG-flow generation over a
-// prebuilt abstraction: cancellation is checked at every batch and
-// decision boundary, and a cancelled run returns the partial Result
-// alongside ctx.Err().
+// GenerateCtx runs the CSSG-flow ATPG (§5) on a prebuilt CSSG — the
+// half of Run that follows Abstract, for callers that build or reuse
+// the abstraction themselves.  It targets the universe Options.Faults
+// selects (the model's stuck-at faults by default; SelectTransition or
+// SelectBoth widen it to the gross gate-delay extension).
+// Cancellation is checked at every batch and decision boundary, and a
+// cancelled run returns the partial Result alongside ctx.Err().
 func GenerateCtx(ctx context.Context, g *CSSG, model FaultModel, opts Options) (*Result, error) {
-	return atpg.RunUniverseCtx(ctx, g, model, faults.SelectUniverse(g.C, model, opts.Faults), opts.atpgOpts())
-}
-
-// GenerateForCircuit is the one-shot convenience: Abstract then
-// Generate.
-//
-// Deprecated: Use Run with Options.Flow = FlowCSSG (or FlowAuto); the
-// built abstraction is returned via Result.Graph.
-func GenerateForCircuit(c *Circuit, model FaultModel, opts Options) (*CSSG, *Result, error) {
-	g, err := Abstract(c, opts)
-	if err != nil {
-		return nil, nil, err
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	return g, Generate(g, model, opts), nil
+	return atpg.RunUniverseCtx(ctx, g, model, faults.SelectUniverse(g.C, model, opts.Faults), opts.atpgOpts())
 }
 
 // VerifyTestDirect replays a test against one fault on the scalar
@@ -445,26 +404,6 @@ func GenerateForCircuit(c *Circuit, model FaultModel, opts Options) (*CSSG, *Res
 // the per-fault oracle of the multi-word engine parity suites.
 func VerifyTestDirect(c *Circuit, f Fault, t Test) bool {
 	return atpg.VerifyDirect(c, f, t)
-}
-
-// GenerateDirect runs the CSSG-free ATPG flow: valid random walks are
-// drawn directly on the scalar ternary machine (a vector is accepted
-// only when the settling is fully definite, §5.4's validity criterion)
-// and screened with the batched multi-word fault simulator.  It is the
-// only generation path for circuits past the 64-signal ceiling of the
-// explicit-state abstraction, and works at any size.
-//
-// Deprecated: Use Run with Options.Flow = FlowDirect (or FlowAuto) —
-// it validates options and supports cancellation.
-func GenerateDirect(c *Circuit, model FaultModel, opts Options) (*Result, error) {
-	return GenerateDirectCtx(context.Background(), c, model, opts)
-}
-
-// GenerateDirectCtx is the context-aware direct-flow generation:
-// cancellation is checked at every batch and decision boundary, and a
-// cancelled run returns the partial Result alongside ctx.Err().
-func GenerateDirectCtx(ctx context.Context, c *Circuit, model FaultModel, opts Options) (*Result, error) {
-	return atpg.RunDirectCtx(ctx, c, model, faults.SelectUniverse(c, model, opts.Faults), opts.atpgOpts())
 }
 
 // VerifyTest replays a test against one fault with the exact
@@ -493,7 +432,7 @@ func FaultSimBatch(c *Circuit, model FaultModel, tests []Test, opts Options) (*C
 // silently).
 func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests []Test, opts Options) (*CoverageReport, error) {
 	return atpg.CoverageOfCtx(ctx, c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes, Engine: opts.FaultSimEngine,
+		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
 	})
 }
 
@@ -505,8 +444,8 @@ func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests [
 // MergeCoverageShards into a report whose per-fault verdicts are
 // bit-identical to the unsharded FaultSimBatch.
 func FaultSimBatchShard(c *Circuit, model FaultModel, tests []Test, shard, shards int, opts Options) (*CoverageReport, error) {
-	return atpg.CoverageOfOpts(c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes, Engine: opts.FaultSimEngine,
+	return atpg.CoverageOfCtx(context.Background(), c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
+		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
 		Shard: shard, Shards: shards,
 	})
 }
@@ -522,13 +461,13 @@ func MergeCoverageShards(reports []*CoverageReport) (*CoverageReport, error) {
 // MeasureProgramCoverage is FaultSimBatch for tester programs: the
 // stimulus/response view of the same measurement.
 func MeasureProgramCoverage(c *Circuit, progs []Program, model FaultModel, opts Options) (ProgramCoverageSummary, error) {
-	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers, opts.FaultSimLanes, opts.FaultSimEngine)
+	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers, opts.FaultSimLanes)
 }
 
 // CompactProgram shrinks a tester program set over the universe
 // Options.Faults selects, running the passes Options.Compact names on
-// the exact detection matrix (one batched fsim pass; lane width,
-// engine and worker options apply to it).  The compacted program's
+// the exact detection matrix (one batched fsim pass; the lane-width and
+// worker options apply to it).  The compacted program's
 // measured coverage is bit-identical to the original's, per fault —
 // only tests whose every detection another kept test carries are
 // dropped.
@@ -542,7 +481,7 @@ func CompactProgram(c *Circuit, progs []Program, model FaultModel, opts Options)
 // ctx.Err() and no result.
 func CompactProgramCtx(ctx context.Context, c *Circuit, progs []Program, model FaultModel, opts Options) (*CompactionResult, error) {
 	return compact.CompactCtx(ctx, c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.Compact,
-		compact.Options{Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes, Engine: opts.FaultSimEngine})
+		compact.Options{Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes})
 }
 
 // Programs converts the result's tests into tester programs (stimulus

@@ -1,9 +1,43 @@
 package satpg
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// runCSSG is Run forced onto the CSSG flow; the abstraction comes back
+// on Result.Graph.
+func runCSSG(tb testing.TB, c *Circuit, model FaultModel, opts Options) (*CSSG, *Result) {
+	tb.Helper()
+	opts.Flow = FlowCSSG
+	res, err := Run(context.Background(), c, model, opts)
+	if err != nil {
+		tb.Fatalf("%s: %v", c.Name, err)
+	}
+	return res.Graph, res
+}
+
+// runDirect is Run forced onto the direct flow.
+func runDirect(tb testing.TB, c *Circuit, model FaultModel, opts Options) *Result {
+	tb.Helper()
+	opts.Flow = FlowDirect
+	res, err := Run(context.Background(), c, model, opts)
+	if err != nil {
+		tb.Fatalf("%s: %v", c.Name, err)
+	}
+	return res
+}
+
+// generate is GenerateCtx on a prebuilt abstraction.
+func generate(tb testing.TB, g *CSSG, model FaultModel, opts Options) *Result {
+	tb.Helper()
+	res, err := GenerateCtx(context.Background(), g, model, opts)
+	if err != nil {
+		tb.Fatalf("%s: %v", g.C.Name, err)
+	}
+	return res
+}
 
 const tinySrc = `
 circuit tiny
@@ -18,10 +52,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, res, err := GenerateForCircuit(c, OutputStuckAt, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, res := runCSSG(t, c, OutputStuckAt, Options{Seed: 1})
 	if res.Coverage() != 1 {
 		t.Fatalf("inverter must be fully testable: %s", res.Summary())
 	}
@@ -98,8 +129,8 @@ func TestTableFormatting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Generate(g, OutputStuckAt, Options{Seed: 1})
-	in := Generate(g, InputStuckAt, Options{Seed: 1})
+	out := generate(t, g, OutputStuckAt, Options{Seed: 1})
+	in := generate(t, g, InputStuckAt, Options{Seed: 1})
 	header := TableHeader()
 	row := TableRow("tiny", out, in)
 	if len(header) == 0 || len(row) == 0 {
@@ -115,10 +146,7 @@ func TestFacadeProgramsAndFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, res, err := GenerateForCircuit(c, InputStuckAt, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, res := runCSSG(t, c, InputStuckAt, Options{Seed: 1})
 	progs := Programs(g, res)
 	if len(progs) != len(res.Tests) {
 		t.Fatal("program count mismatch")
@@ -136,10 +164,7 @@ func TestFacadeFaultSimBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, res, err := GenerateForCircuit(c, InputStuckAt, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, res := runCSSG(t, c, InputStuckAt, Options{Seed: 1})
 	rep, err := FaultSimBatch(c, InputStuckAt, res.Tests, Options{FaultSimWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +206,7 @@ func TestFacadeFaultSimBatch(t *testing.T) {
 // TestFaultSimLaneWidthsAgreeOnSuite pins the multi-word lane engine to
 // the stacked 64-lane runs on the Table-1 benchmarks: for both fault
 // models, the per-fault verdicts of FaultSimBatch must be identical at
-// 64, 128 and 256 lanes, and the full ATPG flow must produce the same
+// 64 and 256 lanes, and the full ATPG flow must produce the same
 // result whichever width the random phase batches its walks at.
 func TestFaultSimLaneWidthsAgreeOnSuite(t *testing.T) {
 	suite := SpeedIndependentSuite()
@@ -189,33 +214,28 @@ func TestFaultSimLaneWidthsAgreeOnSuite(t *testing.T) {
 		suite = suite[:3]
 	}
 	for _, bm := range suite {
-		g, res, err := GenerateForCircuit(bm.Circuit, InputStuckAt, Options{Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", bm.Name, err)
-		}
+		g, res := runCSSG(t, bm.Circuit, InputStuckAt, Options{Seed: 1})
 		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
 			base, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimLanes: 64})
 			if err != nil {
 				t.Fatalf("%s: %v", bm.Name, err)
 			}
-			for _, lanes := range []int{128, 256} {
-				rep, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimLanes: lanes})
-				if err != nil {
-					t.Fatalf("%s lanes=%d: %v", bm.Name, lanes, err)
-				}
-				for fi := range rep.PerFault {
-					if rep.PerFault[fi].Detected != base.PerFault[fi].Detected {
-						t.Errorf("%s %v lanes=%d: fault %s detected=%v, 64-lane says %v",
-							bm.Name, model, lanes, rep.PerFault[fi].Fault.Describe(bm.Circuit),
-							rep.PerFault[fi].Detected, base.PerFault[fi].Detected)
-					}
+			rep, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimLanes: 256})
+			if err != nil {
+				t.Fatalf("%s lanes=256: %v", bm.Name, err)
+			}
+			for fi := range rep.PerFault {
+				if rep.PerFault[fi].Detected != base.PerFault[fi].Detected {
+					t.Errorf("%s %v lanes=256: fault %s detected=%v, 64-lane says %v",
+						bm.Name, model, rep.PerFault[fi].Fault.Describe(bm.Circuit),
+						rep.PerFault[fi].Detected, base.PerFault[fi].Detected)
 				}
 			}
 		}
 		// The random phase batches its walks by lane width; the walks,
 		// their order, and the exact-machine confirmation are width
 		// independent, so the whole ATPG result must be too.
-		wide := Generate(g, InputStuckAt, Options{Seed: 1, FaultSimLanes: 256})
+		wide := generate(t, g, InputStuckAt, Options{Seed: 1, FaultSimLanes: 256})
 		if wide.Covered != res.Covered || wide.Untestable != res.Untestable ||
 			len(wide.Tests) != len(res.Tests) {
 			t.Fatalf("%s: 256-lane ATPG diverged: cov %d vs %d, tests %d vs %d",
@@ -313,7 +333,7 @@ func TestFacadeFaultSelections(t *testing.T) {
 		t.Fatalf("combined universe %d faults, want %d", len(both), saN+trN)
 	}
 
-	res := Generate(g, InputStuckAt, Options{Seed: 1, Faults: SelectBoth})
+	res := generate(t, g, InputStuckAt, Options{Seed: 1, Faults: SelectBoth})
 	if res.Total != len(both) {
 		t.Fatalf("ATPG total %d, want %d", res.Total, len(both))
 	}
@@ -329,25 +349,8 @@ func TestFacadeFaultSelections(t *testing.T) {
 		t.Fatalf("combined coverage suspiciously low: %s", res.Summary())
 	}
 
-	for _, lanes := range []int{64, 128, 256} {
-		ev, err := FaultSimBatch(c, InputStuckAt, res.Tests,
-			Options{Faults: SelectBoth, FaultSimLanes: lanes, FaultSimEngine: EventEngine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := FaultSimBatch(c, InputStuckAt, res.Tests,
-			Options{Faults: SelectBoth, FaultSimLanes: lanes, FaultSimEngine: SweepEngine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for fi := range ev.PerFault {
-			e, s := ev.PerFault[fi], sw.PerFault[fi]
-			if e.Detected != s.Detected || e.TestIndex != s.TestIndex || e.Cycle != s.Cycle {
-				t.Fatalf("lanes=%d fault %s: event {det=%v test=%d cyc=%d} sweep {det=%v test=%d cyc=%d}",
-					lanes, e.Fault.Describe(c), e.Detected, e.TestIndex, e.Cycle,
-					s.Detected, s.TestIndex, s.Cycle)
-			}
-		}
+	for _, lanes := range []int{64, 256} {
+		crossEngineCompare(t, c, InputStuckAt, SelectBoth, res.Tests, lanes)
 	}
 
 	// Program-side measurement accepts the combined universe too.

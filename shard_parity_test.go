@@ -96,10 +96,7 @@ func assertShardParity(t *testing.T, name string, c *Circuit, sel FaultSelection
 // stuck-at, transition, and combined universes.
 func TestShardParityAcrossModels(t *testing.T) {
 	for name, c := range shardCircuits(t) {
-		res, err := GenerateDirect(c, InputStuckAt, Options{Seed: 5, RandomSequences: 24, RandomLength: 10})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		res := runDirect(t, c, InputStuckAt, Options{Seed: 5, RandomSequences: 24, RandomLength: 10})
 		if len(res.Tests) == 0 {
 			t.Fatalf("%s: direct flow produced no tests", name)
 		}
