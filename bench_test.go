@@ -108,52 +108,6 @@ func BenchmarkRandomTPGAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelVsSerialFaultSim measures the §5.4 parallel
-// (64-way) ternary fault simulation against one-at-a-time simulation of
-// the same faults over the same vector sequence.
-func BenchmarkParallelVsSerialFaultSim(b *testing.B) {
-	c, err := LoadBenchmark("si/mmu")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fl := faults.InputUniverse(c)
-	if len(fl) > sim.Lanes {
-		fl = fl[:sim.Lanes]
-	}
-	patterns := make([]uint64, 24)
-	rng := rand.New(rand.NewSource(5))
-	g, err := Abstract(c, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := g.Init
-	for i := range patterns {
-		edges := g.Edges[node]
-		e := edges[rng.Intn(len(edges))]
-		patterns[i] = e.Pattern
-		node = e.To
-	}
-	b.Run("parallel-64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			par := sim.NewParallel(c, fl)
-			for _, p := range patterns {
-				par.Apply(p)
-			}
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for fi := range fl {
-				m := sim.Machine{C: c, Fault: &fl[fi]}
-				st := m.InitState()
-				for _, p := range patterns {
-					st = m.Step(st, p)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkFaultSimEngines compares the fault-simulation shapes on one
 // seeded randckt circuit:
 //

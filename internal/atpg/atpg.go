@@ -3,8 +3,9 @@
 // the paper:
 //
 //   - Random TPG (§5.4): seeded random walks over the CSSG's valid
-//     vectors, fault-simulated 64 faults at a time with the parallel
-//     ternary simulator.  Cheap, typically covers ~half the faults.
+//     vectors, fault-simulated a lane-width of walks at a time against
+//     every remaining fault with the run's bit-parallel simulator
+//     (internal/fsim).  Cheap, typically covers ~half the faults.
 //   - Three-phase ATPG (§5.1–5.3): fault activation (stable states where
 //     the fault site carries the opposite value), state justification
 //     (driving the circuit from reset towards activation) and state
@@ -18,13 +19,13 @@
 //     assignment.  Exhausting the finite product space proves the fault
 //     untestable under the model.
 //   - Fault simulation (§5.4): every found test is simulated against all
-//     remaining faults to drop collaterally-covered ones.
+//     remaining faults, as a one-lane batch on the same simulator, to
+//     drop collaterally-covered ones.
 package atpg
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/netlist"
 	"repro/internal/podem"
-	"repro/internal/sim"
 )
 
 // Phase identifies which stage of the flow first covered a fault
@@ -117,6 +117,32 @@ type Options struct {
 	PodemCycles int
 }
 
+// Validate reports the first nonsensical numeric option with a
+// descriptive error.  The flows themselves never call it (they fall
+// back to defaults instead); satpg.Options.Validate and the service
+// do, before any work.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name, zero string
+		v          int
+	}{
+		{"RandomSequences", "", o.RandomSequences},
+		{"RandomLength", "", o.RandomLength},
+		{"FaultSimWorkers", " (0 selects GOMAXPROCS)", o.FaultSimWorkers},
+		{"PodemBudget", " (0 selects the default decision budget)", o.PodemBudget},
+		{"PodemCycles", " (0 selects the default cycle cap)", o.PodemCycles},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("atpg: %s must be ≥ 0, got %d%s", f.name, f.v, f.zero)
+		}
+	}
+	switch o.FaultSimLanes {
+	case 0, 64, 256:
+		return nil
+	}
+	return fmt.Errorf("atpg: FaultSimLanes must be 64 or 256, got %d", o.FaultSimLanes)
+}
+
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -154,10 +180,11 @@ type Result struct {
 	Tests      []Test
 	PerFault   []FaultResult
 	CPU        time.Duration
-	// FaultSim aggregates the bit-parallel fault simulator's work
-	// counters over the run's random phase (patterns, gate evaluations,
-	// state-buffer allocations, good-trace cache outcomes) — the raw
-	// material of cmd/satpg's -stats line.
+	// FaultSim aggregates the work counters of the run's bit-parallel
+	// fault simulator over the whole run — the random walks and every
+	// single-test screen after a PODEM or three-phase test (patterns,
+	// gate evaluations, state-buffer allocations, good-trace cache
+	// outcomes) — the raw material of cmd/satpg's -stats line.
 	FaultSim fsim.Stats
 	// Podem aggregates the deterministic phase's search counters
 	// (targets, decisions, backtracks, group settles).
@@ -209,7 +236,7 @@ func (r *Result) Summary() string {
 // Run executes the full flow (random TPG, then three-phase ATPG with
 // fault simulation) for the given fault model over a prebuilt CSSG.
 // Every model — the stuck-at pair and the Transition gross gate-delay
-// extension — rides the same flow: the bit-parallel simulators inject
+// extension — rides the same flow: the bit-parallel simulator injects
 // transition faults as directional override masks, so the random phase
 // and collateral fault dropping apply to them exactly as to stuck-at
 // faults, with the exact set-semantics machine confirming every
@@ -267,23 +294,44 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		}
 		return out
 	}
-	// collateral finds the remaining faults a new test also covers: the
-	// 64-way fault-parallel ternary screen (which injects stuck-at and
-	// transition faults alike) proposes candidates, the exact machine
-	// confirms them.
-	collateral := func(test Test) []int {
-		return confirm(test, simulateTest(g, test, universe, remaining))
+	// One NoDrop simulator serves the whole run: the random walks and
+	// the collateral screen of every later test.  Every fault that
+	// leaves remaining is dropped from it, so it only ever simulates the
+	// faults still in play.
+	fs, err := fsim.New(g.C, universe, fsim.Options{
+		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
+		NoDrop: true,
+	})
+	if err != nil {
+		// Unreachable: faults.Universe never emits the Transition
+		// selector and withDefaults normalises FaultSimLanes.
+		panic("atpg: " + err.Error())
+	}
+	// collateral marks the remaining faults test ti also covers: the
+	// simulator screens them (stuck-at and transition faults alike) and
+	// the exact machine confirms them.
+	collateral := func(ti int) {
+		if opts.SkipFaultSim || len(remaining) == 0 {
+			return
+		}
+		test := res.Tests[ti]
+		cand, err := screenTest(fs, remaining, test)
+		if err != nil {
+			panic("atpg: " + err.Error())
+		}
+		detected := confirm(test, cand)
+		remaining = mark(res, remaining, detected, PhaseSim, ti)
+		dropAll(fs, detected)
 	}
 
-	// Phase 1: random TPG.  The walks are drawn exactly as before, but
-	// fault simulation is batched: a lane-width of walks (64 or 256, per
-	// FaultSimLanes) rides one fsim.Batch and every remaining fault is
+	// Phase 1: random TPG.  A lane-width of walks (64 or 256, per
+	// FaultSimLanes) rides one batch and every remaining fault is
 	// evaluated against all of them in one pass, sharded across
-	// workers.  NoDrop keeps the full
-	// fault × walk matrix so the sequential test-selection replay below
-	// is observably identical to per-walk simulation (a ternary detection
-	// that the exact confirmation rejects stays live for later walks);
-	// confirmed faults are dropped manually.
+	// workers.  NoDrop keeps the full fault × walk matrix so the
+	// sequential test-selection replay is observably identical to
+	// per-walk simulation (a ternary detection that the exact
+	// confirmation rejects stays live for later walks); confirmed
+	// faults are dropped manually.
 	if !opts.SkipRandom && g.Stats.NumEdges > 0 {
 		rng := rand.New(rand.NewSource(opts.Seed))
 		// max guards a negative RandomSequences, which the pre-batching
@@ -292,54 +340,12 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		for seq := range walks {
 			walks[seq] = randomWalk(g, rng, opts.RandomLength)
 		}
-		fs, err := fsim.New(g.C, universe, fsim.Options{
-			Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-			NoDrop: true,
-		})
-		if err != nil {
-			// Unreachable: faults.Universe never emits the Transition
-			// selector and withDefaults normalises FaultSimLanes.
-			panic("atpg: " + err.Error())
-		}
 		width := fs.Lanes()
 		for base := 0; base < len(walks) && len(remaining) > 0 && ctx.Err() == nil; base += width {
-			end := min(base+width, len(walks))
-			chunk := walks[base:end]
-			batch := fsim.Batch{
-				Seqs:     make([][]uint64, len(chunk)),
-				Expected: make([][]uint64, len(chunk)),
-			}
-			for l, w := range chunk {
-				batch.Seqs[l] = w.Patterns
-				batch.Expected[l] = w.Expected
-			}
-			br, err := fs.SimulateBatch(batch)
-			if err != nil {
+			if remaining, err = screenWalks(fs, res, remaining, walks[base:min(base+width, len(walks))], confirm); err != nil {
 				panic("atpg: " + err.Error())
 			}
-			for l, test := range chunk {
-				if len(test.Patterns) == 0 || len(remaining) == 0 {
-					continue
-				}
-				var cand []int
-				for _, fi := range remaining {
-					if br.Lanes[fi].Has(l) {
-						cand = append(cand, fi)
-					}
-				}
-				detected := confirm(test, cand)
-				if len(detected) == 0 {
-					continue
-				}
-				res.Tests = append(res.Tests, test)
-				ti := len(res.Tests) - 1
-				remaining = mark(res, remaining, detected, PhaseRandom, ti)
-				for _, fi := range detected {
-					fs.Drop(fi)
-				}
-			}
 		}
-		res.FaultSim = fs.Stats()
 	}
 
 	// Deterministic phase: bit-parallel PODEM on the faults the random
@@ -375,9 +381,8 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 				res.Tests = append(res.Tests, test)
 				ti := len(res.Tests) - 1
 				remaining = mark(res, remaining, []int{fi}, PhasePodem, ti)
-				if !opts.SkipFaultSim && len(remaining) > 0 {
-					remaining = mark(res, remaining, collateral(test), PhaseSim, ti)
-				}
+				fs.Drop(fi)
+				collateral(ti)
 			}
 			res.Podem = pg.Stats()
 		}
@@ -422,6 +427,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		fr := &res.PerFault[fi]
 		res.Fallback++
 		test, outcome := GenerateTest(g, fr.Fault, opts)
+		fs.Drop(fi) // every outcome settles fi
 		switch outcome {
 		case OutcomeFound:
 			res.Tests = append(res.Tests, test)
@@ -432,9 +438,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 			res.ByPhase[PhaseThree]++
 			res.Covered++
 			remaining = remaining[1:]
-			if !opts.SkipFaultSim && len(remaining) > 0 {
-				remaining = mark(res, remaining, collateral(test), PhaseSim, ti)
-			}
+			collateral(ti)
 		case OutcomeUntestable:
 			fr.Untestable = true
 			res.Untestable++
@@ -445,6 +449,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 			remaining = remaining[1:]
 		}
 	}
+	res.FaultSim = fs.Stats()
 	res.CPU = time.Since(start)
 	return res, ctx.Err()
 }
@@ -527,35 +532,69 @@ func randomWalk(g *core.CSSG, rng *rand.Rand, length int) Test {
 	return t
 }
 
-// simulateTest runs the test against the faults named by `candidates`
-// (indices into universe) with the 64-way parallel ternary simulator and
-// returns the indices whose detection is guaranteed at some cycle.
-func simulateTest(g *core.CSSG, t Test, universe []faults.Fault, candidates []int) []int {
-	var detected []int
-	for base := 0; base < len(candidates); base += sim.Lanes {
-		end := base + sim.Lanes
-		if end > len(candidates) {
-			end = len(candidates)
+// screenWalks fault-simulates a chunk of walks as one batch on fs and
+// replays its lanes in order: a walk joins the program when it is the
+// first to detect some remaining fault — after confirm, when the flow
+// has one — and the faults it detects are marked and dropped.
+func screenWalks(fs *fsim.Simulator, res *Result, remaining []int, chunk []Test, confirm func(Test, []int) []int) ([]int, error) {
+	br, err := simulate(fs, chunk)
+	if err != nil {
+		return remaining, err
+	}
+	for l, test := range chunk {
+		if len(test.Patterns) == 0 || len(remaining) == 0 {
+			continue
 		}
-		batch := candidates[base:end]
-		fl := make([]faults.Fault, len(batch))
-		for i, fi := range batch {
-			fl[i] = universe[fi]
+		detected := laneHits(br, l, remaining)
+		if confirm != nil {
+			detected = confirm(test, detected)
 		}
-		par := sim.NewParallel(g.C, fl)
-		var done uint64
-		for cyc, p := range t.Patterns {
-			par.Apply(p)
-			newly := par.DetectedVs(t.Expected[cyc]) &^ done
-			done |= newly
-			for newly != 0 {
-				lane := bits.TrailingZeros64(newly)
-				newly &^= 1 << uint(lane)
-				detected = append(detected, batch[lane])
-			}
+		if len(detected) == 0 {
+			continue
+		}
+		res.Tests = append(res.Tests, test)
+		remaining = mark(res, remaining, detected, PhaseRandom, len(res.Tests)-1)
+		dropAll(fs, detected)
+	}
+	return remaining, nil
+}
+
+// screenTest fault-simulates one test as a one-lane batch on fs and
+// returns the faults of remaining whose detection it guarantees.
+func screenTest(fs *fsim.Simulator, remaining []int, t Test) ([]int, error) {
+	br, err := simulate(fs, []Test{t})
+	if err != nil {
+		return nil, err
+	}
+	return laneHits(br, 0, remaining), nil
+}
+
+// simulate runs tests as one batch on fs, judging detection against
+// their expected responses.
+func simulate(fs *fsim.Simulator, tests []Test) (*fsim.BatchResult, error) {
+	b := fsim.Batch{Seqs: make([][]uint64, len(tests)), Expected: make([][]uint64, len(tests))}
+	for l, t := range tests {
+		b.Seqs[l], b.Expected[l] = t.Patterns, t.Expected
+	}
+	return fs.SimulateBatch(b)
+}
+
+// laneHits lists the faults of remaining that lane l detects.
+func laneHits(br *fsim.BatchResult, l int, remaining []int) []int {
+	var out []int
+	for _, fi := range remaining {
+		if br.Lanes[fi].Has(l) {
+			out = append(out, fi)
 		}
 	}
-	return detected
+	return out
+}
+
+// dropAll drops the given faults from fs.
+func dropAll(fs *fsim.Simulator, fis []int) {
+	for _, fi := range fis {
+		fs.Drop(fi)
+	}
 }
 
 // Outcome classifies GenerateTest results.

@@ -257,6 +257,11 @@ func TestSkipRandomAblation(t *testing.T) {
 	if res.ByPhase[PhaseRandom] != 0 {
 		t.Error("SkipRandom must zero the rnd column")
 	}
+	// FaultSim covers the whole run, the collateral screens of the
+	// PODEM and three-phase tests included.
+	if len(res.Tests) < 2 || res.FaultSim.Patterns == 0 || res.FaultSim.GateEvals == 0 {
+		t.Errorf("%d tests, but FaultSim misses the collateral screens: %+v", len(res.Tests), res.FaultSim)
+	}
 	full := Run(g, faults.InputSA, Options{Seed: 1})
 	if res.Covered != full.Covered {
 		t.Errorf("coverage must not depend on the random phase: %d vs %d", res.Covered, full.Covered)

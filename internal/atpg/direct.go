@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,9 +119,9 @@ func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, un
 	}
 
 	// NoDrop keeps the full fault × walk matrix so the sequential
-	// test-selection replay below is observably identical to per-walk
-	// simulation; a walk joins the program only when it is the first to
-	// detect some still-live fault.
+	// test-selection replay of screenWalks is observably identical to
+	// per-walk simulation; a walk joins the program only when it is the
+	// first to detect some still-live fault.
 screen:
 	for k := 0; k < numChunks && len(remaining) > 0; k++ {
 		select {
@@ -128,40 +129,11 @@ screen:
 		case <-ctx.Done():
 			break screen
 		}
-		chunk := walks[k*width : min((k+1)*width, total)]
-		batch := fsim.Batch{
-			Seqs:     make([][]uint64, len(chunk)),
-			Expected: make([][]uint64, len(chunk)),
-		}
-		for l, w := range chunk {
-			batch.Seqs[l] = w.Patterns
-			batch.Expected[l] = w.Expected
-		}
-		br, err := fs.SimulateBatch(batch)
-		if err != nil {
+		var err error
+		if remaining, err = screenWalks(fs, res, remaining, walks[k*width:min((k+1)*width, total)], nil); err != nil {
 			stop.Store(true)
 			wg.Wait()
 			return nil, err
-		}
-		for l, test := range chunk {
-			if len(test.Patterns) == 0 || len(remaining) == 0 {
-				continue
-			}
-			var detected []int
-			for _, fi := range remaining {
-				if br.Lanes[fi].Has(l) {
-					detected = append(detected, fi)
-				}
-			}
-			if len(detected) == 0 {
-				continue
-			}
-			res.Tests = append(res.Tests, test)
-			ti := len(res.Tests) - 1
-			remaining = mark(res, remaining, detected, PhaseRandom, ti)
-			for _, fi := range detected {
-				fs.Drop(fi)
-			}
 		}
 	}
 	stop.Store(true)
@@ -193,40 +165,21 @@ screen:
 				if !VerifyDirectGood(c, test) {
 					continue
 				}
-				br, err := fs.SimulateBatch(fsim.Batch{
-					Seqs: [][]uint64{test.Patterns}, Expected: [][]uint64{test.Expected},
-				})
+				detected, err := screenTest(fs, remaining, test)
 				if err != nil {
 					return nil, err
 				}
-				var detected []int
-				target := false
-				for _, fj := range remaining {
-					if br.Lanes[fj].Has(0) {
-						detected = append(detected, fj)
-						target = target || fj == fi
-					}
-				}
-				if !target {
+				if !slices.Contains(detected, fi) {
 					continue // the batched screen must agree before commit
 				}
 				res.Tests = append(res.Tests, test)
 				ti := len(res.Tests) - 1
 				remaining = mark(res, remaining, []int{fi}, PhasePodem, ti)
 				if !opts.SkipFaultSim {
-					rest := detected[:0]
-					for _, fj := range detected {
-						if fj != fi {
-							rest = append(rest, fj)
-						}
-					}
-					if len(rest) > 0 {
-						remaining = mark(res, remaining, rest, PhaseSim, ti)
-					}
+					rest := slices.DeleteFunc(slices.Clone(detected), func(fj int) bool { return fj == fi })
+					remaining = mark(res, remaining, rest, PhaseSim, ti)
 				}
-				for _, fj := range detected {
-					fs.Drop(fj)
-				}
+				dropAll(fs, detected)
 			}
 			res.Podem = pg.Stats()
 		}
@@ -282,7 +235,7 @@ func directWalk(c *netlist.Circuit, reset logic.Vec, rng *rand.Rand, length int,
 			}
 		}
 		t.Patterns = append(t.Patterns, rails)
-		t.Expected = append(t.Expected, packOutputs(c, st))
+		t.Expected = append(t.Expected, sim.Machine{C: c}.PackOutputs(st))
 	}
 	return t
 }
@@ -298,23 +251,12 @@ func railsOf(c *netlist.Circuit, st logic.Vec) uint64 {
 	return w
 }
 
-// packOutputs packs the definite primary outputs of a ternary state
-// (output j at bit j).
-func packOutputs(c *netlist.Circuit, st logic.Vec) uint64 {
-	var w uint64
-	for j, s := range c.Outputs {
-		if st[s] == logic.One {
-			w |= 1 << uint(j)
-		}
-	}
-	return w
-}
-
 // ResetOutputs returns the packed primary outputs of the good machine's
 // settled reset state — the ResetExpected word of a tester program in
 // the direct flow (the CSSG flow reads it off the abstraction instead).
 func ResetOutputs(c *netlist.Circuit) uint64 {
-	return packOutputs(c, sim.Machine{C: c}.InitState())
+	m := sim.Machine{C: c}
+	return m.PackOutputs(m.InitState())
 }
 
 // VerifyDirectGood replays a test on the fault-free scalar ternary
@@ -326,7 +268,7 @@ func VerifyDirectGood(c *netlist.Circuit, t Test) bool {
 	st := m.InitState()
 	for i, p := range t.Patterns {
 		st = m.Step(st, p)
-		if !st.AllDefinite() || packOutputs(c, st) != t.Expected[i] {
+		if !st.AllDefinite() || m.PackOutputs(st) != t.Expected[i] {
 			return false
 		}
 	}

@@ -3,25 +3,10 @@ package compact
 import (
 	"math/rand"
 
-	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/tester"
 )
-
-// packOutputs packs a ternary output vector into the binary word a
-// tester program declares: bit j set iff output j is definitely 1 (Φ
-// packs as 0 — the program then declares an expectation the good
-// circuit cannot guarantee, which is a legal, if pessimal, program).
-func packOutputs(v logic.Vec) uint64 {
-	var out uint64
-	for j, b := range v {
-		if b == logic.One {
-			out |= 1 << uint(j)
-		}
-	}
-	return out
-}
 
 // randPrograms draws n random tester programs for the circuit: random
 // input vectors, expected responses from the scalar good machine, and
@@ -29,7 +14,7 @@ func packOutputs(v logic.Vec) uint64 {
 // declares).
 func randPrograms(rng *rand.Rand, c *netlist.Circuit, n, maxLen int) []tester.Program {
 	good := sim.Machine{C: c}
-	resetOut := packOutputs(good.Outputs(good.InitState()))
+	resetOut := good.PackOutputs(good.InitState())
 	m := c.NumInputs()
 	progs := make([]tester.Program, n)
 	for i := range progs {
@@ -44,7 +29,7 @@ func randPrograms(rng *rand.Rand, c *netlist.Circuit, n, maxLen int) []tester.Pr
 			pat := rng.Uint64() & (1<<uint(m) - 1)
 			st = good.Step(st, pat)
 			p.Patterns[cyc] = pat
-			p.Expected[cyc] = packOutputs(good.Outputs(st))
+			p.Expected[cyc] = good.PackOutputs(st)
 		}
 		progs[i] = p
 	}

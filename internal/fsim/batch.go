@@ -283,7 +283,7 @@ func (tr *goodTrace[V]) run(m *machine[V], pk *packedBatch[V], cycles bool) {
 	}
 	m.setAll(pk.all)
 	tr.all = pk.all
-	m.inject(nil)
+	m.eng.Inject(nil)
 	m.reset()
 	rflat := make([]V, 2*no)
 	tr.reset1, tr.reset0 = rflat[:no:no], rflat[no:]

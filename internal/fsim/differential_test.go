@@ -10,9 +10,11 @@ package fsim
 // full universe.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuits"
 	"repro/internal/faults"
 	"repro/internal/lanevec"
 	"repro/internal/logic"
@@ -35,105 +37,120 @@ func TestDifferentialAgainstScalarTernary(t *testing.T) {
 			continue
 		}
 		tried++
-		m := c.NumInputs()
-		seqs := make([][]uint64, lanes)
-		for l := range seqs {
-			seq := make([]uint64, cycles)
-			for tc := range seq {
-				seq[tc] = rng.Uint64() & (1<<uint(m) - 1)
-			}
-			seqs[l] = seq
-		}
-		universe := append(faults.OutputUniverse(c), faults.InputUniverse(c)...)
+		seqs := randSeqs(rng, c.NumInputs(), lanes, cycles)
+		name := fmt.Sprintf("seed %d", seed)
+		checkAgainstScalar(t, name, c, append(faults.OutputUniverse(c), faults.InputUniverse(c)...), seqs)
+		// The transition universe rides directional overrides; its lane
+		// states must track the scalar machine state for state too.
+		checkAgainstScalar(t, name+" transition", c, faults.TransitionUniverse(c), seqs)
+	}
+	if tried == 0 {
+		t.Fatal("no random circuit generated; differential test exercised nothing")
+	}
+	t.Logf("differential-tested %d random circuits", tried)
 
-		// Scalar reference: good trace per lane, then per-fault states and
-		// the detection matrix.
-		goodStates := make([][]logic.Vec, lanes) // [lane][cycle]
-		goodMachine := sim.Machine{C: c}
+	// Figure 1(b): raising A starts an oscillation, so the lanes that
+	// apply A=1 settle to Φ in the good and the faulty machines alike.
+	rng := rand.New(rand.NewSource(7))
+	fig1b := circuits.Fig1b()
+	checkAgainstScalar(t, "fig1b", fig1b, append(faults.OutputUniverse(fig1b), faults.InputUniverse(fig1b)...),
+		randSeqs(rng, fig1b.NumInputs(), lanes, cycles))
+
+	// An output stuck-at on an input buffer models a stuck primary-input
+	// wire; the engine must expose it through the downstream logic.
+	wire, err := netlist.ParseString("circuit wire\ninput a\noutput z\ngate z BUF a\ninit a=0 z=0\n", "wire.ckt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := faults.Fault{Type: faults.OutputSA, Gate: 0, Pin: -1, Value: logic.Zero}
+	ref := checkAgainstScalar(t, "wire", wire, []faults.Fault{stuck}, randSeqs(rng, wire.NumInputs(), lanes, cycles))
+	if ref[0] == 0 {
+		t.Error("wire: the stuck input line is detected in no lane")
+	}
+}
+
+// checkAgainstScalar runs one circuit, fault universe and sequence set
+// (one sequence per lane) through the bit-parallel machine and the
+// scalar ternary machine: the per-lane states must agree at reset and
+// after every cycle, for the good machine and every fault, and the
+// public API's detection matrix — collapsed and not, serial and
+// sharded, dropping or not — must equal the scalar one, which it
+// returns (bit l of row fi: lane l detects fault fi).
+func checkAgainstScalar(t *testing.T, name string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64) []uint64 {
+	t.Helper()
+	lanes, cycles := len(seqs), len(seqs[0])
+
+	// Scalar reference: good trace per lane, then per-fault states and
+	// the detection matrix.
+	goodStates := make([][]logic.Vec, lanes) // [lane][cycle]
+	goodMachine := sim.Machine{C: c}
+	for l := 0; l < lanes; l++ {
+		st := goodMachine.InitState()
+		goodStates[l] = make([]logic.Vec, cycles)
+		for tc := 0; tc < cycles; tc++ {
+			st = goodMachine.Step(st, seqs[l][tc])
+			goodStates[l][tc] = st
+		}
+	}
+
+	var zero lanevec.V1
+	all := zero.FirstN(lanes)
+
+	// Good machine, bit-parallel: states must agree lane-for-lane.
+	bm := newMachine[lanevec.V1](c)
+	bm.setAll(all)
+	bm.eng.Inject(nil)
+	bm.reset()
+	if ref := goodMachine.InitState(); !bm.laneState(0).Equal(ref) {
+		t.Fatalf("%s: good reset state differs:\n fsim %s\n  sim %s", name, bm.laneState(0), ref)
+	}
+	for tc := 0; tc < cycles; tc++ {
+		bm.apply(railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
 		for l := 0; l < lanes; l++ {
-			st := goodMachine.InitState()
-			goodStates[l] = make([]logic.Vec, cycles)
-			for tc := 0; tc < cycles; tc++ {
-				st = goodMachine.Step(st, seqs[l][tc])
-				goodStates[l][tc] = st
+			if !bm.laneState(l).Equal(goodStates[l][tc]) {
+				t.Fatalf("%s: good lane %d cycle %d differs:\n fsim %s\n  sim %s",
+					name, l, tc, bm.laneState(l), goodStates[l][tc])
 			}
 		}
+	}
 
-		var zero lanevec.V1
-		all := zero.FirstN(lanes)
-
-		// Good machine, bit-parallel: states must agree lane-for-lane.
-		bm := newMachine[lanevec.V1](c)
-		bm.setAll(all)
-		bm.inject(nil)
-		bm.reset()
-		if ref := goodMachine.InitState(); !bm.laneState(0).Equal(ref) {
-			t.Fatalf("seed %d: good reset state differs:\n fsim %s\n  sim %s", seed, bm.laneState(0), ref)
+	// Per-fault state parity plus the scalar detection matrix.
+	refMatrix := make([]uint64, len(universe))
+	for fi := range universe {
+		f := universe[fi]
+		fm := sim.Machine{C: c, Fault: &f}
+		pm := newMachine[lanevec.V1](c)
+		pm.setAll(all)
+		pm.eng.Inject(&universe[fi])
+		pm.reset()
+		states := make([]logic.Vec, lanes)
+		for l := range states {
+			states[l] = fm.InitState()
+			if !pm.laneState(l).Equal(states[l]) {
+				t.Fatalf("%s fault %s: reset state lane %d differs:\n fsim %s\n  sim %s",
+					name, f.Describe(c), l, pm.laneState(l), states[l])
+			}
 		}
 		for tc := 0; tc < cycles; tc++ {
-			bm.apply(railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
+			pm.apply(railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
 			for l := 0; l < lanes; l++ {
-				if !bm.laneState(l).Equal(goodStates[l][tc]) {
-					t.Fatalf("seed %d: good lane %d cycle %d differs:\n fsim %s\n  sim %s",
-						seed, l, tc, bm.laneState(l), goodStates[l][tc])
-				}
-			}
-		}
-
-		// Per-fault state parity plus the scalar detection matrix.
-		refMatrix := make([]uint64, len(universe))
-		for fi := range universe {
-			f := universe[fi]
-			fm := sim.Machine{C: c, Fault: &f}
-			pm := newMachine[lanevec.V1](c)
-			pm.setAll(all)
-			pm.inject(&universe[fi])
-			pm.reset()
-			states := make([]logic.Vec, lanes)
-			for l := range states {
-				states[l] = fm.InitState()
+				states[l] = fm.Step(states[l], seqs[l][tc])
 				if !pm.laneState(l).Equal(states[l]) {
-					t.Fatalf("seed %d fault %s: reset state lane %d differs:\n fsim %s\n  sim %s",
-						seed, f.Describe(c), l, pm.laneState(l), states[l])
+					t.Fatalf("%s fault %s: lane %d cycle %d differs:\n fsim %s\n  sim %s",
+						name, f.Describe(c), l, tc, pm.laneState(l), states[l])
 				}
-			}
-			for tc := 0; tc < cycles; tc++ {
-				pm.apply(railVecs[lanevec.V1](c.NumInputs(), seqs, tc, lanes))
-				for l := 0; l < lanes; l++ {
-					states[l] = fm.Step(states[l], seqs[l][tc])
-					if !pm.laneState(l).Equal(states[l]) {
-						t.Fatalf("seed %d fault %s: lane %d cycle %d differs:\n fsim %s\n  sim %s",
-							seed, f.Describe(c), l, tc, pm.laneState(l), states[l])
-					}
-					if scalarDetects(c, goodStates[l][tc], states[l]) {
-						refMatrix[fi] |= 1 << uint(l)
-					}
+				if scalarDetects(c, goodStates[l][tc], states[l]) {
+					refMatrix[fi] |= 1 << uint(l)
 				}
 			}
 		}
+	}
 
-		// Detection matrix through the public API (NoDrop: full matrix),
-		// with representative collapsing on (the default) and off — both
-		// must reproduce the scalar matrix exactly.
-		for _, noCollapse := range []bool{false, true} {
-			s, err := New(c, universe, Options{Workers: 1, NoDrop: true, NoCollapse: noCollapse})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.SimulateBatch(Batch{Seqs: seqs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for fi := range universe {
-				if !res.Lanes[fi].Equal(LaneMask{refMatrix[fi]}) {
-					t.Errorf("seed %d fault %s (noCollapse=%v): detection lanes differ: fsim %v, scalar %b",
-						seed, universe[fi].Describe(c), noCollapse, res.Lanes[fi], refMatrix[fi])
-				}
-			}
-		}
-
-		// Sharded run must reproduce the single-worker matrix exactly.
-		s, err := New(c, universe, Options{Workers: 1, NoDrop: true})
+	// Detection matrix through the public API (NoDrop: full matrix),
+	// with representative collapsing on (the default) and off — both
+	// must reproduce the scalar matrix exactly.
+	for _, noCollapse := range []bool{false, true} {
+		s, err := New(c, universe, Options{Workers: 1, NoDrop: true, NoCollapse: noCollapse})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,41 +158,54 @@ func TestDifferentialAgainstScalarTernary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s4, err := New(c, universe, Options{Workers: 4, NoDrop: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res4, err := s4.SimulateBatch(Batch{Seqs: seqs})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for fi := range universe {
-			if !res4.Lanes[fi].Equal(res.Lanes[fi]) {
-				t.Errorf("seed %d fault %d: sharded lanes %v != serial lanes %v",
-					seed, fi, res4.Lanes[fi], res.Lanes[fi])
+			if !res.Lanes[fi].Equal(LaneMask{refMatrix[fi]}) {
+				t.Errorf("%s fault %s (noCollapse=%v): detection lanes differ: fsim %v, scalar %b",
+					name, universe[fi].Describe(c), noCollapse, res.Lanes[fi], refMatrix[fi])
 			}
 		}
+	}
 
-		// With dropping on, the detected set must equal the matrix's
-		// nonzero rows (dropping only skips redundant work, never answers).
-		sd, err := New(c, universe, Options{NoDrop: false})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sd.SimulateBatch(Batch{Seqs: seqs}); err != nil {
-			t.Fatal(err)
-		}
-		for fi := range universe {
-			if sd.Detected(fi) != (refMatrix[fi] != 0) {
-				t.Errorf("seed %d fault %s: dropping changed the verdict (detected=%v, scalar lanes=%b)",
-					seed, universe[fi].Describe(c), sd.Detected(fi), refMatrix[fi])
-			}
+	// Sharded run must reproduce the single-worker matrix exactly.
+	s, err := New(c, universe, Options{Workers: 1, NoDrop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.SimulateBatch(Batch{Seqs: seqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s4, err := New(c, universe, Options{Workers: 4, NoDrop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res4, err := s4.SimulateBatch(Batch{Seqs: seqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range universe {
+		if !res4.Lanes[fi].Equal(res.Lanes[fi]) {
+			t.Errorf("%s fault %d: sharded lanes %v != serial lanes %v",
+				name, fi, res4.Lanes[fi], res.Lanes[fi])
 		}
 	}
-	if tried == 0 {
-		t.Fatal("no random circuit generated; differential test exercised nothing")
+
+	// With dropping on, the detected set must equal the matrix's
+	// nonzero rows (dropping only skips redundant work, never answers).
+	sd, err := New(c, universe, Options{NoDrop: false})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("differential-tested %d random circuits", tried)
+	if _, err := sd.SimulateBatch(Batch{Seqs: seqs}); err != nil {
+		t.Fatal(err)
+	}
+	for fi := range universe {
+		if sd.Detected(fi) != (refMatrix[fi] != 0) {
+			t.Errorf("%s fault %s: dropping changed the verdict (detected=%v, scalar lanes=%b)",
+				name, universe[fi].Describe(c), sd.Detected(fi), refMatrix[fi])
+		}
+	}
+	return refMatrix
 }
 
 // TestDifferentialWideLanes pins the 256-lane instantiation to the

@@ -129,7 +129,7 @@ func TestEventVsSweepWithExpectedAndDropping(t *testing.T) {
 		gm := newMachine[lanevec.V1](c)
 		var zero lanevec.V1
 		gm.setAll(zero.FirstN(nseq))
-		gm.inject(nil)
+		gm.eng.Inject(nil)
 		gm.reset()
 		expected := make([][]uint64, nseq)
 		for l := range expected {

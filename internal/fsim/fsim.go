@@ -1,13 +1,13 @@
-// Package fsim is the bit-parallel concurrent fault-simulation engine:
-// the pattern-parallel instantiation of the shared lanevec sweep core.
-//
-// sim.Parallel instantiates the core fault-per-lane (many faulty
-// machines, one pattern per step, the Seshu tradition); fsim
-// instantiates it pattern-per-lane and evaluates one fault at a time
-// against a whole batch of test sequences (the PPSFP — parallel-pattern
-// single-fault propagation — orientation).  For the coverage workload
-// "many tests × many faults" this is the winning shape, because it
-// composes with the standard ATPG scaling moves:
+// Package fsim is the repository's bit-parallel fault simulator: the
+// pattern-parallel instantiation of the shared lanevec sweep core.  It
+// evaluates one fault at a time, injected into every lane by
+// lanevec.Engine.Inject, against a whole batch of test sequences (the
+// PPSFP — parallel-pattern single-fault propagation — orientation).
+// Coverage measurement, compaction and both generation flows run on
+// it; a flow screens each newly generated test as a one-lane batch on
+// the same Simulator that screened its random walks.  For the
+// "many tests × many faults" workload this is the winning shape,
+// because it composes with the standard ATPG scaling moves:
 //
 //   - wide lanes: Options.Lanes selects 64 or 256 test sequences per
 //     sweep (one or four machine words per signal vector);
@@ -842,7 +842,7 @@ func (e *engine[V]) runFault(m *machine[V], pk *packedBatch[V], tr *goodTrace[V]
 		cone := e.topo.ConeOf(s.c.Gates[f.Gate].Out)
 		m.eventReset(f, cone, e.topo, tr, df, eager)
 	} else {
-		m.inject(&s.universe[fi])
+		m.eng.Inject(&s.universe[fi])
 		m.reset()
 	}
 	lane, cycle = -1, -1

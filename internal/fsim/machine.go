@@ -10,10 +10,8 @@ import (
 // machine is the pattern-parallel instantiation of the shared
 // lanevec.Engine sweep core: one (possibly faulty) circuit simulated
 // across the lanes of V, where each lane carries an independent test
-// sequence and the single stuck-at fault is injected uniformly (the
-// PPSFP orientation).  The engine is the same generic settle/evalGate
-// that sim.Parallel instantiates with per-lane fault masks; a uniform
-// fault is simply an override whose mask covers every active lane.
+// sequence and the single fault is injected into every lane by
+// Engine.Inject (the PPSFP orientation).
 type machine[V lanevec.Vec[V]] struct {
 	eng *lanevec.Engine[V]
 
@@ -35,34 +33,6 @@ func newMachine[V lanevec.Vec[V]](c *netlist.Circuit) *machine[V] {
 // setAll selects the active lanes; safe to change between batches on a
 // reused machine.
 func (m *machine[V]) setAll(all V) { m.eng.SetAll(all) }
-
-// inject selects the fault simulated by subsequent reset/apply calls
-// (nil: the good machine).  Stuck-at faults become pin/output override
-// masks; transition faults become directional overrides (slow-to-rise:
-// the output may only fall, and dually).  New rejects everything else
-// up front.
-func (m *machine[V]) inject(f *faults.Fault) {
-	m.eng.ClearOverrides()
-	if f == nil {
-		return
-	}
-	all := m.eng.All()
-	var zero V
-	switch f.Type {
-	case faults.OutputSA:
-		if f.Value == logic.One {
-			m.eng.OrOutOverride(f.Gate, all, zero)
-		} else {
-			m.eng.OrOutOverride(f.Gate, zero, all)
-		}
-	case faults.SlowRise:
-		m.eng.OrDirOverride(f.Gate, all, zero)
-	case faults.SlowFall:
-		m.eng.OrDirOverride(f.Gate, zero, all)
-	default:
-		m.eng.AddPinOverride(f.Gate, f.Pin, all, f.Value == logic.One)
-	}
-}
 
 // reset loads the circuit's declared initial state into every lane and
 // settles (a fault can destabilise the reset state).
@@ -169,7 +139,7 @@ func (m *machine[V]) eventReset(f *faults.Fault, cone []uint64, topo *netlist.To
 	// leak into seeding).
 	m.clearActivity()
 
-	m.inject(f)
+	e.Inject(f)
 	m.gm = topo.GateMaskW(cone, m.gm)
 	e.SetGateMask(m.gm)
 	if m.initW == nil {

@@ -3,14 +3,15 @@ package lanevec
 //go:generate go run gen.go
 
 import (
+	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
-// PinOverride forces one input pin of a gate to a constant in the lanes
+// pinOverride forces one input pin of a gate to a constant in the lanes
 // named by Mask: the pin perceives One (or zero) regardless of the
 // driving signal — the input stuck-at model.
-type PinOverride[V Vec[V]] struct {
+type pinOverride[V Vec[V]] struct {
 	Pin  int
 	Mask V
 	One  bool // stuck value
@@ -43,17 +44,14 @@ type dirOverride[V Vec[V]] struct {
 // scalar SettleTernary fixpoint — the differential tests in
 // internal/fsim rely on this.
 //
-// Faults are injected as overrides: per-lane pin masks (fault-per-lane)
-// or all-lane masks (one uniform fault, pattern-per-lane).  An output
-// stuck-at is an output override; an input stuck-at is a pin override;
-// a gross gate-delay (transition) fault is a directional override —
-// the output may only fall (slow-to-rise) or only rise (slow-to-fall)
-// in its lanes, judged against the gate's own previous output.
+// A fault is injected with Inject as an output, pin or directional
+// override covering every active lane.  The override masks are per
+// lane underneath; the package's own tests drive them lane by lane.
 type Engine[V Vec[V]] struct {
 	c   *netlist.Circuit
 	all V // mask of lanes in use
 
-	inOv  [][]PinOverride[V] // per gate: input-pin stuck-at overrides
+	inOv  [][]pinOverride[V] // per gate: input-pin stuck-at overrides
 	outOv []outOverride[V]   // per gate: output stuck-at overrides
 	dirOv []dirOverride[V]   // per gate: directional (transition-fault) overrides
 	hasOv []bool             // per gate: any override set
@@ -85,7 +83,7 @@ func NewEngine[V Vec[V]](c *netlist.Circuit) *Engine[V] {
 	n := c.NumSignals()
 	return &Engine[V]{
 		c:          c,
-		inOv:       make([][]PinOverride[V], c.NumGates()),
+		inOv:       make([][]pinOverride[V], c.NumGates()),
 		outOv:      make([]outOverride[V], c.NumGates()),
 		dirOv:      make([]dirOverride[V], c.NumGates()),
 		hasOv:      make([]bool, c.NumGates()),
@@ -107,22 +105,51 @@ func (e *Engine[V]) All() V { return e.all }
 // SetAll selects the active lanes (typically FirstN of the lane count).
 func (e *Engine[V]) SetAll(all V) { e.all = all }
 
-// AddPinOverride makes input pin `pin` of gate gi perceive the constant
-// `one` in the lanes of mask.
-func (e *Engine[V]) AddPinOverride(gi, pin int, mask V, one bool) {
-	e.markDirty(gi)
-	e.inOv[gi] = append(e.inOv[gi], PinOverride[V]{Pin: pin, Mask: mask, One: one})
+// Inject selects the fault the engine simulates in every active lane
+// (nil: the good machine), replacing any previous one.  A stuck-at
+// output becomes an output override, a stuck-at input pin a pin
+// override, and a transition fault a directional override
+// (slow-to-rise: the output may only fall, and dually).  Call SetAll
+// first: the overrides cover the lanes active at injection.
+func (e *Engine[V]) Inject(f *faults.Fault) {
+	e.ClearOverrides()
+	if f == nil {
+		return
+	}
+	all := e.All()
+	var zero V
+	switch f.Type {
+	case faults.OutputSA:
+		if f.Value == logic.One {
+			e.orOutOverride(f.Gate, all, zero)
+		} else {
+			e.orOutOverride(f.Gate, zero, all)
+		}
+	case faults.SlowRise:
+		e.orDirOverride(f.Gate, all, zero)
+	case faults.SlowFall:
+		e.orDirOverride(f.Gate, zero, all)
+	default:
+		e.addPinOverride(f.Gate, f.Pin, all, f.Value == logic.One)
+	}
 }
 
-// OrOutOverride sticks gate gi's output at 1 in the lanes of m1 and at
+// addPinOverride makes input pin `pin` of gate gi perceive the constant
+// `one` in the lanes of mask.
+func (e *Engine[V]) addPinOverride(gi, pin int, mask V, one bool) {
+	e.markDirty(gi)
+	e.inOv[gi] = append(e.inOv[gi], pinOverride[V]{Pin: pin, Mask: mask, One: one})
+}
+
+// orOutOverride sticks gate gi's output at 1 in the lanes of m1 and at
 // 0 in the lanes of m0, accumulating over previous calls.
-func (e *Engine[V]) OrOutOverride(gi int, m1, m0 V) {
+func (e *Engine[V]) orOutOverride(gi int, m1, m0 V) {
 	e.markDirty(gi)
 	e.outOv[gi].m1 = e.outOv[gi].m1.Or(m1)
 	e.outOv[gi].m0 = e.outOv[gi].m0.Or(m0)
 }
 
-// OrDirOverride makes gate gi's output directional per lane,
+// orDirOverride makes gate gi's output directional per lane,
 // accumulating over previous calls: in the lanes of fall the output may
 // only fall (slow-to-rise: out' = f(ins) ∧ out), in the lanes of rise
 // it may only rise (slow-to-fall: out' = f(ins) ∨ out).  The kernels
@@ -131,7 +158,7 @@ func (e *Engine[V]) OrOutOverride(gi int, m1, m0 V) {
 // f∨self gate relies on every self-dependent gate kind being monotone
 // in its self input (true for C, the only such kind), which the
 // transition-fault differential tests in internal/fsim pin down.
-func (e *Engine[V]) OrDirOverride(gi int, fall, rise V) {
+func (e *Engine[V]) orDirOverride(gi int, fall, rise V) {
 	e.markDirty(gi)
 	e.dirOv[gi].fall = e.dirOv[gi].fall.Or(fall)
 	e.dirOv[gi].rise = e.dirOv[gi].rise.Or(rise)
@@ -233,20 +260,6 @@ func (e *Engine[V]) ApplyRailsX(r1, r0 []V) {
 	for i := 0; i < e.c.NumInputs(); i++ {
 		e.p1[i] = r1[i].And(e.all)
 		e.p0[i] = r0[i].And(e.all)
-	}
-	e.Settle()
-}
-
-// ApplyUniform drives the primary-input rails to the same packed
-// pattern (input i at bit i) in every lane and settles.
-func (e *Engine[V]) ApplyUniform(pattern uint64) {
-	var zero V
-	for i := 0; i < e.c.NumInputs(); i++ {
-		if pattern>>uint(i)&1 == 1 {
-			e.p1[i], e.p0[i] = e.all, zero
-		} else {
-			e.p1[i], e.p0[i] = zero, e.all
-		}
 	}
 	e.Settle()
 }

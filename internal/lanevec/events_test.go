@@ -1,4 +1,4 @@
-package lanevec_test
+package lanevec
 
 // Event-vs-sweep settling parity at the lanevec level: both phases are
 // chaotic iterations of a monotone operator, so the event-driven
@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lanevec"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/randckt"
@@ -18,7 +17,7 @@ import (
 // eventCycle drives one synchronous cycle on an event-initialised
 // engine the way the good machine does: mark the rails, raise, re-seed
 // from the accumulated activity, lower.
-func eventCycle[V lanevec.Vec[V]](e *lanevec.Engine[V], rails []V) {
+func eventCycle[V Vec[V]](e *Engine[V], rails []V) {
 	all := e.All()
 	e.ClearActivity()
 	for i := 0; i < e.Circuit().NumInputs(); i++ {
@@ -33,7 +32,7 @@ func eventCycle[V lanevec.Vec[V]](e *lanevec.Engine[V], rails []V) {
 
 // eventReset loads the initial state and settles with every admitted
 // gate seeded in both phases.
-func eventReset[V lanevec.Vec[V]](e *lanevec.Engine[V]) {
+func eventReset[V Vec[V]](e *Engine[V]) {
 	e.LoadInit()
 	e.EnqueueMaskGates()
 	e.RunRaise()
@@ -55,12 +54,12 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 			continue
 		}
 		tried++
-		var zero lanevec.V1
+		var zero V1
 		all := zero.FirstN(lanes)
 
-		sweep := lanevec.NewEngine[lanevec.V1](c)
+		sweep := NewEngine[V1](c)
 		sweep.SetAll(all)
-		event := lanevec.NewEngine[lanevec.V1](c)
+		event := NewEngine[V1](c)
 		event.SetAll(all)
 		event.InitEvents(c.Topology())
 
@@ -68,14 +67,14 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 		// override kernels are exercised by the event path too.
 		gi := rng.Intn(c.NumGates())
 		mask := zero.WithBit(rng.Intn(lanes))
-		sweep.OrOutOverride(gi, mask, zero)
-		event.OrOutOverride(gi, mask, zero)
+		sweep.orOutOverride(gi, mask, zero)
+		event.orOutOverride(gi, mask, zero)
 		gj := rng.Intn(c.NumGates())
 		if nf := len(c.Gates[gj].Fanin); nf > 0 {
 			pin := rng.Intn(nf)
 			pm := zero.WithBit(rng.Intn(lanes))
-			sweep.AddPinOverride(gj, pin, pm, true)
-			event.AddPinOverride(gj, pin, pm, true)
+			sweep.addPinOverride(gj, pin, pm, true)
+			event.addPinOverride(gj, pin, pm, true)
 		}
 		// Directional (transition-fault) overrides: one slow-to-rise and
 		// one slow-to-fall lane, possibly on a gate that is not
@@ -84,8 +83,8 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 		gk := rng.Intn(c.NumGates())
 		fm := zero.WithBit(rng.Intn(lanes))
 		rm := zero.WithBit(rng.Intn(lanes))
-		sweep.OrDirOverride(gk, fm, rm)
-		event.OrDirOverride(gk, fm, rm)
+		sweep.orDirOverride(gk, fm, rm)
+		event.orDirOverride(gk, fm, rm)
 
 		sweep.Reset()
 		eventReset(event)
@@ -93,7 +92,7 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 
 		m := c.NumInputs()
 		for cyc := 0; cyc < cycles; cyc++ {
-			rails := make([]lanevec.V1, m)
+			rails := make([]V1, m)
 			for l := 0; l < lanes; l++ {
 				pat := rng.Uint64()
 				for i := 0; i < m; i++ {
@@ -116,7 +115,7 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 	t.Logf("event-vs-sweep settled %d random circuits", tried)
 }
 
-func compareStates[V lanevec.Vec[V]](t *testing.T, seed int64, cyc int, a, b *lanevec.Engine[V], lanes int) {
+func compareStates[V Vec[V]](t *testing.T, seed int64, cyc int, a, b *Engine[V], lanes int) {
 	t.Helper()
 	for l := 0; l < lanes; l++ {
 		sa, sb := a.LaneState(l), b.LaneState(l)
@@ -136,9 +135,9 @@ func TestEventSettleRespectsGateMask(t *testing.T) {
 		t.Skip("no circuit for seed")
 	}
 	topo := ckt.Topology()
-	var zero lanevec.V1
+	var zero V1
 	all := zero.FirstN(4)
-	e := lanevec.NewEngine[lanevec.V1](ckt)
+	e := NewEngine[V1](ckt)
 	e.SetAll(all)
 	e.InitEvents(topo)
 	e.LoadInit()

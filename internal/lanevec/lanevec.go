@@ -9,14 +9,10 @@
 // vectors, so every gate evaluation answers all lanes at once.
 //
 // The package exposes exactly one settle/evalGate implementation,
-// generic over the vector width.  Both fault-injection orientations
-// instantiate it:
-//
-//   - fault-per-lane (sim.Parallel): each lane carries a different
-//     fault, injected as per-lane pin/output override masks;
-//   - pattern-per-lane (fsim): each lane carries a different test
-//     sequence and one fault is injected uniformly, i.e. with the
-//     all-lanes mask.
+// generic over the vector width, in one orientation: each lane carries
+// a different input sequence (fsim's test sequences, PODEM's value
+// combinations) and one fault, selected by Engine.Inject, is applied
+// to every lane through the override masks.
 //
 // The sweep semantics live in exactly one place: the template in
 // sweepgen.go.  The hot kernels (sweep_gen.go) are generated from it —

@@ -161,7 +161,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	// Output override: stick y at 0 in the last lane only.
 	last := zero.WithBit(size - 1)
 	e.ClearOverrides()
-	e.OrOutOverride(c.GateOf(yID), zero, last)
+	e.orOutOverride(c.GateOf(yID), zero, last)
 	e.ApplyRails([]V{e.All()}) // A=1 everywhere: good y=1
 	d1, _ = e.Definite(yID)
 	if d1.Has(size-1) || !d1.Has(0) {
@@ -171,7 +171,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	// Pin override: n1's input pin perceives 0 in lane 0 → y=0 there.
 	e.ClearOverrides()
 	n1ID, _ := c.SignalID("n1")
-	e.AddPinOverride(c.GateOf(n1ID), 0, zero.WithBit(0), false)
+	e.addPinOverride(c.GateOf(n1ID), 0, zero.WithBit(0), false)
 	e.ApplyRails([]V{e.All()})
 	d1, _ = e.Definite(yID)
 	if d1.Has(0) || !d1.Has(1) {
@@ -182,7 +182,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	// inversion, reset 0) must never rise in the masked lane, and must
 	// keep tracking A everywhere else.
 	e.ClearOverrides()
-	e.OrDirOverride(c.GateOf(yID), last, zero)
+	e.orDirOverride(c.GateOf(yID), last, zero)
 	e.Reset()
 	e.ApplyRails([]V{e.All()}) // A=1: good y rises
 	d1, d0 = e.Definite(yID)
@@ -193,7 +193,7 @@ func testEngineLanes[V Vec[V]](t *testing.T) {
 	// Slow-to-fall: after rising with the good lanes, y must stay 1 in
 	// the masked lane when A drops.
 	e.ClearOverrides()
-	e.OrDirOverride(c.GateOf(yID), zero, last)
+	e.orDirOverride(c.GateOf(yID), zero, last)
 	e.Reset()
 	e.ApplyRails([]V{e.All()}) // rise everywhere (rising is allowed)
 	var none V

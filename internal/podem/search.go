@@ -142,38 +142,6 @@ func bitset(w []uint64, s netlist.SigID) bool {
 	return int(s)>>6 < len(w) && w[int(s)>>6]>>(uint(s)&63)&1 == 1
 }
 
-// injectFault mirrors the fsim override mapping onto our faulty engine.
-func injectFault[V lanevec.Vec[V]](e *lanevec.Engine[V], f *faults.Fault) {
-	e.ClearOverrides()
-	all := e.All()
-	var zero V
-	switch f.Type {
-	case faults.OutputSA:
-		if f.Value == logic.One {
-			e.OrOutOverride(f.Gate, all, zero)
-		} else {
-			e.OrOutOverride(f.Gate, zero, all)
-		}
-	case faults.SlowRise:
-		e.OrDirOverride(f.Gate, all, zero)
-	case faults.SlowFall:
-		e.OrDirOverride(f.Gate, zero, all)
-	default:
-		e.AddPinOverride(f.Gate, f.Pin, all, f.Value == logic.One)
-	}
-}
-
-// packOutputs packs the definite primary outputs of a scalar state.
-func packOutputs(c *netlist.Circuit, st logic.Vec) uint64 {
-	var w uint64
-	for j, s := range c.Outputs {
-		if st[s] == logic.One {
-			w |= 1 << uint(j)
-		}
-	}
-	return w
-}
-
 // target runs the multi-frame search for one fault.
 func (g *gen[V]) target(ctx context.Context, f faults.Fault) (Test, bool) {
 	g.st.Targeted++
@@ -189,7 +157,7 @@ func (g *gen[V]) target(ctx context.Context, f faults.Fault) (Test, bool) {
 		return Test{}, false // structurally unobservable: X-path closed
 	}
 	g.computeSupport()
-	injectFault(g.faulty, &f)
+	g.faulty.Inject(&f)
 	fc := f
 	g.faultyM = sim.Machine{C: g.c, Fault: &fc}
 	goodSt := g.goodM.InitState()
@@ -207,7 +175,7 @@ func (g *gen[V]) target(ctx context.Context, f faults.Fault) (Test, bool) {
 		goodSt = g.goodM.Step(goodSt, vec)
 		faultySt = g.faultyM.Step(faultySt, vec)
 		t.Patterns = append(t.Patterns, vec)
-		t.Expected = append(t.Expected, packOutputs(g.c, goodSt))
+		t.Expected = append(t.Expected, g.goodM.PackOutputs(goodSt))
 		if kind == frameDetect {
 			g.st.Found++
 			return t, true

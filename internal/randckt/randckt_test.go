@@ -210,35 +210,6 @@ func TestSymbolicEqualsExplicitOnRandomCircuits(t *testing.T) {
 	}
 }
 
-// Property: the 64-way parallel ternary fault simulator agrees exactly
-// with the scalar machine on every lane, on cyclic circuits.
-func TestParallelMatchesScalarOnRandomCircuits(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 25; i++ {
-		c := generate(t, rng, Config{})
-		fl := append(faults.InputUniverse(c), faults.OutputUniverse(c)...)
-		if len(fl) > sim.Lanes {
-			fl = fl[:sim.Lanes]
-		}
-		par := sim.NewParallel(c, fl)
-		scalar := make([]logic.Vec, len(fl))
-		for fi := range fl {
-			scalar[fi] = sim.Machine{C: c, Fault: &fl[fi]}.InitState()
-		}
-		for step := 0; step < 5; step++ {
-			p := rng.Uint64() & (1<<uint(c.NumInputs()) - 1)
-			par.Apply(p)
-			for fi := range fl {
-				scalar[fi] = sim.Machine{C: c, Fault: &fl[fi]}.Step(scalar[fi], p)
-				if !par.LaneState(fi).Equal(scalar[fi]) {
-					t.Fatalf("%s: lane %d (%s) diverged at step %d: %s vs %s",
-						c.Name, fi, fl[fi].Describe(c), step, par.LaneState(fi), scalar[fi])
-				}
-			}
-		}
-	}
-}
-
 // Property: Explore's reach set is internally consistent: sorted,
 // deduplicated, contains all stable successors, and every member is
 // genuinely reachable (spot-checked by random walks).

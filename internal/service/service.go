@@ -67,9 +67,10 @@
 //
 // Every POST body is capped at MaxRequestBytes (413 past it), and every
 // request field is validated — circuit, model, faults, lanes, mode,
-// flow — before the result store is probed or any peer is contacted,
-// so a malformed query is a 400 that costs neither a store miss nor a
-// peer's health.
+// flow, and generation's walk, length and PODEM budgets (each capped
+// by a Max* constant) — before the result store is probed, any peer is
+// contacted or any generation runs, so a malformed query is a 400 that
+// costs neither a store miss nor a peer's health.
 package service
 
 import (
@@ -102,6 +103,19 @@ import (
 // tens of thousands of test cycles) while bounding what one request
 // can make the server buffer.
 const MaxRequestBytes = 16 << 20
+
+// Caps on POST /v1/generate's numeric fields.  The largest values the
+// repository's own callers use — its tests, examples, CLI defaults and
+// benchmark workloads — are 65,536 walks (a library cancellation test),
+// 48 vectors per walk, and PODEM's defaults of 512 decisions and 8
+// cycles; each cap sits 4× to 128× above them while keeping one
+// request from asking for gigabytes of walks before any work starts.
+const (
+	MaxRandomSeqs  = 1 << 18 // random_seqs
+	MaxRandomLen   = 1 << 9  // random_len
+	MaxPodemBudget = 1 << 16 // podem_budget
+	MaxPodemCycles = 1 << 6  // podem_cycles
+)
 
 // Config tunes a Server.
 type Config struct {
@@ -708,15 +722,30 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
+	workers := req.Workers
+	if workers <= 0 {
+		workers = s.cfg.Workers
+	}
+	opts := atpg.Options{
+		Seed:            req.Seed,
+		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
+		FaultSimWorkers: workers, FaultSimLanes: req.Lanes,
+		SkipPodem: req.SkipPodem, PodemBudget: req.PodemBudget, PodemCycles: req.PodemCycles,
+	}
+	err := checkGenerateCaps(&req)
+	if err == nil {
+		err = opts.Validate()
+	}
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	id, c, err := s.resolveCircuit(req.Circuit, req.CircuitText)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	fm, sel, err := resolveFaults(req.Model, req.Faults)
-	if err == nil {
-		err = checkLanes(req.Lanes)
-	}
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -737,16 +766,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.httpError(w, http.StatusBadRequest, fmt.Errorf("unknown flow %q (want auto, cssg or direct)", req.Flow))
 		return
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	opts := atpg.Options{
-		Seed:            req.Seed,
-		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
-		FaultSimWorkers: workers, FaultSimLanes: req.Lanes,
-		SkipPodem: req.SkipPodem, PodemBudget: req.PodemBudget, PodemCycles: req.PodemCycles,
 	}
 	universe := faults.SelectUniverse(c, fm, sel)
 	start := time.Now()
@@ -791,6 +810,25 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if s.writeJSON(w, resp) {
 		s.metrics.GenerateQueries.Add(1)
 	}
+}
+
+// checkGenerateCaps rejects numeric generation fields past the service
+// caps (atpg.Options.Validate rejects the negative ones).
+func checkGenerateCaps(req *GenerateRequest) error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"random_seqs", req.RandomSeqs, MaxRandomSeqs},
+		{"random_len", req.RandomLen, MaxRandomLen},
+		{"podem_budget", req.PodemBudget, MaxPodemBudget},
+		{"podem_cycles", req.PodemCycles, MaxPodemCycles},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("%s %d exceeds the service cap %d", f.name, f.v, f.max)
+		}
+	}
+	return nil
 }
 
 // ProgramJSON is one tester program on the wire.

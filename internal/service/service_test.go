@@ -334,18 +334,37 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 	// The other two option-carrying endpoints reject the removed width
-	// the same way.
-	for path, req := range map[string]any{
-		"/v1/generate": &service.GenerateRequest{CircuitText: text, Lanes: 128},
-		"/v1/compact":  &service.CompactRequest{CircuitText: text, Lanes: 128},
+	// the same way, and generation rejects a negative or over-cap walk
+	// count, walk length or PODEM budget before any work.
+	for _, tc := range []struct {
+		path string
+		req  any
+		want string
+	}{
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, Lanes: 128}, "64 or 256"},
+		{"/v1/compact", &service.CompactRequest{CircuitText: text, Lanes: 128}, "64 or 256"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: -1}, "RandomSequences"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: -1}, "RandomLength"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemBudget: -1}, "PodemBudget"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemCycles: -1}, "PodemCycles"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: service.MaxRandomSeqs + 1}, "random_seqs"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: 1_000_000_000}, "random_seqs"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: service.MaxRandomLen + 1}, "random_len"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemBudget: service.MaxPodemBudget + 1}, "podem_budget"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemCycles: service.MaxPodemCycles + 1}, "podem_cycles"},
 	} {
-		rec := postJSON(t, srv, path, req)
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "64 or 256") {
-			t.Fatalf("%s with lanes 128 = %d %s; want 400 listing 64 or 256", path, rec.Code, rec.Body.String())
+		rec := postJSON(t, srv, tc.path, tc.req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Fatalf("%s %+v = %d %s; want 400 containing %q", tc.path, tc.req, rec.Code, rec.Body.String(), tc.want)
 		}
 	}
-	if n := metricValue(t, srv, "satpgd_result_store_misses_total"); n != 0 {
-		t.Fatalf("rejected requests probed the result store: %d misses", n)
+	for _, name := range []string{
+		"satpgd_result_store_misses_total", "satpgd_generate_queries_total", "satpgd_patterns_simulated_total",
+		"satpgd_faults_measured_total", "satpgd_podem_targeted_total", "satpgd_podem_decisions_total",
+	} {
+		if n := metricValue(t, srv, name); n != 0 {
+			t.Errorf("rejected requests moved %s to %d", name, n)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
-// Package sim provides the three simulation engines of the paper:
+// Package sim provides the scalar simulation engines of the paper:
 //
 //   - binary simulation under the unbounded gate-delay model (gates fire
 //     one at a time; used by the TCSG/CSSG builder and for Monte-Carlo
-//     delay experiments),
+//     delay experiments), and
 //   - Eichelberger ternary simulation (algorithms A and B, §5.4), the
-//     conservative race/oscillation detector, and
-//   - 64-way parallel ternary fault simulation with stuck-at injection,
-//     the work-horse of random TPG and fault dropping.
+//     conservative race/oscillation detector, with stuck-at and
+//     transition faults injected one at a time (Machine).
+//
+// The scalar ternary machine is the oracle the bit-parallel fault
+// simulator in internal/fsim is tested against.
 package sim
 
 import (

@@ -30,25 +30,6 @@ func TestSettleRandomOscillatorFails(t *testing.T) {
 	}
 }
 
-// An output-SA fault on an input buffer models a stuck primary-input
-// wire; the parallel simulator must expose it through downstream logic.
-func TestParallelStuckInputLine(t *testing.T) {
-	src := `
-circuit wire
-input a
-output z
-gate z BUF a
-init a=0 z=0
-`
-	c := parseMust(t, src, "wire.ckt")
-	fl := []faults.Fault{{Type: faults.OutputSA, Gate: 0, Pin: -1, Value: logic.Zero}} // buffer a stuck 0
-	par := NewParallel(c, fl)
-	par.Apply(1) // good z becomes 1; faulty stays 0
-	if det := par.DetectedVs(1); det != 1 {
-		t.Fatalf("stuck input line not detected: %b", det)
-	}
-}
-
 func TestTernarySweepCountsBounded(t *testing.T) {
 	c := parseMust(t, fig1aSrc, "fig1a.ckt")
 	res := ApplyVector(c, TernaryFromPacked(c, c.InitState()), 0b01, nil)
@@ -83,14 +64,5 @@ init a=0 z=1
 	st = m.Step(st, 0) // a=0: z should rise but cannot
 	if st[zID] != logic.Zero {
 		t.Fatalf("slow-to-rise z must stay 0, got %s", st[zID])
-	}
-}
-
-func TestParallelFaultsAccessor(t *testing.T) {
-	c := parseMust(t, fig1aSrc, "fig1a.ckt")
-	fl := faults.OutputUniverse(c)[:3]
-	par := NewParallel(c, fl)
-	if par.NumLanes() != 3 || len(par.Faults()) != 3 {
-		t.Fatal("lane accessors wrong")
 	}
 }

@@ -262,90 +262,6 @@ func TestMachineStepAndOutputs(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	circuits := []*netlist.Circuit{parseMust(t, fig1aSrc, "fig1a.ckt")}
-	for i := 0; i < 8; i++ {
-		circuits = append(circuits, randomDAG(rng))
-	}
-	for _, c := range circuits {
-		fl := faults.InputUniverse(c)
-		fl = append(fl, faults.OutputUniverse(c)...)
-		if len(fl) > Lanes {
-			fl = fl[:Lanes]
-		}
-		par := NewParallel(c, fl)
-		// Scalar mirrors.
-		scalar := make([]logic.Vec, len(fl))
-		for i := range fl {
-			m := Machine{C: c, Fault: &fl[i]}
-			scalar[i] = m.InitState()
-		}
-		check := func(when string) {
-			t.Helper()
-			for i := range fl {
-				got := par.LaneState(i)
-				if !got.Equal(scalar[i]) {
-					t.Fatalf("%s %s lane %d (%s): parallel %s != scalar %s",
-						c.Name, when, i, fl[i].Describe(c), got, scalar[i])
-				}
-			}
-		}
-		check("after reset")
-		for step := 0; step < 6; step++ {
-			pattern := rng.Uint64() & (1<<uint(c.NumInputs()) - 1)
-			par.Apply(pattern)
-			for i := range fl {
-				m := Machine{C: c, Fault: &fl[i]}
-				scalar[i] = m.Step(scalar[i], pattern)
-			}
-			check(fmt.Sprintf("after vector %d", step))
-		}
-	}
-}
-
-func TestParallelDetection(t *testing.T) {
-	src := `
-circuit inv
-input a
-output z
-gate z NOT a
-init a=0 z=1
-`
-	c := parseMust(t, src, "inv.ckt")
-	zID, _ := c.SignalID("z")
-	gi := c.GateOf(zID)
-	fl := []faults.Fault{
-		{Type: faults.OutputSA, Gate: gi, Pin: -1, Value: logic.Zero}, // z/SA0
-		{Type: faults.OutputSA, Gate: gi, Pin: -1, Value: logic.One},  // z/SA1
-	}
-	par := NewParallel(c, fl)
-	// Good circuit with a=0 outputs z=1: lane 0 (z stuck 0) detected.
-	det := par.DetectedVs(0b1)
-	if det != 0b01 {
-		t.Fatalf("with a=0 want lane0 detected, got %b", det)
-	}
-	par.Apply(1) // a=1: good z=0; lane 1 (stuck 1) detected.
-	det = par.DetectedVs(0b0)
-	if det != 0b10 {
-		t.Fatalf("with a=1 want lane1 detected, got %b", det)
-	}
-}
-
-func TestParallelLaneCap(t *testing.T) {
-	c := parseMust(t, fig1aSrc, "fig1a.ckt")
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on >64 faults")
-		}
-	}()
-	fl := make([]faults.Fault, 65)
-	for i := range fl {
-		fl[i] = faults.Fault{Type: faults.OutputSA, Gate: 0, Pin: -1, Value: logic.Zero}
-	}
-	NewParallel(c, fl)
-}
-
 func TestFaultUniverses(t *testing.T) {
 	c := parseMust(t, fig1aSrc, "fig1a.ckt")
 	out := faults.OutputUniverse(c)
@@ -392,20 +308,5 @@ func TestCollapseStats(t *testing.T) {
 	cl := faults.Collapse(c, faults.InputUniverse(c))
 	if cl.Stats.Total == 0 || cl.Stats.EquivalentToOut == 0 {
 		t.Errorf("collapse stats empty: %+v", cl.Stats)
-	}
-}
-
-// Ternary settling of the good circuit from a stable state must
-// over-approximate the parallel simulator's good lane (sanity between the
-// two implementations on cyclic circuits).
-func TestScalarParallelAgreeOnCyclic(t *testing.T) {
-	c := parseMust(t, oscSrc, "fig1b.ckt")
-	par := NewParallel(c, []faults.Fault{{Type: faults.OutputSA, Gate: 0, Pin: -1, Value: logic.Zero}})
-	par.Apply(1)
-	m := Machine{C: c, Fault: &faults.Fault{Type: faults.OutputSA, Gate: 0, Pin: -1, Value: logic.Zero}}
-	st := m.InitState()
-	st = m.Step(st, 1)
-	if !par.LaneState(0).Equal(st) {
-		t.Fatalf("parallel %s != scalar %s", par.LaneState(0), st)
 	}
 }

@@ -193,3 +193,15 @@ func (m Machine) Step(st logic.Vec, pattern uint64) logic.Vec {
 func (m Machine) Outputs(st logic.Vec) logic.Vec {
 	return m.C.OutputVec(st)
 }
+
+// PackOutputs packs the definitely-1 primary outputs of a state into a
+// word (output j at bit j) — the encoding of test responses.
+func (m Machine) PackOutputs(st logic.Vec) uint64 {
+	var w uint64
+	for j, s := range m.C.Outputs {
+		if st[s] == logic.One {
+			w |= 1 << uint(j)
+		}
+	}
+	return w
+}

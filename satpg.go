@@ -254,32 +254,12 @@ func (o Options) Validate() error {
 	if o.K < 0 {
 		return fmt.Errorf("satpg: K must be ≥ 0, got %d (0 selects the 4·NumSignals default)", o.K)
 	}
-	if o.RandomSequences < 0 {
-		return fmt.Errorf("satpg: RandomSequences must be ≥ 0, got %d", o.RandomSequences)
-	}
-	if o.RandomLength < 0 {
-		return fmt.Errorf("satpg: RandomLength must be ≥ 0, got %d", o.RandomLength)
-	}
-	if o.FaultSimWorkers < 0 {
-		return fmt.Errorf("satpg: FaultSimWorkers must be ≥ 0, got %d (0 selects GOMAXPROCS)", o.FaultSimWorkers)
-	}
-	switch o.FaultSimLanes {
-	case 0, 64, 256:
-	default:
-		return fmt.Errorf("satpg: FaultSimLanes must be 64 or 256, got %d", o.FaultSimLanes)
-	}
 	switch o.Flow {
 	case FlowAuto, FlowCSSG, FlowDirect:
 	default:
 		return fmt.Errorf("satpg: unknown flow %d (want FlowAuto, FlowCSSG or FlowDirect)", uint8(o.Flow))
 	}
-	if o.PodemBudget < 0 {
-		return fmt.Errorf("satpg: PodemBudget must be ≥ 0, got %d (0 selects the default decision budget)", o.PodemBudget)
-	}
-	if o.PodemCycles < 0 {
-		return fmt.Errorf("satpg: PodemCycles must be ≥ 0, got %d (0 selects the default cycle cap)", o.PodemCycles)
-	}
-	return nil
+	return o.atpgOpts().Validate()
 }
 
 func (o Options) coreOpts() core.Options { return core.Options{K: o.K} }
