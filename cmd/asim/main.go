@@ -47,8 +47,8 @@ func main() {
 		}
 		an := satpg.Analyze(c, state, pattern, opts)
 		tern := sim.ApplyVector(c, sim.TernaryFromPacked(c, state), pattern, nil)
-		fmt.Printf("cycle %d: vector %0*b  class=%s  ternary=%s (A:%d B:%d sweeps)\n",
-			i+1, c.NumInputs(), pattern, an.Class, tern.State, tern.SweepsA, tern.SweepsB)
+		fmt.Printf("cycle %d: vector %0*b  class=%s  ternary=%s (A:%d B:%d gate evaluations)\n",
+			i+1, c.NumInputs(), pattern, an.Class, tern.State, tern.EvalsA, tern.EvalsB)
 		if an.Class != satpg.VectorValid {
 			for j, s := range an.StableSuccs {
 				fmt.Printf("  possible final state %d: %s\n", j, c.FormatState(s))

@@ -83,11 +83,7 @@ func main() {
 		ShardAttempts: *shardTries,
 	})
 	defer srv.Close()
-	// Bodies are capped by the service (service.MaxRequestBytes); the
-	// header timeout stops a client that never finishes its headers from
-	// holding a connection open.  No whole-request or write timeout:
-	// coverage queries and NDJSON streams legitimately run for minutes.
-	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	hs := newHTTPServer(*addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -113,6 +109,17 @@ func main() {
 		}
 		fmt.Println("satpgd drained and stopped")
 	}
+}
+
+// newHTTPServer wraps the service in the listener's timeouts.  Bodies
+// are capped by the service (service.MaxRequestBytes); the header
+// timeout stops a client that never finishes its headers from holding a
+// connection open, and the idle timeout closes keep-alive connections
+// no request has used for two minutes.  No whole-request or write
+// timeout: coverage queries and NDJSON streams legitimately run for
+// minutes.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }
 
 // parsePeers splits and validates the -peers list: every entry must be

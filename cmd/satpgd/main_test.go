@@ -76,3 +76,15 @@ func TestValidateDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPServerTimeouts: the listener bounds slow headers and idle
+// keep-alive connections but not request or response time.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer("127.0.0.1:0", nil)
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("header timeout %v, idle timeout %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("read timeout %v, write timeout %v: long queries and streams need neither", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

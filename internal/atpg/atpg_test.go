@@ -1,13 +1,16 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/podem"
 	"repro/internal/sim"
 )
 
@@ -266,6 +269,22 @@ func TestSkipRandomAblation(t *testing.T) {
 	if res.Covered != full.Covered {
 		t.Errorf("coverage must not depend on the random phase: %d vs %d", res.Covered, full.Covered)
 	}
+
+	// The direct flow draws no walks either: PODEM makes every test.
+	s27 := parseS27(t)
+	for _, m := range []faults.Type{faults.OutputSA, faults.InputSA} {
+		res, err := RunDirect(s27, m, faults.Universe(s27, m), Options{Seed: 1, SkipRandom: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ByPhase[PhaseRandom] != 0 || res.ByPhase[PhasePodem] != len(res.Tests) {
+			t.Errorf("direct %v: SkipRandom must leave only PODEM tests, got %d tests and phases %v",
+				m, len(res.Tests), res.ByPhase)
+		}
+		if len(res.Tests) < 2 || res.FaultSim.Patterns == 0 || res.FaultSim.GateEvals == 0 {
+			t.Errorf("direct %v: %d tests, fault simulator %+v", m, len(res.Tests), res.FaultSim)
+		}
+	}
 }
 
 func TestSkipFaultSimAblation(t *testing.T) {
@@ -278,6 +297,50 @@ func TestSkipFaultSimAblation(t *testing.T) {
 	if res.Covered != full.Covered {
 		t.Errorf("coverage must not depend on fault dropping: %d vs %d", res.Covered, full.Covered)
 	}
+
+	// The direct flow with walks off: each committed PODEM test drops
+	// only its target from the simulator, so a fault is covered exactly
+	// when its own PODEM test passes the flow's oracle checks.
+	s27 := parseS27(t)
+	for _, m := range []faults.Type{faults.OutputSA, faults.InputSA, faults.Transition} {
+		universe := faults.Universe(s27, m)
+		opts := Options{Seed: 1, SkipRandom: true, SkipFaultSim: true}
+		res, err := RunDirect(s27, m, universe, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ByPhase[PhaseSim] != 0 {
+			t.Errorf("direct %v: SkipFaultSim must zero the sim column", m)
+		}
+		d := opts.withDefaults()
+		pg, err := podem.New(s27, podem.Options{Lanes: d.FaultSimLanes, DecisionBudget: d.PodemBudget, MaxCycles: d.PodemCycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, f := range universe {
+			pt, ok := pg.Target(context.Background(), f)
+			test := Test{Patterns: pt.Patterns, Expected: pt.Expected}
+			want := ok && VerifyDirectGood(s27, test) && VerifyDirect(s27, f, test)
+			if res.PerFault[fi].Detected != want {
+				t.Errorf("direct %v, %s: covered %v, want %v (whether its own PODEM test passes the oracle)",
+					m, f.Describe(s27), res.PerFault[fi].Detected, want)
+			}
+		}
+	}
+}
+
+// parseS27 loads the smallest circuit of the ISCAS-class corpus.
+func parseS27(t *testing.T) *netlist.Circuit {
+	t.Helper()
+	src, err := os.ReadFile("../../examples/iscas/s27.ckt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := netlist.ParseString(string(src), "s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestRandomWalkValidity(t *testing.T) {

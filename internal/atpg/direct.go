@@ -83,6 +83,9 @@ func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, un
 	// in index order, so the emitted test program is byte-identical for
 	// a fixed seed regardless of the worker count or finish order.
 	total := max(opts.RandomSequences, 0)
+	if opts.SkipRandom {
+		total = 0
+	}
 	walks := make([]Test, total)
 	workers := opts.FaultSimWorkers
 	if workers <= 0 {
@@ -175,11 +178,15 @@ screen:
 				res.Tests = append(res.Tests, test)
 				ti := len(res.Tests) - 1
 				remaining = mark(res, remaining, []int{fi}, PhasePodem, ti)
-				if !opts.SkipFaultSim {
+				if opts.SkipFaultSim {
+					// Collateral detections stay unmarked, so they stay
+					// in the simulator for their own targeting.
+					fs.Drop(fi)
+				} else {
 					rest := slices.DeleteFunc(slices.Clone(detected), func(fj int) bool { return fj == fi })
 					remaining = mark(res, remaining, rest, PhaseSim, ti)
+					dropAll(fs, detected)
 				}
-				dropAll(fs, detected)
 			}
 			res.Podem = pg.Stats()
 		}

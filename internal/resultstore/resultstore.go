@@ -19,7 +19,8 @@
 // but hits the index reads the one line back and promotes it, so the
 // LRU bounds decoded-bytes memory while the disk retains every result
 // ever computed.  Opening a directory replays the log into the index
-// (later lines win, making re-Puts harmless), tolerating a torn final
+// (a key's first line wins, the record Put keeps canonical, so nothing
+// appended later can change a stored result), tolerating a torn final
 // line from a crashed writer.  A store opened with an empty directory
 // path is memory-only: same LRU semantics, nothing persisted.
 package resultstore
@@ -105,12 +106,12 @@ func Open(dir string, lruCap int) (*Store, error) {
 	return s, nil
 }
 
-// replay scans the log, indexing each well-formed line.  A torn or
-// corrupt line (a crash mid-append) is skipped — the offsets of the
-// following lines stay correct because lines are newline-framed, and a
-// torn *final* line without its newline simply ends the scan; the next
-// append position is pinned past the last byte so a new record never
-// splices into the torn tail.
+// replay scans the log, indexing the first well-formed line of each
+// key.  A torn or corrupt line (a crash mid-append) is skipped — the
+// offsets of the following lines stay correct because lines are
+// newline-framed, and a torn *final* line without its newline simply
+// ends the scan; the next append position is pinned past the last byte
+// so a new record never splices into the torn tail.
 func (s *Store) replay() error {
 	if _, err := s.f.Seek(0, 0); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
@@ -124,7 +125,9 @@ func (s *Store) replay() error {
 			terminated = line[len(line)-1] == '\n'
 			var rec logLine
 			if jerr := json.Unmarshal(line, &rec); jerr == nil && rec.Key != "" {
-				s.index[rec.Key] = span{off: off, length: int64(len(line))}
+				if _, dup := s.index[rec.Key]; !dup {
+					s.index[rec.Key] = span{off: off, length: int64(len(line))}
+				}
 			}
 			off += int64(len(line))
 		}

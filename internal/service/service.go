@@ -108,13 +108,20 @@ const MaxRequestBytes = 16 << 20
 // repository's own callers use — its tests, examples, CLI defaults and
 // benchmark workloads — are 65,536 walks (a library cancellation test),
 // 48 vectors per walk, and PODEM's defaults of 512 decisions and 8
-// cycles; each cap sits 4× to 128× above them while keeping one
-// request from asking for gigabytes of walks before any work starts.
+// cycles; each cap sits 4× to 128× above them.  The field caps alone
+// still admit 2^27 walk vectors (about 2 GiB of walks at 16 bytes a
+// vector), so MaxRandomVectors also bounds their product: the largest
+// product those callers use is the same cancellation test's 65,536 ×
+// 48 = 3,145,728 vectors, and the cap sits 5.3× above it (256 MiB of
+// walks).  A zero field takes the library default (256 walks, 24
+// vectors), whose product with the other field's cap stays under
+// MaxRandomVectors.
 const (
-	MaxRandomSeqs  = 1 << 18 // random_seqs
-	MaxRandomLen   = 1 << 9  // random_len
-	MaxPodemBudget = 1 << 16 // podem_budget
-	MaxPodemCycles = 1 << 6  // podem_cycles
+	MaxRandomSeqs    = 1 << 18 // random_seqs
+	MaxRandomLen     = 1 << 9  // random_len
+	MaxRandomVectors = 1 << 24 // random_seqs × random_len
+	MaxPodemBudget   = 1 << 16 // podem_budget
+	MaxPodemCycles   = 1 << 6  // podem_cycles
 )
 
 // Config tunes a Server.
@@ -812,8 +819,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// checkGenerateCaps rejects numeric generation fields past the service
-// caps (atpg.Options.Validate rejects the negative ones).
+// checkGenerateCaps rejects numeric generation fields, and the walk
+// count × length product, past the service caps
+// (atpg.Options.Validate rejects the negative ones).
 func checkGenerateCaps(req *GenerateRequest) error {
 	for _, f := range []struct {
 		name   string
@@ -827,6 +835,10 @@ func checkGenerateCaps(req *GenerateRequest) error {
 		if f.v > f.max {
 			return fmt.Errorf("%s %d exceeds the service cap %d", f.name, f.v, f.max)
 		}
+	}
+	// Both factors are capped above, so the product cannot overflow.
+	if n := req.RandomSeqs * req.RandomLen; n > MaxRandomVectors {
+		return fmt.Errorf("random_seqs × random_len = %d exceeds the service cap %d", n, MaxRandomVectors)
 	}
 	return nil
 }

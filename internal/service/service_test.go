@@ -335,7 +335,8 @@ func TestRequestValidation(t *testing.T) {
 	}
 	// The other two option-carrying endpoints reject the removed width
 	// the same way, and generation rejects a negative or over-cap walk
-	// count, walk length or PODEM budget before any work.
+	// count, walk length or PODEM budget, and a walk count × length
+	// past its cap with each field under its own, before any work.
 	for _, tc := range []struct {
 		path string
 		req  any
@@ -350,6 +351,9 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: service.MaxRandomSeqs + 1}, "random_seqs"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: 1_000_000_000}, "random_seqs"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: service.MaxRandomLen + 1}, "random_len"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: service.MaxRandomSeqs, RandomLen: service.MaxRandomLen}, "random_seqs × random_len"},
+		{"/v1/generate", &service.GenerateRequest{CircuitText: text,
+			RandomSeqs: service.MaxRandomVectors/service.MaxRandomLen + 1, RandomLen: service.MaxRandomLen}, "random_seqs × random_len"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemBudget: service.MaxPodemBudget + 1}, "podem_budget"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemCycles: service.MaxPodemCycles + 1}, "podem_cycles"},
 	} {

@@ -7,6 +7,13 @@
 //     conservative race/oscillation detector, with stuck-at and
 //     transition faults injected one at a time (Machine).
 //
+// Ternary settling is event-driven: one levelized worklist over the
+// circuit's netlist.Topology re-evaluates only the gates whose inputs
+// changed, and reaches the fixpoint of the paper's Jacobi sweeps bit for
+// bit.  The sweeps survive in the package's tests as the reference the
+// settle is checked against.  Every scalar caller — the direct flow's
+// walks, PODEM's completions, the oracles — settles through it.
+//
 // The scalar ternary machine is the oracle the bit-parallel fault
 // simulator in internal/fsim is tested against.
 package sim

@@ -32,13 +32,36 @@ func TestSettleRandomOscillatorFails(t *testing.T) {
 
 func TestTernarySweepCountsBounded(t *testing.T) {
 	c := parseMust(t, fig1aSrc, "fig1a.ckt")
-	res := ApplyVector(c, TernaryFromPacked(c, c.InitState()), 0b01, nil)
+	start := TernaryFromPacked(c, c.WithInputBits(c.InitState(), 0b01))
+	ref := settleSweeps(c, start, nil)
 	bound := 2*c.NumSignals() + 4
-	if res.SweepsA > bound || res.SweepsB > bound {
-		t.Fatalf("sweep counts exceed theory: A=%d B=%d bound=%d", res.SweepsA, res.SweepsB, bound)
+	if ref.SweepsA > bound || ref.SweepsB > bound {
+		t.Fatalf("sweep counts exceed theory: A=%d B=%d bound=%d", ref.SweepsA, ref.SweepsB, bound)
 	}
-	if res.SweepsA < 1 || res.SweepsB < 1 {
+	if ref.SweepsA < 1 || ref.SweepsB < 1 {
 		t.Fatal("sweep counters must be positive")
+	}
+
+	// The event settle evaluates every gate once in A, and in each
+	// phase at most one reader per reader edge beyond its seeds.
+	res := ApplyVector(c, TernaryFromPacked(c, c.InitState()), 0b01, nil)
+	if !res.State.Equal(ref.State) {
+		t.Fatalf("event settle %s != sweeps %s", res.State, ref.State)
+	}
+	evalBound := c.NumGates()
+	for gi := range c.Gates {
+		evalBound += len(c.Topology().Readers[c.Gates[gi].Out])
+	}
+	if res.EvalsA < c.NumGates() || res.EvalsA > evalBound || res.EvalsB > evalBound {
+		t.Fatalf("evaluation counts exceed theory: A=%d B=%d gates=%d bound=%d",
+			res.EvalsA, res.EvalsB, c.NumGates(), evalBound)
+	}
+	// A settled state is stable: settling it again costs one A
+	// evaluation per gate and no B evaluation.
+	again := SettleTernary(c, res.State, nil)
+	if again.EvalsA != c.NumGates() || again.EvalsB != 0 {
+		t.Fatalf("re-settling a settled state cost %d/%d gate evaluations, want %d/0",
+			again.EvalsA, again.EvalsB, c.NumGates())
 	}
 }
 

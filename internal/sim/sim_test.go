@@ -206,8 +206,12 @@ func TestTernaryStableIsFixpoint(t *testing.T) {
 		if !res.State.Equal(st) {
 			t.Fatalf("%s: settling a stable state changed it: %s -> %s", c.Name, st, res.State)
 		}
-		if res.SweepsA != 1 || res.SweepsB != 1 {
-			t.Fatalf("%s: stable state needed %d/%d sweeps", c.Name, res.SweepsA, res.SweepsB)
+		if ref := settleSweeps(c, st, nil); ref.SweepsA != 1 || ref.SweepsB != 1 {
+			t.Fatalf("%s: stable state needed %d/%d sweeps", c.Name, ref.SweepsA, ref.SweepsB)
+		}
+		if res.EvalsA != c.NumGates() || res.EvalsB != 0 {
+			t.Fatalf("%s: stable state cost %d/%d gate evaluations, want %d/0",
+				c.Name, res.EvalsA, res.EvalsB, c.NumGates())
 		}
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/logic"
@@ -10,9 +12,9 @@ import (
 
 // TernaryResult is the outcome of a ternary settling analysis.
 type TernaryResult struct {
-	State   logic.Vec // final ternary state
-	SweepsA int       // Jacobi sweeps used by algorithm A
-	SweepsB int       // Jacobi sweeps used by algorithm B
+	State  logic.Vec // final ternary state
+	EvalsA int       // gate evaluations made by algorithm A
+	EvalsB int       // gate evaluations made by algorithm B
 }
 
 // Definite reports whether every signal settled to 0 or 1.  Per §5.4, a
@@ -49,66 +51,172 @@ func evalFaulty(c *netlist.Circuit, gi int, st logic.Vec, f *faults.Fault) logic
 // bound of its current value and its excitation function, propagating Φ
 // through every potentially-unstable signal; algorithm B then lowers each
 // output to its function value, restoring signals whose final value is
-// certain.  Jacobi (synchronous) sweeps are used, so the result is
-// deterministic and order-independent.  An optional single stuck-at or
-// transition fault is injected during evaluation.
+// certain.  The result is the fixpoint the Jacobi (synchronous) sweeps
+// of the paper reach, so it is deterministic and order-independent;
+// only the gates whose inputs changed are re-evaluated (see
+// settleInPlace).  An optional single stuck-at or transition fault is
+// injected during evaluation.
 //
 // The input slice is not modified.
 func SettleTernary(c *netlist.Circuit, st logic.Vec, f *faults.Fault) TernaryResult {
-	return settleInPlace(c, st.Clone(), make(logic.Vec, c.NumSignals()), f)
+	return settlePooled(c, st.Clone(), f)
+}
+
+// queuePool recycles the event scratch of SettleTernary and
+// ApplyVector, which would otherwise allocate the queue and its flags
+// on every call.
+var queuePool = sync.Pool{New: func() any { return new(eventQueue) }}
+
+// settlePooled settles st, which the caller owns, in place on pooled
+// scratch.
+func settlePooled(c *netlist.Circuit, st logic.Vec, f *faults.Fault) TernaryResult {
+	q := queuePool.Get().(*eventQueue)
+	res := settleInPlace(c, st, q, f)
+	queuePool.Put(q)
+	return res
+}
+
+// Event-driven settling.
+//
+// Both Eichelberger phases are chaotic iterations of a monotone
+// operator on the finite ternary lattice, the argument of the header of
+// internal/lanevec/events.go at one lane.  Algorithm A replaces a gate
+// output by lub(out, eval): the operator is inflationary and monotone,
+// so every fair evaluation order reaches the same least fixpoint above
+// the start state.  Algorithm B starts from that fixpoint, where every
+// gate's eval is at most as uncertain as its output, and assigns
+// out = eval: monotonicity keeps that true after every assignment, so B
+// only lowers outputs and every fair order reaches the same greatest
+// fixpoint below the A state.  A Jacobi sweep is one fair order; the
+// levelized worklist is another, so the two settle to the same state.
+//
+// Fairness is the worklist invariant: a gate outside the queue
+// satisfies its phase's fixpoint equation, because it leaves the queue
+// only by being evaluated and re-enters it whenever a signal it reads
+// changes.  Phase A seeds every gate, so it needs nothing of the start
+// state — Machine.InitState starts from a declared reset a fault can
+// destabilise, and Step never requires a fixpoint.  Phase B seeds
+// exactly the gates whose last A evaluation differed from their settled
+// output: that evaluation saw the A fixpoint's inputs (a later input
+// change would have re-queued the gate), so every other gate already
+// has out = eval.
+//
+// A transition-faulted gate reads its own output (f∧out, f∨out) with no
+// reader edge to itself unless its kind is self-dependent.  That is
+// sound because both combinations are idempotent in out: re-evaluated
+// after its own update, the gate yields the value it just computed, so
+// it still satisfies its phase's equation and its B seed flag holds.
+//
+// Within a phase a signal changes at most once (A only raises a
+// definite value to Φ, B only lowers Φ to a definite value), so a phase
+// evaluates at most every gate once plus one reader per reader edge.
+// Passing that bound means the monotonicity argument broke, and the
+// settle panics.
+
+// eventQueue is the scratch of one event-driven settle: a levelized
+// worklist over the circuit's Topology and the per-gate flags.  It is
+// prepared for one circuit at a time and re-prepared when the circuit
+// changes; a drained queue holds no gate and marks none queued.
+type eventQueue struct {
+	c       *netlist.Circuit
+	topo    *netlist.Topology
+	buckets [][]int // per level: gates pending evaluation
+	inQ     []bool  // per gate: queued
+	stale   []bool  // per gate: last A evaluation differs from the output
+	cursor  int     // lowest level that may hold pending gates
+	bound   int     // evaluation bound per phase: gates + reader edges
+}
+
+// prepare sizes the queue for c.
+func (q *eventQueue) prepare(c *netlist.Circuit) {
+	if q.c == c {
+		return
+	}
+	topo := c.Topology()
+	ng := c.NumGates()
+	q.c, q.topo = c, topo
+	q.buckets = slices.Grow(q.buckets[:0], topo.MaxLevel+1)[:topo.MaxLevel+1]
+	for lv := range q.buckets {
+		q.buckets[lv] = q.buckets[lv][:0]
+	}
+	q.inQ = slices.Grow(q.inQ[:0], ng)[:ng]
+	clear(q.inQ)
+	q.stale = slices.Grow(q.stale[:0], ng)[:ng]
+	q.cursor = len(q.buckets)
+	q.bound = ng
+	for gi := range c.Gates {
+		q.bound += len(topo.Readers[c.Gates[gi].Out])
+	}
+}
+
+// push queues gate gi unless it is already pending.
+func (q *eventQueue) push(gi int) {
+	if q.inQ[gi] {
+		return
+	}
+	q.inQ[gi] = true
+	lv := q.topo.Level[gi]
+	q.buckets[lv] = append(q.buckets[lv], gi)
+	if lv < q.cursor {
+		q.cursor = lv
+	}
+}
+
+// drain evaluates pending gates, lowest level first, until the queue is
+// empty, with algorithm A's semantics (raise) or B's, and returns the
+// number of evaluations.  Every output change queues the signal's
+// readers.
+func (q *eventQueue) drain(st logic.Vec, f *faults.Fault, raise bool) int {
+	c := q.c
+	evals := 0
+	for q.cursor < len(q.buckets) {
+		b := q.buckets[q.cursor]
+		n := len(b)
+		if n == 0 {
+			q.cursor++
+			continue
+		}
+		gi := b[n-1]
+		q.buckets[q.cursor] = b[:n-1]
+		q.inQ[gi] = false
+		if evals++; evals > q.bound {
+			panic(fmt.Sprintf("sim: ternary settling did not converge on %s (internal monotonicity bug)", c.Name))
+		}
+		out := c.Gates[gi].Out
+		v := evalFaulty(c, gi, st, f)
+		if raise {
+			lub := logic.Lub(st[out], v)
+			q.stale[gi] = v != lub
+			v = lub
+		}
+		if v == st[out] {
+			continue
+		}
+		st[out] = v
+		for _, ri := range q.topo.Readers[out] {
+			q.push(ri)
+		}
+	}
+	return evals
 }
 
 // settleInPlace is the settling core behind SettleTernary and
-// SettleBuf: it consumes cur as the starting state, uses next as
-// scratch, and returns a result whose State is whichever of the two
-// buffers holds the fixpoint.  Both buffers are clobbered.
-func settleInPlace(c *netlist.Circuit, cur, next logic.Vec, f *faults.Fault) TernaryResult {
-	maxSweeps := 2*c.NumSignals() + 4
-
-	var res TernaryResult
+// SettleBuf: it settles st in place, using q as scratch, and returns it
+// as the result's State.
+func settleInPlace(c *netlist.Circuit, st logic.Vec, q *eventQueue, f *faults.Fault) TernaryResult {
+	q.prepare(c)
 	// Algorithm A: monotonically increasing in the information order.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic(fmt.Sprintf("sim: algorithm A did not converge on %s (internal monotonicity bug)", c.Name))
-		}
-		copy(next, cur)
-		changed := false
-		for gi := 0; gi < c.NumGates(); gi++ {
-			out := c.Gates[gi].Out
-			v := logic.Lub(cur[out], evalFaulty(c, gi, cur, f))
-			if v != next[out] {
-				next[out] = v
-				changed = true
-			}
-		}
-		cur, next = next, cur
-		res.SweepsA = sweep + 1
-		if !changed {
-			break
-		}
+	for gi := range c.Gates {
+		q.push(gi)
 	}
+	res := TernaryResult{State: st, EvalsA: q.drain(st, f, true)}
 	// Algorithm B: monotonically decreasing from the A fixpoint.
-	for sweep := 0; ; sweep++ {
-		if sweep > maxSweeps {
-			panic(fmt.Sprintf("sim: algorithm B did not converge on %s (internal monotonicity bug)", c.Name))
-		}
-		copy(next, cur)
-		changed := false
-		for gi := 0; gi < c.NumGates(); gi++ {
-			out := c.Gates[gi].Out
-			v := evalFaulty(c, gi, cur, f)
-			if v != next[out] {
-				next[out] = v
-				changed = true
-			}
-		}
-		cur, next = next, cur
-		res.SweepsB = sweep + 1
-		if !changed {
-			break
+	for gi, s := range q.stale {
+		if s {
+			q.push(gi)
 		}
 	}
-	res.State = cur
+	res.EvalsB = q.drain(st, f, false)
 	return res
 }
 
@@ -126,18 +234,19 @@ func ApplyVector(c *netlist.Circuit, st logic.Vec, pattern uint64, f *faults.Fau
 	for i := 0; i < c.NumInputs(); i++ {
 		next[i] = logic.FromBool(pattern>>uint(i)&1 == 1)
 	}
-	return SettleTernary(c, next, f)
+	return settlePooled(c, next, f)
 }
 
 // SettleBuf holds reusable scratch for repeated ternary settlings.  The
-// package-level ApplyVector clones the state and allocates a fresh
-// sweep buffer on every call, which dominates the allocation profile of
-// tight proposal loops like the direct-ATPG walk generator (eight
-// candidate vectors per emitted cycle, most rejected); a SettleBuf
-// amortises both buffers across calls.  The zero value is ready to use
-// and a single buffer may serve circuits of different sizes.
+// package-level ApplyVector clones the state on every call, which
+// dominates the allocation profile of tight proposal loops like the
+// direct-ATPG walk generator (eight candidate vectors per emitted
+// cycle, most rejected); a SettleBuf amortises the state and the event
+// queue across calls.  The zero value is ready to use and a single
+// buffer may serve circuits of different sizes.
 type SettleBuf struct {
-	cur, next logic.Vec
+	st logic.Vec
+	q  eventQueue
 }
 
 // ApplyVector is the scratch-reusing variant of the package-level
@@ -145,26 +254,19 @@ type SettleBuf struct {
 // first.  The returned State aliases the buffer's scratch — it is valid
 // only until the next call on the same buffer, and callers keeping the
 // state must copy it out.  st is not modified, but it must not alias a
-// State previously returned by this buffer (a rejected retry would read
-// its own clobbered scratch).
+// State previously returned by this buffer (the settle would overwrite
+// it).
 func (b *SettleBuf) ApplyVector(c *netlist.Circuit, st logic.Vec, pattern uint64, f *faults.Fault) TernaryResult {
 	n := c.NumSignals()
-	if cap(b.cur) < n {
-		b.cur = make(logic.Vec, n)
-		b.next = make(logic.Vec, n)
+	if cap(b.st) < n {
+		b.st = make(logic.Vec, n)
 	}
-	cur, next := b.cur[:n], b.next[:n]
+	cur := b.st[:n]
 	copy(cur, st)
 	for i := 0; i < c.NumInputs(); i++ {
 		cur[i] = logic.FromBool(pattern>>uint(i)&1 == 1)
 	}
-	res := settleInPlace(c, cur, next, f)
-	// settleInPlace swaps the buffers internally; re-home them so the
-	// next call reuses both regardless of sweep parity.
-	if &res.State[0] == &next[0] {
-		b.cur, b.next = b.next, b.cur
-	}
-	return res
+	return settleInPlace(c, cur, &b.q, f)
 }
 
 // Machine is a scalar ternary machine for one (possibly faulty) circuit,
