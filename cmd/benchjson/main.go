@@ -19,13 +19,14 @@
 // the deterministic phase adds on faults the random walks miss).
 //
 // With -compare it additionally diffs the fresh run against a committed
-// baseline report, matching rows by benchmark name on the patterns/sec
-// metric, and exits nonzero when any sufficiently-measured row (at
-// least 100ms of benchmark time on both sides — a one-iteration row's
+// baseline report, matching rows by benchmark name on the throughput
+// metrics — fault simulation's patterns/sec and CSSG exploration's
+// states/sec — and exits nonzero when any sufficiently-measured row (at
+// least 1s of benchmark time on both sides — a one-iteration row's
 // throughput is scheduler noise) regressed by more than -maxdrop
-// percent.  CI runs this against the previous PR's committed artifact,
-// so an engine-throughput regression fails the bench-smoke job rather
-// than silently shipping in the artifact.
+// percent.  CI runs this against the newest committed artifact, so an
+// engine-throughput regression fails the bench-smoke job rather than
+// silently shipping in the artifact.
 //
 // Usage:
 //
@@ -236,42 +237,48 @@ func elapsedNS(e Entry) float64 {
 // ISCAS-scale sweeps — repeat within a few percent.
 const minGateElapsedNS = 1e9
 
+// gatedMetrics are the throughput metrics compareReports diffs: fault
+// simulation's patterns/sec and CSSG exploration's settling states/sec.
+var gatedMetrics = []string{"patterns/sec", "states/sec"}
+
 // compareReports diffs the fresh run against a committed baseline on
-// the patterns/sec metric, matching rows by full benchmark name (which
-// already encodes the engine, lane width and circuit dimensions).  It
-// returns human-readable comparison lines for every matched row and a
-// failure line for each row whose throughput dropped more than
-// maxDropPct while both runs measured at least minGateElapsedNS of
-// benchmark time.
+// each gated throughput metric, matching rows by full benchmark name
+// (which already encodes the engine, lane width and circuit
+// dimensions).  It returns human-readable comparison lines for every
+// matched (row, metric) pair and a failure line for each whose
+// throughput dropped more than maxDropPct while both runs measured at
+// least minGateElapsedNS of benchmark time.
 func compareReports(fresh, base Report, maxDropPct float64) (lines, failures []string) {
 	byName := make(map[string]Entry, len(base.Results))
 	for _, e := range base.Results {
 		byName[e.Name] = e
 	}
 	for _, e := range fresh.Results {
-		cur, ok := e.Metrics["patterns/sec"]
-		if !ok {
-			continue
-		}
 		b, ok := byName[e.Name]
 		if !ok {
 			continue
 		}
-		prev, ok := b.Metrics["patterns/sec"]
-		if !ok || prev <= 0 {
-			continue
-		}
-		ratio := cur / prev
-		line := fmt.Sprintf("%s: %.1f -> %.1f patterns/sec (%.2fx)", e.Name, prev, cur, ratio)
-		if elapsedNS(e) < minGateElapsedNS || elapsedNS(b) < minGateElapsedNS {
-			lines = append(lines, line+" [not gated: under measurement floor]")
-			continue
-		}
-		lines = append(lines, line)
-		if ratio < 1-maxDropPct/100 {
-			failures = append(failures, fmt.Sprintf(
-				"%s: patterns/sec regressed %.1f%% (%.1f -> %.1f), max allowed %.0f%%",
-				e.Name, 100*(1-ratio), prev, cur, maxDropPct))
+		for _, metric := range gatedMetrics {
+			cur, ok := e.Metrics[metric]
+			if !ok {
+				continue
+			}
+			prev, ok := b.Metrics[metric]
+			if !ok || prev <= 0 {
+				continue
+			}
+			ratio := cur / prev
+			line := fmt.Sprintf("%s: %.1f -> %.1f %s (%.2fx)", e.Name, prev, cur, metric, ratio)
+			if elapsedNS(e) < minGateElapsedNS || elapsedNS(b) < minGateElapsedNS {
+				lines = append(lines, line+" [not gated: under measurement floor]")
+				continue
+			}
+			lines = append(lines, line)
+			if ratio < 1-maxDropPct/100 {
+				failures = append(failures, fmt.Sprintf(
+					"%s: %s regressed %.1f%% (%.1f -> %.1f), max allowed %.0f%%",
+					e.Name, metric, 100*(1-ratio), prev, cur, maxDropPct))
+			}
 		}
 	}
 	return lines, failures
@@ -306,8 +313,8 @@ func parse(r io.Reader) (Report, error) {
 func main() {
 	in := flag.String("in", "", "benchmark transcript to read (default: stdin)")
 	out := flag.String("out", "", "JSON file to write (default: stdout)")
-	compare := flag.String("compare", "", "baseline BENCH JSON to diff against; exits 1 on a gated patterns/sec regression")
-	maxDrop := flag.Float64("maxdrop", 25, "with -compare: max tolerated patterns/sec drop in percent")
+	compare := flag.String("compare", "", "baseline BENCH JSON to diff against; exits 1 on a gated patterns/sec or states/sec regression")
+	maxDrop := flag.Float64("maxdrop", 25, "with -compare: max tolerated patterns/sec or states/sec drop in percent")
 	flag.Parse()
 
 	src := io.Reader(os.Stdin)
@@ -354,7 +361,7 @@ func main() {
 			fmt.Println(l)
 		}
 		if len(lines) == 0 {
-			fatal(fmt.Errorf("no comparable patterns/sec rows between this run and %s", *compare))
+			fatal(fmt.Errorf("no comparable patterns/sec or states/sec rows between this run and %s", *compare))
 		}
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchjson: REGRESSION:", f)

@@ -183,6 +183,35 @@ func TestCompareReportsGatesRegressions(t *testing.T) {
 	}
 }
 
+// states/sec rows (CSSG exploration throughput) are gated exactly like
+// patterns/sec rows: same floor, same tolerated drop.
+func TestCompareReportsGatesStatesPerSec(t *testing.T) {
+	row := func(name string, sps, totalNS float64) Entry {
+		return Entry{Name: name, Iterations: 1,
+			Metrics: map[string]float64{"states/sec": sps, "ns/op": totalNS}}
+	}
+	base := Report{Results: []Entry{
+		row("CSSGConstruction/hf/trimos-send", 6e6, 2e9),
+		row("CSSGConstruction/si/mmu", 8e6, 2e9),
+		row("ExploreVector", 2e6, 5e3),
+	}}
+	fresh := Report{Results: []Entry{
+		row("CSSGConstruction/hf/trimos-send", 3e6, 2e9), // -50%: regression
+		row("CSSGConstruction/si/mmu", 7e6, 2e9),         // -12.5%: within tolerance
+		row("ExploreVector", 1e5, 5e3),                   // -95%, but under the floor
+	}}
+	lines, failures := compareReports(fresh, base, 25)
+	if len(lines) != 3 {
+		t.Fatalf("want 3 comparison lines, got %d: %v", len(lines), lines)
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "trimos-send: states/sec regressed") {
+		t.Fatalf("want exactly the trimos-send states/sec regression, got %v", failures)
+	}
+	if !strings.Contains(lines[2], "not gated") {
+		t.Fatalf("under-floor states/sec row gated: %q", lines[2])
+	}
+}
+
 // A row measured for less than the floor on either side is reported
 // but never gated: single-iteration throughput flaps with the
 // scheduler, and a hard gate there would fail CI on noise.

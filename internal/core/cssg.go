@@ -18,7 +18,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/netlist"
 )
@@ -176,104 +177,96 @@ func AnalyzeVector(c *netlist.Circuit, stable uint64, pattern uint64, opts Optio
 	return res
 }
 
+// explore builds the settling graph of one test cycle from start and
+// runs the depth DP over it.
+//
+// The graph is discovered breadth-first, and ids are handed out in
+// discovery order, so the BFS is simply a scan over the ids.  Each
+// state's successors are produced in ascending gate order (under POR:
+// the lowest-indexed excited observation-only gate alone), which fixes
+// the id of every state and keeps the result independent of how the
+// graph is stored.
+//
+// Each discovered state carries its excited-gate set as one mask word
+// (gate gi at bit gi; the explicit engine caps circuits at
+// netlist.WordBits signals, so every gate fits).  Only the start state
+// is evaluated gate by gate.  Firing gate g flips out(g) and nothing
+// else, and a gate's excitation is a function of its own output and its
+// fanins, so the successor's mask is the parent's with only g and the
+// gates reading out(g) re-evaluated; a C gate's self edge and the one
+// faults.Apply gives a transition-faulted gate are covered because g
+// itself is always re-evaluated.  A state's mask is zero exactly when
+// it is stable.
+//
+// The state index, the masks, the successor lists and the DP bitsets
+// live in pooled scratch (see exploreScratch).
 func explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
+	x := scratchPool.Get().(*exploreScratch)
+	defer scratchPool.Put(x)
+	x.prepare(c)
+	x.reset()
+	m := uint(c.NumInputs())
 
-	// Settling graph: nodes discovered by BFS, stable nodes are sinks.
-	ids := map[uint64]int{start: 0}
-	states := []uint64{start}
-	var succs [][]int32
-	isStable := []bool{}
-	queue := []int{0}
-	truncated := false
-	var excited []int
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		st := states[id]
-		for len(isStable) <= id {
-			isStable = append(isStable, false)
-			succs = append(succs, nil)
+	// Settling graph: ids in BFS order, stable states are sinks.
+	x.insert(start, excitedAmong(c, start, uint64(1)<<uint(c.NumGates())-1))
+	for id := 0; id < len(x.states); id++ {
+		st, ex := x.states[id], x.excited[id]
+		fire := ex
+		if obs := ex & x.obs; obs != 0 && !opts.DisablePOR {
+			// Partial-order reduction: if an observation-only gate (zero
+			// fanout, e.g. a pure output tap) is excited, fire it alone.
+			// Such firings commute with every other firing, so the set of
+			// reachable stable states and the cycle structure are
+			// preserved while the interleaving hypercube of concurrent
+			// taps collapses to a single order.  (Depth counts on the
+			// reduced graph can be marginally shorter than the true worst
+			// case when a tap could glitch; the default k is far above
+			// either bound.)
+			fire = obs & -obs
 		}
-		excited = c.ExcitedGates(st, excited[:0])
-		if len(excited) == 0 {
-			isStable[id] = true
-			continue
-		}
-		// Partial-order reduction: if an observation-only gate (zero
-		// fanout, e.g. a pure output tap) is excited, fire it alone.
-		// Such firings commute with every other firing, so the set of
-		// reachable stable states and the cycle structure are preserved
-		// while the interleaving hypercube of concurrent taps collapses
-		// to a single order.  (Depth counts on the reduced graph can be
-		// marginally shorter than the true worst case when a tap could
-		// glitch; the default k is far above either bound.)
-		if !opts.DisablePOR {
-			for _, gi := range excited {
-				if c.ObservationOnly(gi) {
-					excited[0] = gi
-					excited = excited[:1]
-					break
-				}
-			}
-		}
-		for _, gi := range excited {
-			nx := c.Fire(gi, st)
-			nid, ok := ids[nx]
+		for ; fire != 0; fire &= fire - 1 {
+			gi := bits.TrailingZeros64(fire)
+			nx := st ^ 1<<(m+uint(gi))
+			nid, ok := x.lookup(nx)
 			if !ok {
-				if len(states) >= opts.MaxStatesPerPattern {
-					truncated = true
-					continue
+				if len(x.states) >= opts.MaxStatesPerPattern {
+					// No state can be added from here on, so the
+					// outcome is settled: the graph holds exactly
+					// the states found so far.
+					return CycleResult{Truncated: true, GraphStates: len(x.states)}
 				}
-				nid = len(states)
-				ids[nx] = nid
-				states = append(states, nx)
-				queue = append(queue, nid)
+				nid = x.insert(nx, ex&^x.aff[gi]|excitedAmong(c, nx, x.aff[gi]))
 			}
-			succs[id] = append(succs[id], int32(nid))
+			x.succ = append(x.succ, nid)
 		}
+		x.off = append(x.off, int32(len(x.succ)))
 	}
-	for len(isStable) < len(states) {
-		isStable = append(isStable, false)
-		succs = append(succs, nil)
-	}
-	res := CycleResult{GraphStates: len(states)}
-	if truncated {
-		res.Truncated = true
-		return res
-	}
+	res := CycleResult{GraphStates: len(x.states)}
 
 	// Depth DP: reach[d+1] = post(reach[d]), stable nodes self-loop.
-	nw := (len(states) + 63) / 64
-	cur := make([]uint64, nw)
-	next := make([]uint64, nw)
+	nw := (len(x.states) + 63) / 64
+	x.cur, x.next, x.stable = zeroed(x.cur, nw), zeroed(x.next, nw), zeroed(x.stable, nw)
+	for id, ex := range x.excited {
+		if ex == 0 {
+			x.stable[id>>6] |= 1 << uint(id&63)
+		}
+	}
+	cur, next := x.cur, x.next
 	cur[0] = 1 // {start}
 	depth := 0
 	for ; depth < opts.K; depth++ {
-		for i := range next {
-			next[i] = 0
+		for w, word := range cur {
+			next[w] = word & x.stable[w]
 		}
-		for w := 0; w < nw; w++ {
-			rem := cur[w]
-			for rem != 0 {
-				b := bits.TrailingZeros64(rem)
-				rem &= rem - 1
-				id := w*64 + b
-				if isStable[id] {
-					next[w] |= 1 << uint(b)
-					continue
-				}
-				for _, s := range succs[id] {
-					next[s/64] |= 1 << uint(s%64)
+		for w, word := range cur {
+			for rem := word &^ x.stable[w]; rem != 0; rem &= rem - 1 {
+				id := w<<6 | bits.TrailingZeros64(rem)
+				for _, s := range x.succ[x.off[id]:x.off[id+1]] {
+					next[s>>6] |= 1 << uint(s&63)
 				}
 			}
 		}
-		same := true
-		for i := range next {
-			if next[i] != cur[i] {
-				same = false
-				break
-			}
-		}
+		same := slices.Equal(cur, next)
 		cur, next = next, cur
 		if same {
 			break
@@ -281,24 +274,160 @@ func explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
 	}
 	res.SettleDepth = depth
 
-	// Inspect reach[k].
-	for w := 0; w < nw; w++ {
-		rem := cur[w]
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			id := w*64 + b
-			res.ReachK = append(res.ReachK, states[id])
-			if isStable[id] {
-				res.StableSuccs = append(res.StableSuccs, states[id])
-			} else {
-				res.UnstableAtK = true
+	// Inspect reach[k].  Ids are not in state order, so sort.
+	nk, ns := 0, 0
+	for w, word := range cur {
+		nk += bits.OnesCount64(word)
+		ns += bits.OnesCount64(word & x.stable[w])
+	}
+	res.ReachK = make([]uint64, 0, nk)
+	if ns > 0 {
+		res.StableSuccs = make([]uint64, 0, ns)
+	}
+	for w, word := range cur {
+		for rem := word; rem != 0; rem &= rem - 1 {
+			id := w<<6 | bits.TrailingZeros64(rem)
+			res.ReachK = append(res.ReachK, x.states[id])
+			if x.excited[id] == 0 {
+				res.StableSuccs = append(res.StableSuccs, x.states[id])
 			}
 		}
 	}
-	sort.Slice(res.ReachK, func(i, j int) bool { return res.ReachK[i] < res.ReachK[j] })
-	sort.Slice(res.StableSuccs, func(i, j int) bool { return res.StableSuccs[i] < res.StableSuccs[j] })
+	res.UnstableAtK = ns < nk
+	slices.Sort(res.ReachK)
+	slices.Sort(res.StableSuccs)
 	return res
+}
+
+// exploreScratch is the working memory of one explore call, pooled
+// because explorations run concurrently (the service builds CSSGs on
+// many goroutines at once).
+type exploreScratch struct {
+	// Per-circuit masks, rebuilt only when the circuit changes.
+	c   *netlist.Circuit
+	obs uint64   // the observation-only gates (POR candidates)
+	aff []uint64 // per gate g: g plus every gate reading out(g)
+
+	// The settling graph, by state id.
+	states  []uint64
+	excited []uint64 // excited-gate mask; zero for a stable state
+	off     []int32  // state id's successors are succ[off[id]:off[id+1]]
+	succ    []int32
+
+	// Open-addressing state index with linear probing.  Only the first
+	// 1<<(64-shift) slots are in use this call; a slot holds a state id
+	// plus one, so that zero marks it empty.
+	table []int32
+	shift uint
+
+	// Depth-DP reach sets and the stable-state set, one bit per id.
+	cur, next, stable []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(exploreScratch) }}
+
+// prepare derives c's gate masks unless the scratch already holds them.
+// The masks depend only on c's structure, which never changes after
+// construction (faults.Apply edits its fresh clone before returning
+// it), so the circuit pointer identifies them.
+func (x *exploreScratch) prepare(c *netlist.Circuit) {
+	if x.c == c {
+		return
+	}
+	x.c = c
+	x.obs = 0
+	x.aff = zeroed(x.aff, c.NumGates())
+	for gi := range c.Gates {
+		a := uint64(1) << uint(gi)
+		for _, r := range c.Fanouts(c.Gates[gi].Out) {
+			a |= 1 << uint(r)
+		}
+		x.aff[gi] = a
+		if c.ObservationOnly(gi) {
+			x.obs |= 1 << uint(gi)
+		}
+	}
+}
+
+// minTableBits sizes the index a call starts with (64 slots), so a
+// small exploration clears little after a large one grew the table.
+const minTableBits = 6
+
+// reset empties the graph and the index for a new exploration.
+func (x *exploreScratch) reset() {
+	x.states, x.excited, x.succ = x.states[:0], x.excited[:0], x.succ[:0]
+	x.off = append(x.off[:0], 0)
+	x.shift = 64 - minTableBits
+	x.table = zeroed(x.table, 1<<minTableBits)
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when
+// that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// excitedAmong returns the gates of set that are excited in state.
+func excitedAmong(c *netlist.Circuit, state, set uint64) uint64 {
+	var ex uint64
+	for ; set != 0; set &= set - 1 {
+		gi := bits.TrailingZeros64(set)
+		if c.Excited(gi, state) {
+			ex |= 1 << uint(gi)
+		}
+	}
+	return ex
+}
+
+// home returns state's first probe position: a multiplicative hash,
+// with the high half folded in first so that states differing only in
+// high signals still spread over the table.
+func (x *exploreScratch) home(state uint64) int {
+	return int(((state ^ state>>32) * 0x9e3779b97f4a7c15) >> x.shift)
+}
+
+// lookup returns the id of state, if it has one.
+func (x *exploreScratch) lookup(state uint64) (int32, bool) {
+	mask := len(x.table) - 1
+	for h := x.home(state); ; h = (h + 1) & mask {
+		id := x.table[h] - 1
+		if id < 0 {
+			return 0, false
+		}
+		if x.states[id] == state {
+			return id, true
+		}
+	}
+}
+
+// insert gives state (excited gates ex) the next id, growing the index
+// to keep it at most half full.
+func (x *exploreScratch) insert(state, ex uint64) int32 {
+	id := int32(len(x.states))
+	x.states = append(x.states, state)
+	x.excited = append(x.excited, ex)
+	if 2*len(x.states) > len(x.table) {
+		x.table = zeroed(x.table, 2*len(x.table))
+		x.shift--
+		for i, s := range x.states {
+			x.place(s, int32(i))
+		}
+	} else {
+		x.place(state, id)
+	}
+	return id
+}
+
+// place stores state's id in its first free probe position.
+func (x *exploreScratch) place(state uint64, id int32) {
+	mask := len(x.table) - 1
+	h := x.home(state)
+	for x.table[h] != 0 {
+		h = (h + 1) & mask
+	}
+	x.table[h] = id + 1
 }
 
 // Build constructs the CSSG_k of the circuit from its declared reset

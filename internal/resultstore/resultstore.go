@@ -180,8 +180,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 // Put stores body under key, appending it to the log.  Re-putting an
-// existing key refreshes the LRU but appends nothing — results are
-// deterministic given their key, so the first record stays canonical.
+// existing key stores and counts nothing — results are deterministic
+// given their key, so the first record stays canonical.  A resident key
+// is refreshed in the LRU; one the LRU evicted stays on disk, where the
+// next Get finds the canonical record.
 func (s *Store) Put(key string, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,7 +191,10 @@ func (s *Store) Put(key string, body []byte) error {
 		s.lru.MoveToFront(el)
 		return nil
 	}
-	if _, ok := s.index[key]; !ok && s.f != nil {
+	if _, ok := s.index[key]; ok {
+		return nil
+	}
+	if s.f != nil {
 		line, err := json.Marshal(logLine{Key: key, Body: json.RawMessage(body)})
 		if err != nil {
 			return fmt.Errorf("resultstore: %w", err)

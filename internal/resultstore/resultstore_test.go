@@ -56,6 +56,39 @@ func TestLRUEvictionKeepsDiskReachable(t *testing.T) {
 	}
 }
 
+// TestPutEvictedKeyKeepsCanonicalRecord re-puts a key the LRU evicted
+// while the log still indexes it: the first record stays the answer, in
+// this session and after a reopen, and the re-put is not counted.
+func TestPutEvictedKeyKeepsCanonicalRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range [][2]string{{"a", `{"v":1}`}, {"b", `{"v":2}`}, {"a", `{"v":3}`}} {
+		if err := s.Put(kv[0], []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if body, ok := s.Get("a"); !ok || string(body) != `{"v":1}` {
+		t.Fatalf("Get(a) = %q, %v; want the first record", body, ok)
+	}
+	if st := s.Stats(); st.Puts != 2 {
+		t.Fatalf("re-putting an evicted key counted a put: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if body, ok := s.Get("a"); !ok || string(body) != `{"v":1}` {
+		t.Fatalf("after reopen Get(a) = %q, %v; want the first record", body, ok)
+	}
+}
+
 func TestReopenReplaysLog(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 8)
