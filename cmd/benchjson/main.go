@@ -18,21 +18,23 @@
 // hard-faults / covered / decisions / backtracks metrics record what
 // the deterministic phase adds on faults the random walks miss).
 //
-// With -compare it additionally diffs the fresh run against a committed
-// baseline report, matching rows by benchmark name on the throughput
+// With -compare it additionally diffs the fresh run against a baseline
+// report, matching rows by benchmark name on the throughput
 // metrics — fault simulation's patterns/sec and CSSG exploration's
 // states/sec — and exits nonzero when any sufficiently-measured row (at
 // least 1s of benchmark time on both sides — a one-iteration row's
 // throughput is scheduler noise) regressed by more than -maxdrop
-// percent.  CI runs this against the newest committed artifact, so an
-// engine-throughput regression fails the bench-smoke job rather than
-// silently shipping in the artifact.
+// percent.  CI runs this against the base commit's transcript,
+// benchmarked first on the same runner (absolute throughput is not
+// comparable across machines), so an engine-throughput regression
+// fails the bench-smoke job rather than silently shipping in the
+// artifact.
 //
 // Usage:
 //
 //	go test -bench='...' -benchmem -benchtime=1x -run '^$' . | benchjson -out BENCH_pr4.json
 //	benchjson -in bench.txt -out BENCH_pr4.json
-//	benchjson -in bench.txt -out BENCH_pr7.json -compare BENCH_pr6.json -maxdrop 25
+//	benchjson -in bench.txt -out bench-fresh.json -compare bench-base.json -maxdrop 25
 package main
 
 import (
@@ -241,7 +243,7 @@ const minGateElapsedNS = 1e9
 // simulation's patterns/sec and CSSG exploration's settling states/sec.
 var gatedMetrics = []string{"patterns/sec", "states/sec"}
 
-// compareReports diffs the fresh run against a committed baseline on
+// compareReports diffs the fresh run against a baseline report on
 // each gated throughput metric, matching rows by full benchmark name
 // (which already encodes the engine, lane width and circuit
 // dimensions).  It returns human-readable comparison lines for every

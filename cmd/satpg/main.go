@@ -206,6 +206,8 @@ func main() {
 		for _, fr := range res.PerFault {
 			status := fr.Phase.String()
 			switch {
+			case fr.Unobservable:
+				status = "unobservable"
 			case fr.Untestable:
 				status = "untestable"
 			case fr.Aborted:

@@ -18,6 +18,11 @@
 //     fault is only counted when detection is guaranteed for every delay
 //     assignment.  Exhausting the finite product space proves the fault
 //     untestable under the model.
+//   - Structural proof: before any search, a fault whose faulty gate's
+//     fanout cone holds no primary output (faults.Unobservable) is
+//     marked untestable; state differentiation could never carry its
+//     effect to an output, so neither the walks' screens nor the
+//     searches ever see it.
 //   - Fault simulation (§5.4): every found test is simulated against all
 //     remaining faults, as a one-lane batch on the same simulator, to
 //     drop collaterally-covered ones.
@@ -80,8 +85,12 @@ type FaultResult struct {
 	Detected   bool
 	Phase      Phase
 	TestIndex  int  // index into Result.Tests (when detected)
-	Untestable bool // product search exhausted: no guaranteed test exists
+	Untestable bool // no guaranteed test exists (search exhausted, or Unobservable)
 	Aborted    bool // resource cap hit before a conclusion
+	// Unobservable says why an Untestable fault is untestable when the
+	// proof is structural: no primary output lies in its gate's fanout
+	// cone (faults.Unobservable), so no phase ever searched for it.
+	Unobservable bool
 }
 
 // Options tunes the ATPG flow.
@@ -176,10 +185,13 @@ type Result struct {
 	Covered    int
 	ByPhase    map[Phase]int
 	Untestable int
-	Aborted    int
-	Tests      []Test
-	PerFault   []FaultResult
-	CPU        time.Duration
+	// Unobservable counts the Untestable faults proved so structurally,
+	// before any search (FaultResult.Unobservable).
+	Unobservable int
+	Aborted      int
+	Tests        []Test
+	PerFault     []FaultResult
+	CPU          time.Duration
 	// FaultSim aggregates the work counters of the run's bit-parallel
 	// fault simulator over the whole run — the random walks and every
 	// single-test screen after a PODEM or three-phase test (patterns,
@@ -227,9 +239,9 @@ func (r *Result) DetectionsByTest() [][]int {
 
 // Summary renders a one-line summary in the spirit of a table row.
 func (r *Result) Summary() string {
-	return fmt.Sprintf("tot=%d cov=%d (%.2f%%) rnd=%d podem=%d 3ph=%d sim=%d untestable=%d aborted=%d fallback=%d tests=%d cpu=%v",
+	return fmt.Sprintf("tot=%d cov=%d (%.2f%%) rnd=%d podem=%d 3ph=%d sim=%d untestable=%d (unobservable=%d) aborted=%d fallback=%d tests=%d cpu=%v",
 		r.Total, r.Covered, 100*r.Coverage(), r.ByPhase[PhaseRandom], r.ByPhase[PhasePodem],
-		r.ByPhase[PhaseThree], r.ByPhase[PhaseSim], r.Untestable, r.Aborted, r.Fallback,
+		r.ByPhase[PhaseThree], r.ByPhase[PhaseSim], r.Untestable, r.Unobservable, r.Aborted, r.Fallback,
 		len(r.Tests), r.CPU.Round(time.Millisecond))
 }
 
@@ -263,21 +275,13 @@ func RunUniverse(g *core.CSSG, model faults.Type, universe []faults.Fault, opts 
 func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	res := &Result{
-		Model:    model,
-		Total:    len(universe),
-		ByPhase:  map[Phase]int{},
-		PerFault: make([]FaultResult, len(universe)),
-		Graph:    g,
+	res, remaining, fs, err := newRun(g.C, model, universe, opts)
+	if err != nil {
+		// Unreachable: faults.Universe never emits the Transition
+		// selector and withDefaults normalises FaultSimLanes.
+		panic("atpg: " + err.Error())
 	}
-	for i, f := range universe {
-		res.PerFault[i] = FaultResult{Fault: f, TestIndex: -1}
-	}
-
-	remaining := make([]int, 0, len(universe)) // indices into PerFault
-	for i := range universe {
-		remaining = append(remaining, i)
-	}
+	res.Graph = g
 
 	// confirm re-validates ternary-simulation detections with the exact
 	// set-semantics machine.  Ternary detection corresponds to the fair
@@ -293,19 +297,6 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 			}
 		}
 		return out
-	}
-	// One NoDrop simulator serves the whole run: the random walks and
-	// the collateral screen of every later test.  Every fault that
-	// leaves remaining is dropped from it, so it only ever simulates the
-	// faults still in play.
-	fs, err := fsim.New(g.C, universe, fsim.Options{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-		NoDrop: true,
-	})
-	if err != nil {
-		// Unreachable: faults.Universe never emits the Transition
-		// selector and withDefaults normalises FaultSimLanes.
-		panic("atpg: " + err.Error())
 	}
 	// collateral marks the remaining faults test ti also covers: the
 	// simulator screens them (stuck-at and transition faults alike) and
@@ -452,6 +443,44 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 	res.FaultSim = fs.Stats()
 	res.CPU = time.Since(start)
 	return res, ctx.Err()
+}
+
+// newRun starts a run over universe.  It returns a Result with every
+// fault undetected, except that each faults.Unobservable fault is
+// already proved Untestable; the indices of the faults left to search,
+// in universe order; and the run's one NoDrop simulator, which serves
+// the random walks and the collateral screen of every later test.  The
+// proved faults are dropped from the simulator here, and every fault
+// that later leaves remaining is dropped too, so it only ever
+// simulates the faults still in play.
+func newRun(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, []int, *fsim.Simulator, error) {
+	fs, err := fsim.New(c, universe, fsim.Options{
+		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
+		NoDrop: true,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res := &Result{
+		Model:    model,
+		Total:    len(universe),
+		ByPhase:  map[Phase]int{},
+		PerFault: make([]FaultResult, len(universe)),
+	}
+	remaining := make([]int, 0, len(universe)) // indices into PerFault
+	for i, f := range universe {
+		fr := FaultResult{Fault: f, TestIndex: -1}
+		if faults.Unobservable(c, f) {
+			fr.Untestable, fr.Unobservable = true, true
+			res.Untestable++
+			res.Unobservable++
+			fs.Drop(i)
+		} else {
+			remaining = append(remaining, i)
+		}
+		res.PerFault[i] = fr
+	}
+	return res, remaining, fs, nil
 }
 
 // walkTest re-walks a pattern sequence on the CSSG, rejecting it when

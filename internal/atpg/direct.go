@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/podem"
@@ -35,9 +34,15 @@ import (
 // path-based TCR_k semantics, and the direct flow's contract is the
 // ternary (fair finite-delay) semantics itself.  There is no
 // three-phase targeting, but the deterministic PODEM phase runs after
-// the walks — it is the only deterministic path past 64 signals;
-// faults both phases miss stay uncovered (Detected=false), never
-// marked untestable.
+// the walks — it is the only deterministic path past 64 signals.
+//
+// The one untestability proof the flow has is structural: before the
+// walks, every fault whose gate's fanout cone holds no primary output
+// (faults.Unobservable) is marked Untestable and Unobservable, and
+// neither the screens nor PODEM ever see it.  Any other fault both
+// phases miss stays uncovered (Detected=false) with no verdict, since
+// without the CSSG there is no exhaustive search to prove it
+// untestable.
 func RunDirect(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	return RunDirectCtx(context.Background(), c, model, universe, opts)
 }
@@ -49,30 +54,11 @@ func RunDirect(c *netlist.Circuit, model faults.Type, universe []faults.Fault, o
 func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	res := &Result{
-		Model:    model,
-		Total:    len(universe),
-		ByPhase:  map[Phase]int{},
-		PerFault: make([]FaultResult, len(universe)),
-	}
-	for i, f := range universe {
-		res.PerFault[i] = FaultResult{Fault: f, TestIndex: -1}
-	}
-	remaining := make([]int, 0, len(universe))
-	for i := range universe {
-		remaining = append(remaining, i)
-	}
-
-	good := sim.Machine{C: c}
-	reset := good.InitState()
-
-	fs, err := fsim.New(c, universe, fsim.Options{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-		NoDrop: true,
-	})
+	res, remaining, fs, err := newRun(c, model, universe, opts)
 	if err != nil {
 		return nil, err
 	}
+	reset := sim.Machine{C: c}.InitState()
 	width := fs.Lanes()
 
 	// Walk generation is sharded across workers and pipelined with the

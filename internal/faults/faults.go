@@ -80,6 +80,20 @@ func (f Fault) Site(c *netlist.Circuit) netlist.SigID {
 	return g.Out
 }
 
+// Unobservable reports whether no primary output lies in the fanout
+// cone of the fault's gate output, the cone through which the effect
+// of every fault type enters the circuit (an input stuck-at changes
+// only what its own gate computes, so it enters at that gate's
+// output, not at the signal feeding the pin).  Such a fault is
+// untestable, proved from structure alone: the gates outside the cone
+// read only signals outside it, so under every delay assignment they
+// evolve exactly as in the fault-free circuit, and every primary
+// output is among them.  At every cycle some faulty state therefore
+// shows the good response, and no test can guarantee a mismatch.
+func Unobservable(c *netlist.Circuit, f Fault) bool {
+	return !c.Topology().Observable(c.Gates[f.Gate].Out)
+}
+
 // ExcitedIn reports whether the fault is excited in the packed state.
 func (f Fault) ExcitedIn(c *netlist.Circuit, state uint64) bool {
 	bit := state>>uint(f.Site(c))&1 == 1

@@ -15,6 +15,12 @@
 //     are simulated once per class and the verdict is fanned back out to
 //     every member, so the simulated universe is smaller than the
 //     reported one;
+//   - structural pruning: the event engine never simulates a class
+//     whose faulty gate's fanout cone holds no primary output
+//     (faults.Unobservable) — its outputs equal the good machine's
+//     under every input, so it can detect only where a batch's declared
+//     responses contradict the good response, and that verdict is read
+//     off the good trace once per batch for all such classes;
 //   - fault dropping: a fault is removed from the simulation the moment
 //     one lane guarantees its detection, so late faults never pay for
 //     patterns that early faults already answered;
@@ -309,6 +315,11 @@ type Simulator struct {
 	units    []sched.Unit
 	weights  []int64
 	nworkers int
+	// dead lists the representatives set aside at New because their
+	// faults are faults.Unobservable (event engine only: the sweep
+	// engine stays the unpruned oracle).  No unit holds them; run
+	// answers for them with deadVerdict.
+	dead []int
 	// owned marks the universe indices this Simulator's shard simulates
 	// (nil: unsharded, everything owned).
 	owned []bool
@@ -383,6 +394,20 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 			}
 		}
 		reps = kept
+	}
+	if opts.Engine == EngineEvent {
+		// Set the unobservable classes aside after the shard cut, so the
+		// round-robin (and with it Owns) is the same as without pruning,
+		// and once, so no batch pays for filtering them out.
+		observable := reps[:0:0]
+		for _, fi := range reps {
+			if faults.Unobservable(c, universe[fi]) {
+				s.dead = append(s.dead, fi)
+			} else {
+				observable = append(observable, fi)
+			}
+		}
+		reps = observable
 	}
 	nw := opts.workers()
 	if nw > len(reps) {
@@ -468,7 +493,8 @@ func (s *Simulator) Coverage() float64 {
 	return float64(s.ndet) / float64(len(s.universe))
 }
 
-// Remaining returns the indices of faults still being simulated.
+// Remaining returns the indices of the faults not yet dropped
+// (unobservable ones included, although no batch simulates them).
 func (s *Simulator) Remaining() []int {
 	var out []int
 	for fi := range s.universe {
@@ -490,6 +516,17 @@ func (s *Simulator) Drop(fi int) { s.dropped[fi] = true }
 func (s *Simulator) repLive(fi int) bool {
 	for _, mi := range s.members[fi] {
 		if !s.dropped[mi] {
+			return true
+		}
+	}
+	return false
+}
+
+// deadLive reports whether any unobservable class still has a live
+// member.
+func (s *Simulator) deadLive() bool {
+	for _, fi := range s.dead {
+		if s.repLive(fi) {
 			return true
 		}
 	}
@@ -716,7 +753,11 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 			liveUnits = append(liveUnits, sched.Unit{Items: items, Weight: w})
 		}
 	}
-	if len(liveUnits) == 0 {
+	// An unobservable class can detect only where declared responses
+	// contradict the good trace, so without declared responses it has
+	// nothing to answer.
+	deadLive := (b.Expected != nil || s.opts.CheckReset && b.ResetExpected != nil) && s.deadLive()
+	if len(liveUnits) == 0 && !deadLive {
 		// Nothing left to simulate: skip the good run entirely.
 		return res, nil
 	}
@@ -759,6 +800,18 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 		eager = !expectedMatchesGood(b, pk, tr, s.opts.CheckReset)
 	}
 
+	// On a lazy batch the unobservable classes detect nothing: the
+	// declared responses agree with the good trace, which is all their
+	// outputs ever show.  On an eager batch they get the good trace's
+	// own contradiction of the declared responses.
+	if eager && deadLive {
+		if mask, lane, cycle, ok := deadVerdict(pk, tr, s.opts.CheckReset, s.opts.NoDrop); ok {
+			for _, fi := range s.dead {
+				res.Detections = s.fanOut(fi, LaneMask(mask.Words()), lane, cycle, res.Lanes, res.Detections)
+			}
+		}
+	}
+
 	// Class members are disjoint, so workers write disjoint res.Lanes
 	// entries and no synchronisation is needed beyond the pool's join
 	// (the trace and diffs are shared read-only).  A unit is executed
@@ -785,21 +838,60 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 func expectedMatchesGood[V lanevec.Vec[V]](b *Batch, pk *packedBatch[V], tr *goodTrace[V], checkReset bool) bool {
 	if b.Expected != nil {
 		for t := range pk.good1 {
-			for j := range pk.good1[t] {
-				if !pk.good1[t][j].And(tr.good0[t][j]).Or(pk.good0[t][j].And(tr.good1[t][j])).IsZero() {
-					return false
-				}
-			}
-		}
-	}
-	if checkReset && b.ResetExpected != nil {
-		for j := range pk.reset1 {
-			if !pk.reset1[j].And(tr.reset0[j]).Or(pk.reset0[j].And(tr.reset1[j])).IsZero() {
+			if !contradiction(tr.good1[t], tr.good0[t], pk.good1[t], pk.good0[t]).IsZero() {
 				return false
 			}
 		}
 	}
+	if checkReset && b.ResetExpected != nil {
+		if !contradiction(tr.reset1, tr.reset0, pk.reset1, pk.reset0).IsZero() {
+			return false
+		}
+	}
 	return true
+}
+
+// contradiction returns the lanes where some output of the response
+// (got1, got0) is definite and opposite the definite value of the
+// response (want1, want0).
+func contradiction[V lanevec.Vec[V]](got1, got0, want1, want0 []V) V {
+	var d V
+	for j := range want1 {
+		d = d.Or(got1[j].And(want0[j])).Or(got0[j].And(want1[j]))
+	}
+	return d
+}
+
+// deadVerdict is what a full simulation of any unobservable class
+// detects on an eager batch, scanned exactly as runFault scans a fault
+// machine's outputs.  Every output lies outside the class's cone, so
+// by the cone theorem it shows the good trace's value in every lane,
+// and detection is the good trace's own contradiction of the declared
+// responses — one verdict shared by every such class.
+func deadVerdict[V lanevec.Vec[V]](pk *packedBatch[V], tr *goodTrace[V], checkReset, noDrop bool) (mask V, lane, cycle int, ok bool) {
+	lane, cycle = -1, -1
+	if checkReset {
+		if d := contradiction(tr.reset1, tr.reset0, pk.reset1, pk.reset0).And(pk.all); !d.IsZero() {
+			lane, ok, mask = d.TrailingZeros(), true, d
+			if !noDrop {
+				return mask, lane, cycle, true
+			}
+		}
+	}
+	for t := 0; t < pk.cycles; t++ {
+		d := contradiction(tr.good1[t], tr.good0[t], pk.good1[t], pk.good0[t]).And(pk.all).And(pk.live[t])
+		if d.IsZero() {
+			continue
+		}
+		if !ok {
+			lane, cycle, ok = d.TrailingZeros(), t, true
+		}
+		mask = mask.Or(d)
+		if !noDrop {
+			break
+		}
+	}
+	return mask, lane, cycle, ok
 }
 
 // runUnit simulates the live representatives of one work unit on
@@ -814,18 +906,23 @@ func (e *engine[V]) runUnit(w int, pk *packedBatch[V], tr *goodTrace[V], df *tra
 	}
 	var found []Detection
 	for _, fi := range unit {
-		mask, lane, cycle, ok := e.runFault(m, pk, tr, df, fi, eager)
-		if !ok {
+		if mask, lane, cycle, ok := e.runFault(m, pk, tr, df, fi, eager); ok {
+			found = s.fanOut(fi, LaneMask(mask.Words()), lane, cycle, lanes, found)
+		}
+	}
+	return found
+}
+
+// fanOut records representative fi's detection (lane mask, first lane
+// and cycle) for every live member of its class, appending their
+// Detections to found.
+func (s *Simulator) fanOut(fi int, words LaneMask, lane, cycle int, lanes []LaneMask, found []Detection) []Detection {
+	for _, mi := range s.members[fi] {
+		if s.dropped[mi] {
 			continue
 		}
-		words := LaneMask(mask.Words())
-		for _, mi := range s.members[fi] {
-			if s.dropped[mi] {
-				continue
-			}
-			lanes[mi] = words
-			found = append(found, Detection{Fault: mi, Lane: lane, Cycle: cycle})
-		}
+		lanes[mi] = words
+		found = append(found, Detection{Fault: mi, Lane: lane, Cycle: cycle})
 	}
 	return found
 }

@@ -12,8 +12,9 @@ import (
 // re-simulation cheap: the reader adjacency says which gates must be
 // re-evaluated when a signal changes, the levelization orders those
 // evaluations so most events are processed exactly once per settling
-// phase, and the fanout-cone bitsets bound the set of signals a fault
-// can ever disturb relative to the fault-free circuit.
+// phase, the fanout-cone bitsets bound the set of signals a fault can
+// ever disturb relative to the fault-free circuit, and the observable
+// set says which signals reach a primary output at all.
 //
 // Signal sets are multi-word bitsets of Words uint64 words each
 // (signal s at bit s%64 of word s/64), sized from Circuit.StateWords —
@@ -57,6 +58,18 @@ type Topology struct {
 	// fault simulation re-evaluate cone gates only.  The storage is
 	// flat: signal s occupies Cone[s*Words : (s+1)*Words].
 	Cone []uint64
+
+	// observable marks the signals whose fanout cone holds a primary
+	// output (a Words-wide signal bitset); see Observable.
+	observable []uint64
+}
+
+// Observable reports whether some primary output lies in signal s's
+// fanout cone.  When none does, nothing that happens at s can ever
+// reach an output: every output is driven from outside the cone and so
+// tracks the fault-free circuit under every delay assignment.
+func (t *Topology) Observable(s SigID) bool {
+	return t.observable[int(s)>>6]>>uint(int(s)&63)&1 == 1
 }
 
 // ConeOf returns signal s's fanout-cone bitset (Words words; a view
@@ -187,6 +200,8 @@ func buildTopology(c *Circuit) *Topology {
 		Readers:   make([][]int, n),
 		Level:     make([]int, c.NumGates()),
 		Cone:      make([]uint64, n*W),
+
+		observable: make([]uint64, W),
 	}
 	for s := 0; s < n; s++ {
 		t.Readers[s] = append(t.Readers[s], c.fanouts[s]...)
@@ -257,6 +272,19 @@ func buildTopology(c *Circuit) *Topology {
 						changed = true
 					}
 				}
+			}
+		}
+	}
+
+	outs := make([]uint64, W)
+	for _, o := range c.Outputs {
+		outs[int(o)>>6] |= 1 << uint(int(o)&63)
+	}
+	for s := 0; s < n; s++ {
+		for w, cw := range t.Cone[s*W : (s+1)*W] {
+			if cw&outs[w] != 0 {
+				t.observable[s>>6] |= 1 << uint(s&63)
+				break
 			}
 		}
 	}

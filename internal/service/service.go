@@ -717,11 +717,15 @@ type GenerateResponse struct {
 	Coverage   float64        `json:"coverage"`
 	ByPhase    map[string]int `json:"by_phase"`
 	Untestable int            `json:"untestable"`
-	Aborted    int            `json:"aborted"`
-	Fallback   int            `json:"fallback"` // exhaustive product-machine searches run
-	Podem      PodemJSON      `json:"podem"`
-	Tests      []TestJSON     `json:"tests"`
-	ElapsedNS  int64          `json:"elapsed_ns"`
+	// Unobservable counts the untestable faults proved so structurally
+	// (no primary output in the faulty gate's fanout cone), before any
+	// search.
+	Unobservable int        `json:"unobservable"`
+	Aborted      int        `json:"aborted"`
+	Fallback     int        `json:"fallback"` // exhaustive product-machine searches run
+	Podem        PodemJSON  `json:"podem"`
+	Tests        []TestJSON `json:"tests"`
+	ElapsedNS    int64      `json:"elapsed_ns"`
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -799,7 +803,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		CircuitID: id,
 		Total:     res.Total, Covered: res.Covered, Coverage: res.Coverage(),
 		ByPhase:    make(map[string]int, len(res.ByPhase)),
-		Untestable: res.Untestable, Aborted: res.Aborted, Fallback: res.Fallback,
+		Untestable: res.Untestable, Unobservable: res.Unobservable,
+		Aborted: res.Aborted, Fallback: res.Fallback,
 		Podem: PodemJSON{
 			Targeted: res.Podem.Targeted, Found: res.Podem.Found,
 			Decisions: res.Podem.Decisions, Backtracks: res.Podem.Backtracks,

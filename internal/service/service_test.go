@@ -556,3 +556,30 @@ func TestExpectedOptionalMatchesDeclared(t *testing.T) {
 		t.Fatal("nothing detected; comparison vacuous")
 	}
 }
+
+// TestGenerateReportsUnobservable: /v1/generate reports the direct
+// flow's structurally proved untestable faults on s27 exactly as the
+// library counts them.
+func TestGenerateReportsUnobservable(t *testing.T) {
+	text, c := loadISCAS(t, "s27")
+	res, err := atpg.RunDirect(c, faults.InputSA, faults.InputUniverse(c), atpg.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unobservable == 0 {
+		t.Fatalf("s27 has dead logic, yet nothing was proved unobservable: %s", res.Summary())
+	}
+	rec := postJSON(t, service.New(service.Config{}), "/v1/generate",
+		&service.GenerateRequest{CircuitText: text, Flow: "direct", Seed: 1})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("generate failed: %d %s", rec.Code, rec.Body.String())
+	}
+	var resp service.GenerateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Unobservable != res.Unobservable || resp.Untestable != res.Untestable || resp.Covered != res.Covered {
+		t.Fatalf("response unobservable=%d untestable=%d covered=%d, library %d/%d/%d",
+			resp.Unobservable, resp.Untestable, resp.Covered, res.Unobservable, res.Untestable, res.Covered)
+	}
+}
