@@ -13,10 +13,7 @@
 // BenchmarkISCASScale, the workers-N / inflight-N throughput
 // dimension of BenchmarkServiceShardThroughput and
 // BenchmarkServiceConcurrentQueries, whose queries/sec and aggregate
-// patterns/sec metrics ride along like any other custom metric, and
-// the podem-on/podem-off dimension of BenchmarkPodemHardFaults, whose
-// hard-faults / covered / decisions / backtracks metrics record what
-// the deterministic phase adds on faults the random walks miss).
+// patterns/sec metrics ride along like any other custom metric).
 //
 // With -compare it additionally diffs the fresh run against a baseline
 // report, matching rows by benchmark name on the throughput
@@ -71,12 +68,8 @@ type Entry struct {
 	// benchmarks (e.g. ServiceShardThroughput/s953/workers-4,
 	// ServiceConcurrentQueries/s27/inflight-1024/workers-2): the shard
 	// or handler worker count, and the concurrent in-flight query count.
-	Workers  int `json:"workers,omitempty"`
-	Inflight int `json:"inflight,omitempty"`
-	// Podem is the deterministic-phase dimension of the PodemHardFaults
-	// benchmark ("on"/"off"), whose hard-faults / covered / decisions /
-	// backtracks custom metrics ride along like any other metric.
-	Podem      string             `json:"podem,omitempty"`
+	Workers    int                `json:"workers,omitempty"`
+	Inflight   int                `json:"inflight,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -216,8 +209,6 @@ func finish(entries []Entry) []Entry {
 				}
 			case strings.HasPrefix(seg, "sharded-"):
 				e.Engine = "sweep"
-			case seg == "podem-on" || seg == "podem-off":
-				e.Podem = strings.TrimPrefix(seg, "podem-")
 			}
 		}
 	}

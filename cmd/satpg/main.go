@@ -39,9 +39,6 @@ func main() {
 		lanes       = flag.Int("lanes", 0, "fault-simulation lane width: 64 (default) or 256 patterns per sweep")
 		compactMode = flag.String("compact", "none", "test-program compaction passes: none, reverse, dominance, greedy or all (coverage preserved fault for fault)")
 		direct      = flag.Bool("direct", false, "use the CSSG-free direct flow (automatic for circuits past the 64-signal explicit-state ceiling)")
-		skipPodem   = flag.Bool("skip-podem", false, "disable the deterministic bit-parallel PODEM phase")
-		podemBudget = flag.Int("podem-budget", 0, "PODEM decision budget per targeted fault (0: default 512)")
-		podemCycles = flag.Int("podem-cycles", 0, "PODEM test-length cap in cycles per target (0: default 8)")
 		testsOut    = flag.String("tests", "", "write tester programs to this file")
 		validate    = flag.Int("validate", 0, "Monte-Carlo trials on the timed chip model (0: skip)")
 		perFault    = flag.Bool("per-fault", false, "print the verdict for every fault")
@@ -110,7 +107,6 @@ func main() {
 		RandomSequences: *seqs, RandomLength: *seqLen, SkipRandom: *skipRandom,
 		FaultSimWorkers: workers, FaultSimLanes: laneWidth,
 		Faults: sel, Compact: cmode,
-		SkipPodem: *skipPodem, PodemBudget: *podemBudget, PodemCycles: *podemCycles,
 	}
 	if *direct {
 		opts.Flow = satpg.FlowDirect

@@ -39,22 +39,18 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fsim"
 	"repro/internal/netlist"
-	"repro/internal/podem"
 )
 
 // Phase identifies which stage of the flow first covered a fault
 // (the paper's "rnd", "3-ph" and "sim" columns).
 type Phase uint8
 
-// Detection phases.  PhasePodem is appended after the paper's three so
-// the historical values stay stable; in flow order it sits between the
-// random walks and the exhaustive three-phase fallback.
+// Detection phases.
 const (
 	PhaseNone Phase = iota
 	PhaseRandom
 	PhaseThree
 	PhaseSim
-	PhasePodem
 )
 
 // String names the phase as in the paper's tables.
@@ -66,8 +62,6 @@ func (p Phase) String() string {
 		return "3-ph"
 	case PhaseSim:
 		return "sim"
-	case PhasePodem:
-		return "podem"
 	}
 	return "-"
 }
@@ -99,7 +93,10 @@ type Options struct {
 	RandomSequences int   // number of random walks (default 256; 0 disables after defaulting—use SkipRandom)
 	RandomLength    int   // vectors per walk (default 24)
 	SkipRandom      bool  // ablation: skip the random phase entirely
-	SkipFaultSim    bool  // ablation: skip collateral fault dropping
+	// SkipFaultSim skips collateral fault dropping after each
+	// three-phase test.  The direct flow has no such screen, so there
+	// it changes nothing.
+	SkipFaultSim bool
 	// MaxProductStates caps the differentiation BFS per fault
 	// (default 200000); hitting it marks the fault Aborted.
 	MaxProductStates int
@@ -115,15 +112,6 @@ type Options struct {
 	// tests and per-fault verdicts are identical across widths; wider
 	// lanes amortise each sweep over more walks.
 	FaultSimLanes int
-	// SkipPodem disables the deterministic PODEM phase that runs
-	// between the random walks and the exhaustive fallback.
-	SkipPodem bool
-	// PodemBudget caps the primary-input assignments the deterministic
-	// phase spends per target fault (0: podem's default, 512).
-	PodemBudget int
-	// PodemCycles caps the synchronous frames per deterministic target
-	// (0: podem's default, 8).
-	PodemCycles int
 }
 
 // Validate reports the first nonsensical numeric option with a
@@ -138,8 +126,6 @@ func (o Options) Validate() error {
 		{"RandomSequences", "", o.RandomSequences},
 		{"RandomLength", "", o.RandomLength},
 		{"FaultSimWorkers", " (0 selects GOMAXPROCS)", o.FaultSimWorkers},
-		{"PodemBudget", " (0 selects the default decision budget)", o.PodemBudget},
-		{"PodemCycles", " (0 selects the default cycle cap)", o.PodemCycles},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("atpg: %s must be ≥ 0, got %d%s", f.name, f.v, f.zero)
@@ -194,16 +180,19 @@ type Result struct {
 	CPU          time.Duration
 	// FaultSim aggregates the work counters of the run's bit-parallel
 	// fault simulator over the whole run — the random walks and every
-	// single-test screen after a PODEM or three-phase test (patterns,
-	// gate evaluations, state-buffer allocations, good-trace cache
+	// single-test screen after a three-phase test (patterns, gate
+	// evaluations, state-buffer allocations, good-trace cache
 	// outcomes) — the raw material of cmd/satpg's -stats line.
 	FaultSim fsim.Stats
-	// Podem aggregates the deterministic phase's search counters
-	// (targets, decisions, backtracks, group settles).
-	Podem podem.Stats
+	// Podem is always zero.  No flow has a PODEM phase; the field stays
+	// only because the atpgbench module still reads these counters.
+	Podem struct {
+		Targeted, Found                int
+		Decisions, Backtracks, Settles int64
+	}
 	// Fallback counts the exhaustive three-phase product searches run
-	// after the cheaper phases (universe flow only) — the invocations
-	// the deterministic phase exists to avoid.
+	// on the faults the random walks leave (universe flow only; the
+	// direct flow has no such search).
 	Fallback int
 	// Graph is the CSSG the universe flow ran over (nil for the direct
 	// flow): satpg.Run hands it back so callers can derive tester
@@ -239,8 +228,8 @@ func (r *Result) DetectionsByTest() [][]int {
 
 // Summary renders a one-line summary in the spirit of a table row.
 func (r *Result) Summary() string {
-	return fmt.Sprintf("tot=%d cov=%d (%.2f%%) rnd=%d podem=%d 3ph=%d sim=%d untestable=%d (unobservable=%d) aborted=%d fallback=%d tests=%d cpu=%v",
-		r.Total, r.Covered, 100*r.Coverage(), r.ByPhase[PhaseRandom], r.ByPhase[PhasePodem],
+	return fmt.Sprintf("tot=%d cov=%d (%.2f%%) rnd=%d 3ph=%d sim=%d untestable=%d (unobservable=%d) aborted=%d fallback=%d tests=%d cpu=%v",
+		r.Total, r.Covered, 100*r.Coverage(), r.ByPhase[PhaseRandom],
 		r.ByPhase[PhaseThree], r.ByPhase[PhaseSim], r.Untestable, r.Unobservable, r.Aborted, r.Fallback,
 		len(r.Tests), r.CPU.Round(time.Millisecond))
 }
@@ -268,7 +257,7 @@ func RunUniverse(g *core.CSSG, model faults.Type, universe []faults.Fault, opts 
 }
 
 // RunUniverseCtx is RunUniverse with cooperative cancellation, checked
-// at every batch, target and fallback-fault boundary.  On cancellation
+// at every batch and fallback-fault boundary.  On cancellation
 // it returns the partial Result accumulated so far together with
 // ctx.Err(): every detection already marked is final (each was exactly
 // confirmed), and the faults not yet reached simply stay undetected.
@@ -336,46 +325,6 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 			if remaining, err = screenWalks(fs, res, remaining, walks[base:min(base+width, len(walks))], confirm); err != nil {
 				panic("atpg: " + err.Error())
 			}
-		}
-	}
-
-	// Deterministic phase: bit-parallel PODEM on the faults the random
-	// walks missed, ordered by the structural scorer (random-phase
-	// near-misses, dominator leverage, cone size).  Every candidate
-	// test is re-walked on the CSSG — the graph's TCR_k semantics are
-	// strictly more pessimistic than the plain ternary settling the
-	// search runs on — and exactly confirmed before being marked, so
-	// this phase can only add detections, never change a verdict.
-	if !opts.SkipPodem && len(remaining) > 0 && ctx.Err() == nil {
-		if pg, err := podem.New(g.C, podem.Options{
-			Lanes: opts.FaultSimLanes, DecisionBudget: opts.PodemBudget, MaxCycles: opts.PodemCycles,
-		}); err == nil {
-			order := podem.OrderTargets(g.C, universe, remaining, podemFeatures(g.C, universe, remaining, res))
-			for _, fi := range order {
-				if ctx.Err() != nil {
-					break
-				}
-				if res.PerFault[fi].Detected {
-					continue // collateral of an earlier podem test
-				}
-				pt, ok := pg.Target(ctx, universe[fi])
-				if !ok {
-					continue
-				}
-				test, ok := walkTest(g, pt.Patterns)
-				if !ok {
-					continue // not walkable on the CSSG
-				}
-				if !Verify(g, universe[fi], test, opts) {
-					continue // pessimistic model rejects the detection
-				}
-				res.Tests = append(res.Tests, test)
-				ti := len(res.Tests) - 1
-				remaining = mark(res, remaining, []int{fi}, PhasePodem, ti)
-				fs.Drop(fi)
-				collateral(ti)
-			}
-			res.Podem = pg.Stats()
 		}
 	}
 
@@ -481,45 +430,6 @@ func newRun(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts
 		res.PerFault[i] = fr
 	}
 	return res, remaining, fs, nil
-}
-
-// walkTest re-walks a pattern sequence on the CSSG, rejecting it when
-// any vector is invalid in its node (the universe flow only emits
-// CSSG-walkable tests) and rebuilding the expected responses from the
-// graph's output labels.
-func walkTest(g *core.CSSG, patterns []uint64) (Test, bool) {
-	t := Test{
-		Patterns: make([]uint64, 0, len(patterns)),
-		Expected: make([]uint64, 0, len(patterns)),
-	}
-	node := g.Init
-	for _, p := range patterns {
-		next, ok := g.Succ(node, p)
-		if !ok {
-			return Test{}, false
-		}
-		t.Patterns = append(t.Patterns, p)
-		t.Expected = append(t.Expected, g.OutputsOf(next))
-		node = next
-	}
-	return t, len(t.Patterns) > 0
-}
-
-// podemFeatures assembles the structural scorer's inputs: dominator
-// leverage from the collapse rules and near-miss counts replayed off
-// the random phase's accepted tests.
-func podemFeatures(c *netlist.Circuit, universe []faults.Fault, remaining []int, res *Result) podem.TargetFeatures {
-	ft := podem.TargetFeatures{DomDepth: make([]int, len(universe))}
-	cl := faults.Collapse(c, universe)
-	for _, fi := range remaining {
-		ft.DomDepth[fi] = len(cl.DominatorClosure(fi))
-	}
-	seqs := make([][]uint64, len(res.Tests))
-	for i, t := range res.Tests {
-		seqs[i] = t.Patterns
-	}
-	ft.NearMiss = podem.NearMisses(c, universe, remaining, seqs)
-	return ft
 }
 
 // mark flags the given fault indices as detected and removes them from

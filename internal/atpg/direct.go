@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/podem"
 	"repro/internal/sim"
 )
 
@@ -32,25 +30,24 @@ import (
 // no exact-machine confirmation pass — that pass exists to reconcile
 // ternary detections with the CSSG's strictly more pessimistic
 // path-based TCR_k semantics, and the direct flow's contract is the
-// ternary (fair finite-delay) semantics itself.  There is no
-// three-phase targeting, but the deterministic PODEM phase runs after
-// the walks — it is the only deterministic path past 64 signals.
+// ternary (fair finite-delay) semantics itself.  The flow is
+// walks-only: there is no three-phase targeting and no other
+// deterministic search, so past 64 signals the walks are the only way
+// a fault gets a test.
 //
 // The one untestability proof the flow has is structural: before the
 // walks, every fault whose gate's fanout cone holds no primary output
-// (faults.Unobservable) is marked Untestable and Unobservable, and
-// neither the screens nor PODEM ever see it.  Any other fault both
-// phases miss stays uncovered (Detected=false) with no verdict, since
-// without the CSSG there is no exhaustive search to prove it
-// untestable.
+// (faults.Unobservable) is marked Untestable and Unobservable, and the
+// screens never see it.  Any other fault the walks miss stays
+// uncovered (Detected=false) with no verdict, since without the CSSG
+// there is no exhaustive search to prove it untestable.
 func RunDirect(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	return RunDirectCtx(context.Background(), c, model, universe, opts)
 }
 
 // RunDirectCtx is RunDirect with cooperative cancellation, checked at
-// every batch and deterministic-target boundary.  On cancellation it
-// returns the partial Result accumulated so far together with
-// ctx.Err().
+// every batch boundary.  On cancellation it returns the partial Result
+// accumulated so far together with ctx.Err().
 func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -127,56 +124,6 @@ screen:
 	}
 	stop.Store(true)
 	wg.Wait()
-
-	// Deterministic phase: bit-parallel PODEM on the faults the walks
-	// missed, ordered by the structural scorer.  A candidate test is
-	// committed only when the scalar good-machine replay holds up (the
-	// flow's validity oracle) and the batched screen confirms the
-	// target fault — the same detection semantics as the walks — so
-	// the phase can only add detections, never change a verdict.
-	if !opts.SkipPodem && len(remaining) > 0 && ctx.Err() == nil {
-		if pg, perr := podem.New(c, podem.Options{
-			Lanes: opts.FaultSimLanes, DecisionBudget: opts.PodemBudget, MaxCycles: opts.PodemCycles,
-		}); perr == nil {
-			order := podem.OrderTargets(c, universe, remaining, podemFeatures(c, universe, remaining, res))
-			for _, fi := range order {
-				if ctx.Err() != nil {
-					break
-				}
-				if res.PerFault[fi].Detected {
-					continue // collateral of an earlier podem test
-				}
-				pt, ok := pg.Target(ctx, universe[fi])
-				if !ok {
-					continue
-				}
-				test := Test{Patterns: pt.Patterns, Expected: pt.Expected}
-				if !VerifyDirectGood(c, test) {
-					continue
-				}
-				detected, err := screenTest(fs, remaining, test)
-				if err != nil {
-					return nil, err
-				}
-				if !slices.Contains(detected, fi) {
-					continue // the batched screen must agree before commit
-				}
-				res.Tests = append(res.Tests, test)
-				ti := len(res.Tests) - 1
-				remaining = mark(res, remaining, []int{fi}, PhasePodem, ti)
-				if opts.SkipFaultSim {
-					// Collateral detections stay unmarked, so they stay
-					// in the simulator for their own targeting.
-					fs.Drop(fi)
-				} else {
-					rest := slices.DeleteFunc(slices.Clone(detected), func(fj int) bool { return fj == fi })
-					remaining = mark(res, remaining, rest, PhaseSim, ti)
-					dropAll(fs, detected)
-				}
-			}
-			res.Podem = pg.Stats()
-		}
-	}
 
 	res.FaultSim = fs.Stats()
 	res.CPU = time.Since(start)

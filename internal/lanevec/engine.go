@@ -248,22 +248,6 @@ func (e *Engine[V]) ApplyRails(rails []V) {
 	e.Settle()
 }
 
-// ApplyRailsX drives the primary-input rails with per-lane *ternary*
-// values and settles: input i is possibly-1 in the lanes of r1[i] and
-// possibly-0 in the lanes of r0[i], so a lane with both bits set
-// applies X to that input.  This is the partial-assignment cycle the
-// deterministic (PODEM) phase needs: unassigned inputs stay X and the
-// settle computes exactly the ternary implication closure of the
-// assignment, lanewise.  Lanes where an input is in neither vector
-// would encode the empty value; callers must keep r1∪r0 ⊇ all.
-func (e *Engine[V]) ApplyRailsX(r1, r0 []V) {
-	for i := 0; i < e.c.NumInputs(); i++ {
-		e.p1[i] = r1[i].And(e.all)
-		e.p0[i] = r0[i].And(e.all)
-	}
-	e.Settle()
-}
-
 // Definite returns the lanes where signal sig is definitely 1 and
 // definitely 0 (Φ lanes appear in neither).
 func (e *Engine[V]) Definite(sig netlist.SigID) (d1, d0 V) {

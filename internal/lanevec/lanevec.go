@@ -10,9 +10,9 @@
 //
 // The package exposes exactly one settle/evalGate implementation,
 // generic over the vector width, in one orientation: each lane carries
-// a different input sequence (fsim's test sequences, PODEM's value
-// combinations) and one fault, selected by Engine.Inject, is applied
-// to every lane through the override masks.
+// a different input sequence (fsim's test sequences) and one fault,
+// selected by Engine.Inject, is applied to every lane through the
+// override masks.
 //
 // The sweep semantics live in exactly one place: the template in
 // sweepgen.go.  The hot kernels (sweep_gen.go) are generated from it —

@@ -15,12 +15,11 @@
 //	                    streaming with 400 — per-batch progress does not
 //	                    exist for a merged report — unless "local": true)
 //	POST /v1/generate   body: GenerateRequest JSON → GenerateResponse JSON
-//	                    (full ATPG: random walks, bit-parallel PODEM,
-//	                    and — CSSG flow — three-phase targeting)
+//	                    (full ATPG: random walks and — CSSG flow —
+//	                    three-phase targeting)
 //	POST /v1/compact    body: CompactRequest JSON → CompactResponse JSON
 //	GET  /metrics       plain-text counters (cache hit rates, query and
-//	                    pattern totals, PODEM decision counters,
-//	                    in-flight gauge)
+//	                    pattern totals, in-flight gauge)
 //	GET  /healthz       liveness probe
 //	GET  /debug/pprof/  the standard Go profiler endpoints
 //
@@ -67,8 +66,8 @@
 //
 // Every POST body is capped at MaxRequestBytes (413 past it), and every
 // request field is validated — circuit, model, faults, lanes, mode,
-// flow, and generation's walk, length and PODEM budgets (each capped
-// by a Max* constant) — before the result store is probed, any peer is
+// flow, and generation's walk count and length (each capped by a Max*
+// constant) — before the result store is probed, any peer is
 // contacted or any generation runs, so a malformed query is a 400 that
 // costs neither a store miss nor a peer's health.
 package service
@@ -106,22 +105,19 @@ const MaxRequestBytes = 16 << 20
 
 // Caps on POST /v1/generate's numeric fields.  The largest values the
 // repository's own callers use — its tests, examples, CLI defaults and
-// benchmark workloads — are 65,536 walks (a library cancellation test),
-// 48 vectors per walk, and PODEM's defaults of 512 decisions and 8
-// cycles; each cap sits 4× to 128× above them.  The field caps alone
-// still admit 2^27 walk vectors (about 2 GiB of walks at 16 bytes a
-// vector), so MaxRandomVectors also bounds their product: the largest
-// product those callers use is the same cancellation test's 65,536 ×
-// 48 = 3,145,728 vectors, and the cap sits 5.3× above it (256 MiB of
-// walks).  A zero field takes the library default (256 walks, 24
+// benchmark workloads — are 65,536 walks (a library cancellation test)
+// and 48 vectors per walk; the caps sit 4× and 10.7× above them.  The
+// field caps alone still admit 2^27 walk vectors (about 2 GiB of walks
+// at 16 bytes a vector), so MaxRandomVectors also bounds their
+// product: the largest product those callers use is the same
+// cancellation test's 65,536 × 48 = 3,145,728 vectors, and the cap
+// sits 5.3× above it (256 MiB of walks).  A zero field takes the library default (256 walks, 24
 // vectors), whose product with the other field's cap stays under
 // MaxRandomVectors.
 const (
 	MaxRandomSeqs    = 1 << 18 // random_seqs
 	MaxRandomLen     = 1 << 9  // random_len
 	MaxRandomVectors = 1 << 24 // random_seqs × random_len
-	MaxPodemBudget   = 1 << 16 // podem_budget
-	MaxPodemCycles   = 1 << 6  // podem_cycles
 )
 
 // Config tunes a Server.
@@ -173,13 +169,6 @@ type Metrics struct {
 	InFlight        atomic.Int64 // requests currently being served
 	Patterns        atomic.Int64 // test patterns simulated, summed over lanes
 	FaultsMeasured  atomic.Int64 // per-fault verdicts produced
-
-	// PODEM work counters, summed over the deterministic phases of
-	// every completed /v1/generate request.
-	PodemTargeted   atomic.Int64 // faults the deterministic phase attempted
-	PodemFound      atomic.Int64 // tests it produced
-	PodemDecisions  atomic.Int64 // decision-tree nodes explored
-	PodemBacktracks atomic.Int64 // decisions undone
 
 	// EncodeFailures counts response bodies that failed to reach the
 	// client (disconnect mid-encode).  Such requests are NOT booked in
@@ -679,7 +668,8 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 
 // GenerateRequest is the POST /v1/generate body: run the full ATPG
 // flow on a circuit and return the generated tests with per-phase
-// attribution.
+// attribution.  The decoder ignores unknown fields, so an old client's
+// skip_podem, podem_budget and podem_cycles are accepted and ignored.
 type GenerateRequest struct {
 	Circuit     string `json:"circuit,omitempty"`
 	CircuitText string `json:"circuit_text,omitempty"`
@@ -694,19 +684,6 @@ type GenerateRequest struct {
 	RandomSeqs int   `json:"random_seqs,omitempty"`
 	RandomLen  int   `json:"random_len,omitempty"`
 	SkipRandom bool  `json:"skip_random,omitempty"`
-
-	SkipPodem   bool `json:"skip_podem,omitempty"`
-	PodemBudget int  `json:"podem_budget,omitempty"`
-	PodemCycles int  `json:"podem_cycles,omitempty"`
-}
-
-// PodemJSON is the deterministic phase's work counters on the wire.
-type PodemJSON struct {
-	Targeted   int   `json:"targeted"`
-	Found      int   `json:"found"`
-	Decisions  int64 `json:"decisions"`
-	Backtracks int64 `json:"backtracks"`
-	Settles    int64 `json:"settles"`
 }
 
 // GenerateResponse is the generation outcome.
@@ -723,7 +700,6 @@ type GenerateResponse struct {
 	Unobservable int        `json:"unobservable"`
 	Aborted      int        `json:"aborted"`
 	Fallback     int        `json:"fallback"` // exhaustive product-machine searches run
-	Podem        PodemJSON  `json:"podem"`
 	Tests        []TestJSON `json:"tests"`
 	ElapsedNS    int64      `json:"elapsed_ns"`
 }
@@ -741,7 +717,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		Seed:            req.Seed,
 		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
 		FaultSimWorkers: workers, FaultSimLanes: req.Lanes,
-		SkipPodem: req.SkipPodem, PodemBudget: req.PodemBudget, PodemCycles: req.PodemCycles,
 	}
 	err := checkGenerateCaps(&req)
 	if err == nil {
@@ -795,21 +770,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Patterns.Add(res.FaultSim.Patterns)
 	s.metrics.FaultsMeasured.Add(int64(res.Total))
-	s.metrics.PodemTargeted.Add(int64(res.Podem.Targeted))
-	s.metrics.PodemFound.Add(int64(res.Podem.Found))
-	s.metrics.PodemDecisions.Add(res.Podem.Decisions)
-	s.metrics.PodemBacktracks.Add(res.Podem.Backtracks)
 	resp := &GenerateResponse{
 		CircuitID: id,
 		Total:     res.Total, Covered: res.Covered, Coverage: res.Coverage(),
 		ByPhase:    make(map[string]int, len(res.ByPhase)),
 		Untestable: res.Untestable, Unobservable: res.Unobservable,
 		Aborted: res.Aborted, Fallback: res.Fallback,
-		Podem: PodemJSON{
-			Targeted: res.Podem.Targeted, Found: res.Podem.Found,
-			Decisions: res.Podem.Decisions, Backtracks: res.Podem.Backtracks,
-			Settles: res.Podem.Settles,
-		},
 		Tests:     make([]TestJSON, len(res.Tests)),
 		ElapsedNS: time.Since(start).Nanoseconds(),
 	}
@@ -834,8 +800,6 @@ func checkGenerateCaps(req *GenerateRequest) error {
 	}{
 		{"random_seqs", req.RandomSeqs, MaxRandomSeqs},
 		{"random_len", req.RandomLen, MaxRandomLen},
-		{"podem_budget", req.PodemBudget, MaxPodemBudget},
-		{"podem_cycles", req.PodemCycles, MaxPodemCycles},
 	} {
 		if f.v > f.max {
 			return fmt.Errorf("%s %d exceeds the service cap %d", f.name, f.v, f.max)
@@ -959,10 +923,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "satpgd_compact_queries_total %d\n", s.metrics.CompactQueries.Load())
 	fmt.Fprintf(w, "satpgd_generate_queries_total %d\n", s.metrics.GenerateQueries.Load())
 	fmt.Fprintf(w, "satpgd_circuit_submits_total %d\n", s.metrics.CircuitSubmits.Load())
-	fmt.Fprintf(w, "satpgd_podem_targeted_total %d\n", s.metrics.PodemTargeted.Load())
-	fmt.Fprintf(w, "satpgd_podem_found_total %d\n", s.metrics.PodemFound.Load())
-	fmt.Fprintf(w, "satpgd_podem_decisions_total %d\n", s.metrics.PodemDecisions.Load())
-	fmt.Fprintf(w, "satpgd_podem_backtracks_total %d\n", s.metrics.PodemBacktracks.Load())
 	fmt.Fprintf(w, "satpgd_errors_total %d\n", s.metrics.Errors.Load())
 	fmt.Fprintf(w, "satpgd_patterns_simulated_total %d\n", s.metrics.Patterns.Load())
 	fmt.Fprintf(w, "satpgd_faults_measured_total %d\n", s.metrics.FaultsMeasured.Load())

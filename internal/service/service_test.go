@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -335,8 +336,8 @@ func TestRequestValidation(t *testing.T) {
 	}
 	// The other two option-carrying endpoints reject the removed width
 	// the same way, and generation rejects a negative or over-cap walk
-	// count, walk length or PODEM budget, and a walk count × length
-	// past its cap with each field under its own, before any work.
+	// count or walk length, and a walk count × length past its cap with
+	// each field under its own, before any work.
 	for _, tc := range []struct {
 		path string
 		req  any
@@ -346,16 +347,12 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/compact", &service.CompactRequest{CircuitText: text, Lanes: 128}, "64 or 256"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: -1}, "RandomSequences"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: -1}, "RandomLength"},
-		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemBudget: -1}, "PodemBudget"},
-		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemCycles: -1}, "PodemCycles"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: service.MaxRandomSeqs + 1}, "random_seqs"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: 1_000_000_000}, "random_seqs"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: service.MaxRandomLen + 1}, "random_len"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: service.MaxRandomSeqs, RandomLen: service.MaxRandomLen}, "random_seqs × random_len"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text,
 			RandomSeqs: service.MaxRandomVectors/service.MaxRandomLen + 1, RandomLen: service.MaxRandomLen}, "random_seqs × random_len"},
-		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemBudget: service.MaxPodemBudget + 1}, "podem_budget"},
-		{"/v1/generate", &service.GenerateRequest{CircuitText: text, PodemCycles: service.MaxPodemCycles + 1}, "podem_cycles"},
 	} {
 		rec := postJSON(t, srv, tc.path, tc.req)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
@@ -364,7 +361,7 @@ func TestRequestValidation(t *testing.T) {
 	}
 	for _, name := range []string{
 		"satpgd_result_store_misses_total", "satpgd_generate_queries_total", "satpgd_patterns_simulated_total",
-		"satpgd_faults_measured_total", "satpgd_podem_targeted_total", "satpgd_podem_decisions_total",
+		"satpgd_faults_measured_total",
 	} {
 		if n := metricValue(t, srv, name); n != 0 {
 			t.Errorf("rejected requests moved %s to %d", name, n)
@@ -581,5 +578,36 @@ func TestGenerateReportsUnobservable(t *testing.T) {
 	if resp.Unobservable != res.Unobservable || resp.Untestable != res.Untestable || resp.Covered != res.Covered {
 		t.Fatalf("response unobservable=%d untestable=%d covered=%d, library %d/%d/%d",
 			resp.Unobservable, resp.Untestable, resp.Covered, res.Unobservable, res.Untestable, res.Covered)
+	}
+}
+
+// TestGenerateIgnoresRemovedPodemFields: the request fields of the
+// deleted PODEM phase are unknown fields now, which the decoder
+// ignores, so an old client that still sends them, with values the
+// phase's validation used to reject, gets the same answer as a bare
+// request.
+func TestGenerateIgnoresRemovedPodemFields(t *testing.T) {
+	text, _ := loadISCAS(t, "s27")
+	srv := service.New(service.Config{})
+	generate := func(body any) service.GenerateResponse {
+		t.Helper()
+		rec := postJSON(t, srv, "/v1/generate", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("generate %+v = %d %s; want 200", body, rec.Code, rec.Body.String())
+		}
+		var resp service.GenerateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	bare := generate(&service.GenerateRequest{CircuitText: text, Flow: "direct", Seed: 1})
+	old := generate(map[string]any{
+		"circuit_text": text, "flow": "direct", "seed": 1,
+		"skip_podem": true, "podem_budget": -1, "podem_cycles": 99,
+	})
+	if len(bare.Tests) == 0 || !reflect.DeepEqual(old.Tests, bare.Tests) || old.Covered != bare.Covered {
+		t.Fatalf("with the removed fields: %d tests covering %d; bare request: %d tests covering %d",
+			len(old.Tests), old.Covered, len(bare.Tests), bare.Covered)
 	}
 }

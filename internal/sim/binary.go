@@ -12,7 +12,7 @@
 // changed, and reaches the fixpoint of the paper's Jacobi sweeps bit for
 // bit.  The sweeps survive in the package's tests as the reference the
 // settle is checked against.  Every scalar caller — the direct flow's
-// walks, PODEM's completions, the oracles — settles through it.
+// walks, the oracles — settles through it.
 //
 // The scalar ternary machine is the oracle the bit-parallel fault
 // simulator in internal/fsim is tested against.

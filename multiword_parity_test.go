@@ -80,10 +80,6 @@ func scalarOracleDetects(c *Circuit, f Fault, tests []Test) bool {
 // scalar oracle, (b) event and sweep engines agree verdict for verdict
 // at both lane widths on the generated tests.
 func TestDirectFlowOracleOnCorpus(t *testing.T) {
-	// The package's three longest suites — this one,
-	// TestPodemParityCSSGFlow and TestPodemParityDirectFlow — run in
-	// parallel so the package stays inside go test's default timeout.
-	t.Parallel()
 	files := []string{"s27.ckt", "s349.ckt"}
 	if !testing.Short() {
 		files = append(files, "s953.ckt")

@@ -27,10 +27,9 @@
 //	fmt.Println(res.Summary())
 //
 // Run picks the CSSG flow or the size-agnostic direct flow by circuit
-// size (Options.Flow overrides), runs random walks, the deterministic
-// bit-parallel PODEM phase and — in the CSSG flow — three-phase
-// targeting, and honours context cancellation at every batch and
-// decision boundary.
+// size (Options.Flow overrides), runs random walks and — in the CSSG
+// flow — three-phase targeting of the faults they miss, and honours
+// context cancellation at every batch and search boundary.
 package satpg
 
 import (
@@ -180,7 +179,9 @@ type Options struct {
 	RandomSequences int
 	RandomLength    int
 	SkipRandom      bool
-	// SkipFaultSim disables collateral fault dropping.
+	// SkipFaultSim disables collateral fault dropping after each
+	// three-phase test of the CSSG flow; the direct flow has no such
+	// screen, so there it changes nothing.
 	SkipFaultSim bool
 	// FaultSimWorkers shards bit-parallel fault simulation across this
 	// many goroutines (0: GOMAXPROCS).  It affects the ATPG random
@@ -208,14 +209,11 @@ type Options struct {
 	// picks the CSSG flow for circuits within MaxExplicitSignals and
 	// the direct flow past it; FlowCSSG and FlowDirect force one.
 	Flow Flow
-	// SkipPodem disables the deterministic bit-parallel PODEM phase
-	// that runs after the random walks in both flows.
+	// SkipPodem is ignored: no flow has a PODEM phase.  It stays only
+	// because the atpgbench module still sets it.
 	SkipPodem bool
-	// PodemBudget caps the decision-tree size per targeted fault
-	// (0: 512 decisions); PodemCycles caps the test length a single
-	// target may grow to (0: 8 cycles).
+	// PodemBudget is ignored, and kept for atpgbench, like SkipPodem.
 	PodemBudget int
-	PodemCycles int
 }
 
 // Flow selects which generation flow Run uses.
@@ -273,9 +271,6 @@ func (o Options) atpgOpts() atpg.Options {
 		SkipFaultSim:    o.SkipFaultSim,
 		FaultSimWorkers: o.FaultSimWorkers,
 		FaultSimLanes:   o.FaultSimLanes,
-		SkipPodem:       o.SkipPodem,
-		PodemBudget:     o.PodemBudget,
-		PodemCycles:     o.PodemCycles,
 	}
 }
 
@@ -326,11 +321,10 @@ func SelectedUniverse(c *Circuit, model FaultModel, sel FaultSelection) []Fault 
 // Run is the single ATPG entrypoint: it validates opts, selects the
 // generation flow (Options.Flow; FlowAuto picks the CSSG flow within
 // MaxExplicitSignals and the direct flow past it) and generates tests
-// for the universe Options.Faults selects — random walks, then the
-// deterministic bit-parallel PODEM phase, then (CSSG flow only)
-// three-phase targeting of the leftovers.
+// for the universe Options.Faults selects — random walks, then (CSSG
+// flow only) three-phase targeting of the leftovers.
 //
-// The context cancels cooperatively at every batch and decision
+// The context cancels cooperatively at every batch and search
 // boundary: on cancellation Run returns the partial Result accumulated
 // so far together with ctx.Err(), and every test and verdict in that
 // partial Result is as valid as a completed run's.  In the CSSG flow
@@ -369,7 +363,7 @@ func Run(ctx context.Context, c *Circuit, model FaultModel, opts Options) (*Resu
 // the abstraction themselves.  It targets the universe Options.Faults
 // selects (the model's stuck-at faults by default; SelectTransition or
 // SelectBoth widen it to the gross gate-delay extension).
-// Cancellation is checked at every batch and decision boundary, and a
+// Cancellation is checked at every batch and search boundary, and a
 // cancelled run returns the partial Result alongside ctx.Err().
 func GenerateCtx(ctx context.Context, g *CSSG, model FaultModel, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {

@@ -2,8 +2,10 @@ package satpg
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runCSSG is Run forced onto the CSSG flow; the abstraction comes back
@@ -360,5 +362,113 @@ func TestFacadeFaultSelections(t *testing.T) {
 	}
 	if sum.Total != len(both) {
 		t.Fatalf("program coverage total %d, want %d", sum.Total, len(both))
+	}
+}
+
+func mustBenchmark(t *testing.T, ref string) *Circuit {
+	t.Helper()
+	c, err := LoadBenchmark(ref)
+	if err != nil {
+		t.Fatalf("benchmark %s: %v", ref, err)
+	}
+	return c
+}
+
+// A pre-cancelled context returns within one batch or search boundary
+// with a structurally valid partial result in both flows.
+func TestRunCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, flow := range []Flow{FlowCSSG, FlowDirect} {
+		c := mustBenchmark(t, "si/chu150")
+		res, err := Run(ctx, c, InputStuckAt, Options{Flow: flow, Faults: SelectBoth})
+		if err == nil {
+			t.Fatalf("flow=%s: cancelled Run returned no error", flow)
+		}
+		if res == nil {
+			t.Fatalf("flow=%s: cancelled Run returned no partial result", flow)
+		}
+		if res.Total == 0 {
+			t.Fatalf("flow=%s: partial result lost the universe", flow)
+		}
+		for fi, fr := range res.PerFault {
+			if fr.Detected && (fr.TestIndex < 0 || fr.TestIndex >= len(res.Tests)) {
+				t.Fatalf("flow=%s: fault %d claims out-of-range test %d", flow, fi, fr.TestIndex)
+			}
+		}
+	}
+}
+
+// Cancelling mid-run returns promptly and leaks no goroutines: the
+// direct flow's walk-generation workers and the fault-sim shards must
+// all drain.
+func TestRunCancellationStopsPromptly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive")
+	}
+	c := loadCorpus(t, "s953.ckt")
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var res *Result
+	var runErr error
+	go func() {
+		defer close(done)
+		// A deliberately huge workload: only cancellation ends it early.
+		res, runErr = Run(ctx, c, InputStuckAt, Options{
+			Flow: FlowDirect, Faults: SelectBoth,
+			RandomSequences: 1 << 16, RandomLength: 48,
+		})
+	}()
+	time.Sleep(200 * time.Millisecond)
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancelled Run did not return within 30s")
+	}
+	if runErr == nil {
+		t.Fatal("cancelled Run reported success on a workload sized to outlive the test")
+	}
+	if res == nil || res.Total == 0 {
+		t.Fatal("cancelled Run returned no partial result")
+	}
+	// Goroutines wind down asynchronously after the flow returns; allow
+	// a grace period before declaring a leak.
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before+2 {
+			return
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatalf("goroutine leak after cancellation: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+func TestOptionsValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"negative workers", Options{FaultSimWorkers: -1}},
+		{"bad lane width", Options{FaultSimLanes: 96}},
+		{"removed lane width", Options{FaultSimLanes: 128}},
+		{"unknown flow", Options{Flow: Flow(9)}},
+		{"negative K", Options{K: -1}},
+	}
+	for _, tc := range cases {
+		if err := tc.opts.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.opts)
+		}
+	}
+	if err := (Options{FaultSimLanes: 128}).Validate(); err == nil || !strings.Contains(err.Error(), "64 or 256") {
+		t.Errorf("128 lanes: Validate error %v, want one listing 64 or 256", err)
+	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Errorf("zero options rejected: %v", err)
+	}
+	c := mustBenchmark(t, "fig1a")
+	if _, err := Run(context.Background(), c, InputStuckAt, Options{FaultSimLanes: 100}); err == nil {
+		t.Error("Run accepted an invalid lane width")
 	}
 }
