@@ -131,9 +131,8 @@ func BenchmarkRandomTPGAblation(b *testing.B) {
 //     evaluations;
 //   - collapsed-1: the default configuration — event engine,
 //     representatives only, verdicts fanned out — on the same batch;
-//   - wide/<engine>/lanes-64|256: a 256-sequence workload chunked by
-//     lane width, for both engines — the multi-word throughput and the
-//     convergence-coupling comparison.
+//   - wide/<engine>/lanes-64: a 256-sequence workload in four 64-lane
+//     batches, for both engines — the convergence-coupling comparison.
 //
 // Every variant drops a fault at its first detection, and every variant
 // must report the same detected count — asserted against the scalar
@@ -226,34 +225,33 @@ func BenchmarkFaultSimEngines(b *testing.B) {
 		runEngine(b, seqs, fsim.Options{Workers: 1}, want)
 	})
 
-	// Multi-word pattern throughput: the same fault universe against a
-	// 256-sequence workload, chunked by lane width, for both engines.
-	// A sweep batch settles until its slowest lane converges, which
-	// blunts the win of wide sweep lanes; the event engine only
+	// Batch throughput: the same fault universe against a 256-sequence
+	// workload in four batches, for both engines.  A sweep batch
+	// settles until its slowest lane converges; the event engine only
 	// re-evaluates gates with active lanes, decoupling the batch from
-	// its slowest member.
+	// its slowest member.  The names keep the lanes-64 segment of the
+	// rows recorded when a 256-lane width existed, so old and new
+	// transcripts still pair up.
 	wideSeqs := mkSeqs(256)
 	wideWant := serialFaultSim(c, universe, wideSeqs)
 	for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-		for _, lw := range []int{64, 256} {
-			eng, lw := eng, lw
-			b.Run("wide/"+eng.String()+"/lanes-"+strconv.Itoa(lw), func(b *testing.B) {
-				runEngine(b, wideSeqs, fsim.Options{Workers: 1, Lanes: lw, Engine: eng, NoCollapse: true}, wideWant)
-				b.ReportMetric(float64(lw), "lanes")
-			})
-		}
+		eng := eng
+		b.Run("wide/"+eng.String()+"/lanes-64", func(b *testing.B) {
+			runEngine(b, wideSeqs, fsim.Options{Workers: 1, Engine: eng, NoCollapse: true}, wideWant)
+		})
 	}
 }
 
 // BenchmarkEventVsSweepTable1 measures both fault-simulation engines on
 // the Table-1 workload: every speed-independent benchmark circuit, a
 // 256-walk random-pattern set, per fault model (input stuck-at, the
-// transition universe, and their union), at each lane width.  Reported
-// per variant: patterns/sec and gate-evals/pattern — the event engine
-// must detect exactly what the sweeps detect while evaluating far
-// fewer gates, on the combined universe included.  Sub-benchmark names
-// are model/engine/lanes-N, which is the shape cmd/benchjson parses
-// into the BENCH_*.json CI artifact.
+// transition universe, and their union).  Reported per variant:
+// patterns/sec and gate-evals/pattern — the event engine must detect
+// exactly what the sweeps detect while evaluating far fewer gates, on
+// the combined universe included.  Sub-benchmark names are
+// model/engine/lanes-64, the shape cmd/benchjson parses into the
+// BENCH_*.json CI artifact; the lanes-64 segment is a constant kept so
+// the rows pair with those recorded when a 256-lane width existed.
 func BenchmarkEventVsSweepTable1(b *testing.B) {
 	suite := SpeedIndependentSuite()
 	type workload struct {
@@ -295,12 +293,12 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 		}
 		// detectedAt takes the calling (sub-)benchmark's b: b.Fatal must
 		// run on the goroutine of the benchmark it fails.
-		detectedAt := func(b *testing.B, eng fsim.EngineKind, lanes int) (int, fsim.Stats) {
+		detectedAt := func(b *testing.B, eng fsim.EngineKind) (int, fsim.Stats) {
 			b.Helper()
 			total := 0
 			var stats fsim.Stats
 			for _, w := range work {
-				s, err := fsim.New(w.c, w.universe, fsim.Options{Workers: 1, Lanes: lanes, Engine: eng})
+				s, err := fsim.New(w.c, w.universe, fsim.Options{Workers: 1, Engine: eng})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -318,27 +316,25 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 			}
 			return total, stats
 		}
-		for _, lanes := range []int{64, 256} {
-			wantDet, _ := detectedAt(b, fsim.EngineSweep, lanes)
-			for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-				eng, lanes := eng, lanes
-				b.Run(model.name+"/"+eng.String()+"/lanes-"+strconv.Itoa(lanes), func(b *testing.B) {
-					var det int
-					var stats fsim.Stats
-					for i := 0; i < b.N; i++ {
-						det, stats = detectedAt(b, eng, lanes)
-					}
-					if det != wantDet {
-						b.Fatalf("%s %s at %d lanes detected %d faults, sweep oracle %d",
-							model.name, eng, lanes, det, wantDet)
-					}
-					b.ReportMetric(float64(det), "detected")
-					b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
-					if secs := b.Elapsed().Seconds(); secs > 0 {
-						b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
-					}
-				})
-			}
+		wantDet, _ := detectedAt(b, fsim.EngineSweep)
+		for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
+			eng := eng
+			b.Run(model.name+"/"+eng.String()+"/lanes-64", func(b *testing.B) {
+				var det int
+				var stats fsim.Stats
+				for i := 0; i < b.N; i++ {
+					det, stats = detectedAt(b, eng)
+				}
+				if det != wantDet {
+					b.Fatalf("%s %s detected %d faults, sweep oracle %d",
+						model.name, eng, det, wantDet)
+				}
+				b.ReportMetric(float64(det), "detected")
+				b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
+				}
+			})
 		}
 	}
 }
@@ -348,11 +344,11 @@ func BenchmarkEventVsSweepTable1(b *testing.B) {
 // sixteen packed-state words (s27/s349/s953), so the multi-word engine
 // paths are on the clock, not just the single-word fast path.  Each
 // sub-benchmark name carries signals-N, which cmd/benchjson lifts into
-// the artifact's circuit-size dimension alongside engine and lane
-// width; reported metrics are patterns/sec, gate-evals/pattern and the
+// the artifact's circuit-size dimension alongside the engine (and the
+// constant lanes-64 segment that pairs the rows with older runs);
+// reported metrics are patterns/sec, gate-evals/pattern and the
 // detected count.  Event and sweep must agree on the detected count at
-// every size and lane width — the multi-word parity assertion at
-// benchmark scale.
+// every size — the multi-word parity assertion at benchmark scale.
 func BenchmarkISCASScale(b *testing.B) {
 	const cycles = 12
 	// The full-sweep oracle costs O(classes × gates) per pattern, so the
@@ -384,42 +380,40 @@ func BenchmarkISCASScale(b *testing.B) {
 		}
 		want := -1
 		for _, eng := range []fsim.EngineKind{fsim.EngineSweep, fsim.EngineEvent} {
-			for _, lw := range []int{64, 256} {
-				eng, lw := eng, lw
-				b.Run(fmt.Sprintf("%s/signals-%d/%s/lanes-%d", name, c.NumSignals(), eng, lw), func(b *testing.B) {
-					var detected int
-					var stats fsim.Stats
-					for i := 0; i < b.N; i++ {
-						s, err := fsim.New(c, universe, fsim.Options{Workers: 1, Lanes: lw, Engine: eng})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := s.SimulateSequences(seqs, nil, nil, func(int, *fsim.BatchResult) {}); err != nil {
-							b.Fatal(err)
-						}
-						detected = 0
-						for fi := range universe {
-							if s.Detected(fi) {
-								detected++
-							}
-						}
-						stats = s.Stats()
+			eng := eng
+			b.Run(fmt.Sprintf("%s/signals-%d/%s/lanes-64", name, c.NumSignals(), eng), func(b *testing.B) {
+				var detected int
+				var stats fsim.Stats
+				for i := 0; i < b.N; i++ {
+					s, err := fsim.New(c, universe, fsim.Options{Workers: 1, Engine: eng})
+					if err != nil {
+						b.Fatal(err)
 					}
-					if want < 0 {
-						want = detected
-					} else if detected != want {
-						b.Fatalf("%s %s lanes=%d detected %d faults, first variant %d",
-							name, eng, lw, detected, want)
+					if err := s.SimulateSequences(seqs, nil, nil, func(int, *fsim.BatchResult) {}); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(detected), "detected")
-					b.ReportMetric(float64(c.NumGates()), "gates")
-					b.ReportMetric(float64(c.StateWords()), "state-words")
-					b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
-					if secs := b.Elapsed().Seconds(); secs > 0 {
-						b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
+					detected = 0
+					for fi := range universe {
+						if s.Detected(fi) {
+							detected++
+						}
 					}
-				})
-			}
+					stats = s.Stats()
+				}
+				if want < 0 {
+					want = detected
+				} else if detected != want {
+					b.Fatalf("%s %s detected %d faults, first variant %d",
+						name, eng, detected, want)
+				}
+				b.ReportMetric(float64(detected), "detected")
+				b.ReportMetric(float64(c.NumGates()), "gates")
+				b.ReportMetric(float64(c.StateWords()), "state-words")
+				b.ReportMetric(stats.EvalsPerPattern(), "gate-evals/pattern")
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(stats.Patterns)*float64(b.N)/secs, "patterns/sec")
+				}
+			})
 		}
 	}
 }

@@ -14,6 +14,8 @@
 // dimension of BenchmarkServiceShardThroughput and
 // BenchmarkServiceConcurrentQueries, whose queries/sec and aggregate
 // patterns/sec metrics ride along like any other custom metric).
+// Rows that share a name — a transcript from `go test -count=N` —
+// collapse into one row holding the median of each metric.
 //
 // With -compare it additionally diffs the fresh run against a baseline
 // report, matching rows by benchmark name on the throughput
@@ -41,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -215,8 +218,56 @@ func finish(entries []Entry) []Entry {
 	return entries
 }
 
+// collapse merges the rows that share a name, in first-appearance
+// order, into one row holding the median of each metric over the rows
+// that report it, and the median iteration count.  One pass of a
+// ≥1 s benchmark row can read 30% off on a shared host; the median of
+// three passes cannot be moved by one slow pass.
+func collapse(entries []Entry) []Entry {
+	groups := map[string][]Entry{}
+	var out []Entry
+	for _, e := range entries {
+		if groups[e.Name] == nil {
+			out = append(out, e)
+		}
+		groups[e.Name] = append(groups[e.Name], e)
+	}
+	for i := range out {
+		g := groups[out[i].Name]
+		if len(g) == 1 {
+			continue
+		}
+		iters := make([]float64, len(g))
+		vals := map[string][]float64{}
+		for j, e := range g {
+			iters[j] = float64(e.Iterations)
+			for k, v := range e.Metrics {
+				vals[k] = append(vals[k], v)
+			}
+		}
+		out[i].Iterations = int64(median(iters))
+		out[i].Metrics = make(map[string]float64, len(vals))
+		for k, vs := range vals {
+			out[i].Metrics[k] = median(vs)
+		}
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count); it sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
 // elapsedNS returns the total measured benchmark time of an entry in
-// nanoseconds (ns/op × iterations), or 0 when ns/op is absent.
+// nanoseconds (ns/op × iterations), or 0 when ns/op is absent.  For a
+// collapsed row that is the time of one median pass.
 func elapsedNS(e Entry) float64 {
 	return e.Metrics["ns/op"] * float64(e.Iterations)
 }
@@ -299,7 +350,7 @@ func parse(r io.Reader) (Report, error) {
 			}
 		}
 	}
-	rep.Results = finish(rep.Results)
+	rep.Results = collapse(finish(rep.Results))
 	return rep, sc.Err()
 }
 

@@ -254,3 +254,56 @@ func TestCompareReportsEndToEndFromTranscripts(t *testing.T) {
 		}
 	}
 }
+
+// A -count=3 transcript repeats every row; parse must collapse each
+// name to one row carrying the median of every metric, keep the rows
+// in first-appearance order, and gate on that median, so one slow pass
+// out of three moves nothing.  The measurement floor applies to one
+// median pass, not to the three passes summed.
+func TestParseCollapsesRepeatedRowsToMedian(t *testing.T) {
+	const counted = `BenchmarkISCASScale/s349/signals-363/sweep/lanes-64-2   1  1500000000 ns/op  299.0 detected  233.0 patterns/sec
+BenchmarkISCASScale/s349/signals-363/event/lanes-64-2   1  600000000 ns/op  299.0 detected  900.0 patterns/sec
+BenchmarkISCASScale/s349/signals-363/sweep/lanes-64-2   1  2100000000 ns/op  299.0 detected  160.1 patterns/sec
+BenchmarkISCASScale/s349/signals-363/event/lanes-64-2   1  400000000 ns/op  299.0 detected  1100.0 patterns/sec
+BenchmarkISCASScale/s349/signals-363/sweep/lanes-64-2   1  2000000000 ns/op  299.0 detected  162.9 patterns/sec
+BenchmarkISCASScale/s349/signals-363/event/lanes-64-2   3  500000000 ns/op  299.0 detected  1000.0 patterns/sec  7 extra
+`
+	rep, err := parse(strings.NewReader(counted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 2 {
+		t.Fatalf("parsed %d rows, want the 2 distinct names", len(rep.Results))
+	}
+	sweep, event := rep.Results[0], rep.Results[1]
+	if sweep.Engine != "sweep" || event.Engine != "event" || sweep.Lanes != 64 || sweep.Signals != 363 {
+		t.Fatalf("rows out of order or dimensions lost: %+v, %+v", sweep, event)
+	}
+	for _, c := range []struct {
+		e      Entry
+		metric string
+		want   float64
+	}{
+		{sweep, "patterns/sec", 162.9},
+		{sweep, "ns/op", 2000000000},
+		{sweep, "detected", 299},
+		{event, "patterns/sec", 1000},
+		{event, "ns/op", 500000000},
+		{event, "extra", 7}, // reported by one pass only
+	} {
+		if got := c.e.Metrics[c.metric]; got != c.want {
+			t.Errorf("%s %s = %v, want the median %v", c.e.Name, c.metric, got, c.want)
+		}
+	}
+	if sweep.Iterations != 1 || event.Iterations != 1 {
+		t.Errorf("iterations %d/%d, want the median 1", sweep.Iterations, event.Iterations)
+	}
+
+	// Against a base whose median is 160.1, the fresh 233.0/160.1/162.9
+	// passes compare by their median 162.9: no regression.
+	base := Report{Results: []Entry{entryFor(sweep.Name, 160.1, 2e9, 1)}}
+	lines, failures := compareReports(rep, base, 25)
+	if len(failures) != 0 || len(lines) != 1 || strings.Contains(lines[0], "not gated") {
+		t.Fatalf("median row compare: lines %v, failures %v", lines, failures)
+	}
+}

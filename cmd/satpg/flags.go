@@ -30,14 +30,6 @@ func parseFaultSelection(s string) (satpg.FaultSelection, error) {
 	return sel, nil
 }
 
-func parseLanes(n int) (int, error) {
-	switch n {
-	case 0, 64, 256:
-		return n, nil
-	}
-	return 0, fmt.Errorf("unsupported -lanes %d (want 64 or 256)", n)
-}
-
 func parseCompactMode(s string) (satpg.CompactMode, error) {
 	m, ok := satpg.ParseCompactMode(s)
 	if !ok {

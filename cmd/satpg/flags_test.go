@@ -38,20 +38,6 @@ func TestParseFaultSelection(t *testing.T) {
 	}
 }
 
-func TestParseLanes(t *testing.T) {
-	for _, ok := range []int{0, 64, 256} {
-		if n, err := parseLanes(ok); err != nil || n != ok {
-			t.Fatalf("parseLanes(%d) = %d, %v", ok, n, err)
-		}
-	}
-	for _, bad := range []int{1, 32, 96, 128, 512} {
-		_, err := parseLanes(bad)
-		if err == nil || !strings.Contains(err.Error(), "-lanes") || !strings.Contains(err.Error(), "64 or 256") {
-			t.Fatalf("parseLanes(%d) error = %v; want -lanes rejection listing choices", bad, err)
-		}
-	}
-}
-
 func TestParseCompactMode(t *testing.T) {
 	for _, ok := range []string{"none", "reverse", "dominance", "greedy", "all"} {
 		if _, err := parseCompactMode(ok); err != nil {

@@ -36,7 +36,6 @@ func main() {
 		skipRandom  = flag.Bool("skip-random", false, "disable the random TPG phase")
 		fsimFlag    = flag.Bool("fsim", false, "re-measure coverage of the generated tests with the bit-parallel fault simulator")
 		fsimWorkers = flag.Int("fsim-workers", 0, "goroutines sharding the fault list (0: GOMAXPROCS)")
-		lanes       = flag.Int("lanes", 0, "fault-simulation lane width: 64 (default) or 256 patterns per sweep")
 		compactMode = flag.String("compact", "none", "test-program compaction passes: none, reverse, dominance, greedy or all (coverage preserved fault for fault)")
 		direct      = flag.Bool("direct", false, "use the CSSG-free direct flow (automatic for circuits past the 64-signal explicit-state ceiling)")
 		testsOut    = flag.String("tests", "", "write tester programs to this file")
@@ -90,10 +89,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	laneWidth, err := parseLanes(*lanes)
-	if err != nil {
-		fatal(err)
-	}
 	workers, err := parseWorkers(*fsimWorkers)
 	if err != nil {
 		fatal(err)
@@ -105,8 +100,8 @@ func main() {
 	opts := satpg.Options{
 		K: *k, Seed: *seed,
 		RandomSequences: *seqs, RandomLength: *seqLen, SkipRandom: *skipRandom,
-		FaultSimWorkers: workers, FaultSimLanes: laneWidth,
-		Faults: sel, Compact: cmode,
+		FaultSimWorkers: workers,
+		Faults:          sel, Compact: cmode,
 	}
 	if *direct {
 		opts.Flow = satpg.FlowDirect

@@ -55,7 +55,6 @@ func main() {
 		ntests      = flag.Int("tests", 128, "random test sequences per query")
 		cycles      = flag.Int("cycles", 12, "patterns per test sequence")
 		seed        = flag.Int64("seed", 29, "random pattern seed")
-		lanes       = flag.Int("lanes", 0, "fault-simulation lane width (0: server default)")
 		workers     = flag.Int("workers", 0, "fault-shard goroutines per query (0: server default)")
 
 		chaosListen  = flag.String("chaos-listen", "", "run as a chaos proxy on this address instead of generating load")
@@ -91,7 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	body, err := buildRequest(string(text), c, *ntests, *cycles, *seed, *lanes, *workers)
+	body, err := buildRequest(string(text), c, *ntests, *cycles, *seed, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -110,7 +109,7 @@ func main() {
 // buildRequest assembles the coverage request every query repeats:
 // deterministic random patterns, no declared responses (the server
 // judges against its own good machine — and caches that run).
-func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int64, lanes, workers int) ([]byte, error) {
+func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int64, workers int) ([]byte, error) {
 	rng := rand.New(rand.NewSource(seed))
 	mask := uint64(1)<<uint(c.NumInputs()) - 1
 	tests := make([]service.TestJSON, ntests)
@@ -122,7 +121,7 @@ func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int6
 		tests[i] = service.TestJSON{Patterns: pats}
 	}
 	return json.Marshal(&service.CoverageRequest{
-		CircuitText: text, Tests: tests, Lanes: lanes, Workers: workers,
+		CircuitText: text, Tests: tests, Workers: workers,
 	})
 }
 

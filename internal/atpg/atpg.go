@@ -3,7 +3,7 @@
 // the paper:
 //
 //   - Random TPG (§5.4): seeded random walks over the CSSG's valid
-//     vectors, fault-simulated a lane-width of walks at a time against
+//     vectors, fault-simulated 64 walks at a time against
 //     every remaining fault with the run's bit-parallel simulator
 //     (internal/fsim).  Cheap, typically covers ~half the faults.
 //   - Three-phase ATPG (§5.1–5.3): fault activation (stable states where
@@ -106,12 +106,6 @@ type Options struct {
 	// FaultSimWorkers shards the bit-parallel fault simulation of the
 	// random phase across this many goroutines (0: GOMAXPROCS).
 	FaultSimWorkers int
-	// FaultSimLanes selects the lane width of the bit-parallel fault
-	// simulation: 64 (default) or 256 random walks ride one batch.
-	// Unsupported values fall back to the default width.  The generated
-	// tests and per-fault verdicts are identical across widths; wider
-	// lanes amortise each sweep over more walks.
-	FaultSimLanes int
 }
 
 // Validate reports the first nonsensical numeric option with a
@@ -131,11 +125,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("atpg: %s must be ≥ 0, got %d%s", f.name, f.v, f.zero)
 		}
 	}
-	switch o.FaultSimLanes {
-	case 0, 64, 256:
-		return nil
-	}
-	return fmt.Errorf("atpg: FaultSimLanes must be 64 or 256, got %d", o.FaultSimLanes)
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -153,13 +143,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFaultySet == 0 {
 		o.MaxFaultySet = 1024
-	}
-	switch o.FaultSimLanes {
-	case 0, 64, 256:
-	default:
-		// A library-facing option must not panic the flow; fall back to
-		// the default width (cmd/satpg rejects bad -lanes up front).
-		o.FaultSimLanes = 0
 	}
 	return o
 }
@@ -234,40 +217,31 @@ func (r *Result) Summary() string {
 		len(r.Tests), r.CPU.Round(time.Millisecond))
 }
 
-// Run executes the full flow (random TPG, then three-phase ATPG with
-// fault simulation) for the given fault model over a prebuilt CSSG.
-// Every model — the stuck-at pair and the Transition gross gate-delay
-// extension — rides the same flow: the bit-parallel simulator injects
-// transition faults as directional override masks, so the random phase
-// and collateral fault dropping apply to them exactly as to stuck-at
-// faults, with the exact set-semantics machine confirming every
-// claimed detection either way.
-func Run(g *core.CSSG, model faults.Type, opts Options) *Result {
-	return RunUniverse(g, model, faults.Universe(g.C, model), opts)
-}
-
-// RunUniverse is Run over an explicit fault universe — the entry point
-// for combined universes (stuck-at ∪ transition, see
-// faults.SelectUniverse).  model is recorded in the Result and names
-// the stuck-at flavour of a mixed list; the universe itself decides
-// what is simulated.
-func RunUniverse(g *core.CSSG, model faults.Type, universe []faults.Fault, opts Options) *Result {
-	res, _ := RunUniverseCtx(context.Background(), g, model, universe, opts)
-	return res
-}
-
-// RunUniverseCtx is RunUniverse with cooperative cancellation, checked
-// at every batch and fallback-fault boundary.  On cancellation
-// it returns the partial Result accumulated so far together with
-// ctx.Err(): every detection already marked is final (each was exactly
-// confirmed), and the faults not yet reached simply stay undetected.
+// RunUniverseCtx executes the full flow (random TPG, then three-phase
+// ATPG with fault simulation) over a prebuilt CSSG for an explicit
+// fault universe (faults.Universe for one model, faults.SelectUniverse
+// for combined stuck-at ∪ transition universes).  model is recorded in
+// the Result and names the stuck-at flavour of a mixed list; the
+// universe itself decides what is simulated.  Every model — the
+// stuck-at pair and the Transition gross gate-delay extension — rides
+// the same flow: the bit-parallel simulator injects transition faults
+// as directional override masks, so the random phase and collateral
+// fault dropping apply to them exactly as to stuck-at faults, with the
+// exact set-semantics machine confirming every claimed detection
+// either way.
+//
+// Cancellation is checked at every batch and fallback-fault boundary.
+// On cancellation it returns the partial Result accumulated so far
+// together with ctx.Err(): every detection already marked is final
+// (each was exactly confirmed), and the faults not yet reached simply
+// stay undetected.
 func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	res, remaining, fs, err := newRun(g.C, model, universe, opts)
 	if err != nil {
 		// Unreachable: faults.Universe never emits the Transition
-		// selector and withDefaults normalises FaultSimLanes.
+		// selector.
 		panic("atpg: " + err.Error())
 	}
 	res.Graph = g
@@ -304,10 +278,9 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		dropAll(fs, detected)
 	}
 
-	// Phase 1: random TPG.  A lane-width of walks (64 or 256, per
-	// FaultSimLanes) rides one batch and every remaining fault is
-	// evaluated against all of them in one pass, sharded across
-	// workers.  NoDrop keeps the full fault × walk matrix so the
+	// Phase 1: random TPG.  Up to 64 walks ride one batch and every
+	// remaining fault is evaluated against all of them in one pass,
+	// sharded across workers.  NoDrop keeps the full fault × walk matrix so the
 	// sequential test-selection replay is observably identical to
 	// per-walk simulation (a ternary detection that the exact
 	// confirmation rejects stays live for later walks); confirmed
@@ -320,9 +293,8 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		for seq := range walks {
 			walks[seq] = randomWalk(g, rng, opts.RandomLength)
 		}
-		width := fs.Lanes()
-		for base := 0; base < len(walks) && len(remaining) > 0 && ctx.Err() == nil; base += width {
-			if remaining, err = screenWalks(fs, res, remaining, walks[base:min(base+width, len(walks))], confirm); err != nil {
+		for base := 0; base < len(walks) && len(remaining) > 0 && ctx.Err() == nil; base += fsim.Lanes {
+			if remaining, err = screenWalks(fs, res, remaining, walks[base:min(base+fsim.Lanes, len(walks))], confirm); err != nil {
 				panic("atpg: " + err.Error())
 			}
 		}
@@ -403,10 +375,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 // that later leaves remaining is dropped too, so it only ever
 // simulates the faults still in play.
 func newRun(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, []int, *fsim.Simulator, error) {
-	fs, err := fsim.New(c, universe, fsim.Options{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-		NoDrop: true,
-	})
+	fs, err := fsim.New(c, universe, fsim.Options{Workers: opts.FaultSimWorkers, NoDrop: true})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -522,7 +491,7 @@ func simulate(fs *fsim.Simulator, tests []Test) (*fsim.BatchResult, error) {
 func laneHits(br *fsim.BatchResult, l int, remaining []int) []int {
 	var out []int
 	for _, fi := range remaining {
-		if br.Lanes[fi].Has(l) {
+		if br.Lanes[fi]>>uint(l)&1 == 1 {
 			out = append(out, fi)
 		}
 	}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -82,9 +83,15 @@ func verifyTestDetects(t *testing.T, g *core.CSSG, f faults.Fault, tst Test) {
 	}
 }
 
+// runModel runs the universe flow over model's whole fault universe.
+func runModel(g *core.CSSG, model faults.Type, opts Options) *Result {
+	res, _ := RunUniverseCtx(context.Background(), g, model, faults.Universe(g.C, model), opts)
+	return res
+}
+
 func TestRunPipelineInputSA(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 1})
+	res := runModel(g, faults.InputSA, Options{Seed: 1})
 	if res.Total == 0 {
 		t.Fatal("empty universe")
 	}
@@ -114,7 +121,7 @@ func TestRunPipelineInputSA(t *testing.T) {
 // nowhere else, and tests keep universe-index order within a group.
 func TestDetectionsByTest(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 1})
+	res := runModel(g, faults.InputSA, Options{Seed: 1})
 	byTest := res.DetectionsByTest()
 	if len(byTest) != len(res.Tests) {
 		t.Fatalf("%d provenance groups for %d tests", len(byTest), len(res.Tests))
@@ -147,7 +154,7 @@ func TestDetectionsByTest(t *testing.T) {
 
 func TestRunPipelineOutputSA(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.OutputSA, Options{Seed: 1})
+	res := runModel(g, faults.OutputSA, Options{Seed: 1})
 	if res.Covered+res.Untestable+res.Aborted != res.Total {
 		t.Fatal("accounting broken")
 	}
@@ -166,7 +173,7 @@ func TestRunPipelineOutputSA(t *testing.T) {
 
 func TestRedundantFaultsProvenUntestable(t *testing.T) {
 	g := buildCSSG(t, redSrc, "red")
-	res := Run(g, faults.InputSA, Options{Seed: 1})
+	res := runModel(g, faults.InputSA, Options{Seed: 1})
 	c := g.C
 	tID, _ := c.SignalID("t")
 	tGate := c.GateOf(tID)
@@ -234,8 +241,8 @@ func TestActivationStates(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	a := Run(g, faults.InputSA, Options{Seed: 7})
-	b := Run(g, faults.InputSA, Options{Seed: 7})
+	a := runModel(g, faults.InputSA, Options{Seed: 7})
+	b := runModel(g, faults.InputSA, Options{Seed: 7})
 	if a.Covered != b.Covered || a.Untestable != b.Untestable || len(a.Tests) != len(b.Tests) {
 		t.Fatalf("nondeterministic: %s vs %s", a.Summary(), b.Summary())
 	}
@@ -246,7 +253,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	// Different seed may differ in phase split but must match coverage
 	// conclusions (testability is seed-independent).
-	c := Run(g, faults.InputSA, Options{Seed: 99})
+	c := runModel(g, faults.InputSA, Options{Seed: 99})
 	if a.Covered != c.Covered || a.Untestable != c.Untestable {
 		t.Fatalf("coverage must be seed-independent: %s vs %s", a.Summary(), c.Summary())
 	}
@@ -254,7 +261,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSkipRandomAblation(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 1, SkipRandom: true})
+	res := runModel(g, faults.InputSA, Options{Seed: 1, SkipRandom: true})
 	if res.ByPhase[PhaseRandom] != 0 {
 		t.Error("SkipRandom must zero the rnd column")
 	}
@@ -263,7 +270,7 @@ func TestSkipRandomAblation(t *testing.T) {
 	if len(res.Tests) < 2 || res.FaultSim.Patterns == 0 || res.FaultSim.GateEvals == 0 {
 		t.Errorf("%d tests, but FaultSim misses the collateral screens: %+v", len(res.Tests), res.FaultSim)
 	}
-	full := Run(g, faults.InputSA, Options{Seed: 1})
+	full := runModel(g, faults.InputSA, Options{Seed: 1})
 	if res.Covered != full.Covered {
 		t.Errorf("coverage must not depend on the random phase: %d vs %d", res.Covered, full.Covered)
 	}
@@ -273,7 +280,7 @@ func TestSkipRandomAblation(t *testing.T) {
 	// undetected with no verdict.
 	s27 := parseS27(t)
 	for _, m := range []faults.Type{faults.OutputSA, faults.InputSA} {
-		res, err := RunDirect(s27, m, faults.Universe(s27, m), Options{Seed: 1, SkipRandom: true})
+		res, err := RunDirectCtx(context.Background(), s27, m, faults.Universe(s27, m), Options{Seed: 1, SkipRandom: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,11 +299,11 @@ func TestSkipRandomAblation(t *testing.T) {
 
 func TestSkipFaultSimAblation(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 1, SkipFaultSim: true})
+	res := runModel(g, faults.InputSA, Options{Seed: 1, SkipFaultSim: true})
 	if res.ByPhase[PhaseSim] != 0 {
 		t.Error("SkipFaultSim must zero the sim column")
 	}
-	full := Run(g, faults.InputSA, Options{Seed: 1})
+	full := runModel(g, faults.InputSA, Options{Seed: 1})
 	if res.Covered != full.Covered {
 		t.Errorf("coverage must not depend on fault dropping: %d vs %d", res.Covered, full.Covered)
 	}
@@ -306,11 +313,11 @@ func TestSkipFaultSimAblation(t *testing.T) {
 	s27 := parseS27(t)
 	for _, m := range []faults.Type{faults.OutputSA, faults.InputSA, faults.Transition} {
 		universe := faults.Universe(s27, m)
-		res, err := RunDirect(s27, m, universe, Options{Seed: 1, SkipFaultSim: true})
+		res, err := RunDirectCtx(context.Background(), s27, m, universe, Options{Seed: 1, SkipFaultSim: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := RunDirect(s27, m, universe, Options{Seed: 1})
+		full, err := RunDirectCtx(context.Background(), s27, m, universe, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +345,7 @@ func parseS27(t *testing.T) *netlist.Circuit {
 
 func TestRandomWalkValidity(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 3})
+	res := runModel(g, faults.InputSA, Options{Seed: 3})
 	for ti, tst := range res.Tests {
 		if len(tst.Patterns) != len(tst.Expected) {
 			t.Fatalf("test %d: pattern/expected length mismatch", ti)
@@ -357,7 +364,7 @@ func TestRandomWalkValidity(t *testing.T) {
 
 func TestTransitionFaultsInverter(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
-	res := Run(g, faults.Transition, Options{Seed: 1})
+	res := runModel(g, faults.Transition, Options{Seed: 1})
 	if res.ByPhase[PhaseRandom]+res.ByPhase[PhaseThree]+res.ByPhase[PhaseSim] != res.Covered {
 		t.Errorf("phase accounting broken: %s", res.Summary())
 	}
@@ -377,7 +384,7 @@ func TestTransitionFaultsInverter(t *testing.T) {
 
 func TestTransitionFaultsPipeline(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.Transition, Options{Seed: 1})
+	res := runModel(g, faults.Transition, Options{Seed: 1})
 	if res.Covered+res.Untestable+res.Aborted != res.Total {
 		t.Fatalf("accounting: %s", res.Summary())
 	}
@@ -437,7 +444,7 @@ func TestResultSummaryAndCoverage(t *testing.T) {
 		t.Error("empty universe coverage is 1")
 	}
 	g := buildCSSG(t, invSrc, "inv")
-	res := Run(g, faults.OutputSA, Options{Seed: 1})
+	res := runModel(g, faults.OutputSA, Options{Seed: 1})
 	if res.Summary() == "" {
 		t.Error("summary empty")
 	}
@@ -450,7 +457,7 @@ func TestAbortedOnTinyCap(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
 	// With an absurdly small product cap, some fault must abort rather
 	// than loop forever; accounting must still close.
-	res := Run(g, faults.InputSA, Options{Seed: 1, SkipRandom: true, MaxProductStates: 1})
+	res := runModel(g, faults.InputSA, Options{Seed: 1, SkipRandom: true, MaxProductStates: 1})
 	if res.Covered+res.Untestable+res.Aborted != res.Total {
 		t.Fatal("accounting broken under caps")
 	}

@@ -17,8 +17,8 @@ type FaultCoverage struct {
 	Detected bool
 	// TestIndex is a test (index into the measured set) whose replay
 	// guarantees detection; -1 when undetected or when the fault is
-	// already observable at reset.  Tests are measured one lane-width
-	// at a time, so within a batch the earliest-*cycle* detection wins
+	// already observable at reset.  Tests are measured 64 at a time,
+	// so within a batch the earliest-*cycle* detection wins
 	// the attribution, not the lowest test index.
 	TestIndex int
 	// Cycle is the cycle of first detection within that test; -1 means
@@ -32,7 +32,6 @@ type CoverageReport struct {
 	Detected int
 	PerFault []FaultCoverage
 	Workers  int
-	Lanes    int        // lane width the measurement ran at
 	Classes  int        // simulated equivalence classes (≤ Total)
 	Stats    fsim.Stats // applied patterns and gate evaluations
 	Elapsed  time.Duration
@@ -58,15 +57,14 @@ func (r *CoverageReport) Coverage() float64 {
 
 // Summary renders a one-line report.
 func (r *CoverageReport) Summary() string {
-	return fmt.Sprintf("fsim cov=%d/%d (%.2f%%) classes=%d lanes=%d workers=%d gate-evals/pattern=%.1f elapsed=%v",
-		r.Detected, r.Total, 100*r.Coverage(), r.Classes, r.Lanes, r.Workers,
+	return fmt.Sprintf("fsim cov=%d/%d (%.2f%%) classes=%d workers=%d gate-evals/pattern=%.1f elapsed=%v",
+		r.Detected, r.Total, 100*r.Coverage(), r.Classes, r.Workers,
 		r.Stats.EvalsPerPattern(), r.Elapsed.Round(time.Microsecond))
 }
 
 // CoverageOptions tunes CoverageOfCtx.
 type CoverageOptions struct {
 	Workers int // fault-class shard goroutines (0: GOMAXPROCS)
-	Lanes   int // tests per batch: 64 (default) or 256
 	// Shard/Shards select a 1-of-N partition of the representative
 	// fault classes (fsim.Options.ShardIndex/ShardCount): the report
 	// covers only the owned slice, for merging with the other shards'
@@ -82,7 +80,7 @@ type CoverageOptions struct {
 
 // CoverageOfCtx measures the guaranteed fault coverage of a test set
 // with the bit-parallel pattern-parallel engine: tests ride the lanes
-// of each fsim batch (64 or 256 wide), only one representative per
+// of each 64-lane fsim batch, only one representative per
 // structural equivalence class is simulated, the class list is sharded
 // across workers, and a fault is dropped from later batches the moment
 // one test detects it.  The verdict is the conservative ternary one — a
@@ -93,7 +91,7 @@ type CoverageOptions struct {
 // own (simulated) response instead of declared ones — the form
 // service-submitted bare pattern programs arrive in.
 //
-// Cancellation is checked between lane-width batches: a cancelled
+// Cancellation is checked between batches: a cancelled
 // measurement returns ctx.Err() and no report (a partial coverage
 // number is a lie — it undercounts silently).
 func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fault, tests []Test, opts CoverageOptions) (*CoverageReport, error) {
@@ -102,7 +100,7 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 		return nil, fmt.Errorf("atpg: shard index %d out of range for %d shards", opts.Shard, opts.Shards)
 	}
 	s, err := fsim.New(c, universe, fsim.Options{
-		Workers: opts.Workers, Lanes: opts.Lanes,
+		Workers:    opts.Workers,
 		CheckReset: true,
 		ShardIndex: opts.Shard, ShardCount: opts.Shards,
 	})
@@ -113,7 +111,6 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 		Total:    len(universe),
 		PerFault: make([]FaultCoverage, len(universe)),
 		Workers:  opts.Workers,
-		Lanes:    s.Lanes(),
 		Classes:  s.NumClasses(),
 	}
 	if rep.Workers <= 0 {
@@ -188,7 +185,6 @@ func MergeShardReports(reports []*CoverageReport) (*CoverageReport, error) {
 	merged := &CoverageReport{
 		Total:    first.Total,
 		PerFault: make([]FaultCoverage, first.Total),
-		Lanes:    first.Lanes,
 	}
 	covered := make([]bool, first.Total)
 	for _, r := range reports {

@@ -14,10 +14,10 @@ import (
 // ternary simulation) must be re-found.
 func TestCoverageOfMatchesRun(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 1})
+	res := runModel(g, faults.InputSA, Options{Seed: 1})
 	universe := faults.Universe(g.C, faults.InputSA)
 
-	rep, err := CoverageOfCtx(context.Background(), g.C, universe, res.Tests, CoverageOptions{Workers: 2, Lanes: 256})
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, res.Tests, CoverageOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCoverageOfAcceptsTransitionFaults(t *testing.T) {
 // must stay one (regression: the batched phase once panicked on it).
 func TestRunNegativeRandomSequences(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
-	res := Run(g, faults.OutputSA, Options{Seed: 1, RandomSequences: -1})
+	res := runModel(g, faults.OutputSA, Options{Seed: 1, RandomSequences: -1})
 	if res.ByPhase[PhaseRandom] != 0 {
 		t.Errorf("negative RandomSequences must disable the random phase: %s", res.Summary())
 	}
@@ -118,8 +118,8 @@ func TestRunNegativeRandomSequences(t *testing.T) {
 // worker-count independent: the whole point of the NoDrop matrix replay.
 func TestRunIndependentOfFaultSimWorkers(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	a := Run(g, faults.InputSA, Options{Seed: 1, FaultSimWorkers: 1})
-	b := Run(g, faults.InputSA, Options{Seed: 1, FaultSimWorkers: 8})
+	a := runModel(g, faults.InputSA, Options{Seed: 1, FaultSimWorkers: 1})
+	b := runModel(g, faults.InputSA, Options{Seed: 1, FaultSimWorkers: 8})
 	if a.Covered != b.Covered || len(a.Tests) != len(b.Tests) {
 		t.Fatalf("worker count changed the result: %s vs %s", a.Summary(), b.Summary())
 	}

@@ -9,24 +9,25 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
 
-// RunDirect is the CSSG-free ATPG flow for circuits past the 64-signal
+// RunDirectCtx is the CSSG-free ATPG flow for circuits past the 64-signal
 // ceiling of the explicit-state abstraction (and valid at any size):
 // random walks are generated directly on the scalar ternary machine —
 // a vector is emitted only when the settling is fully definite, which
 // per §5.4 means the applied pattern has a unique successor state under
 // every delay assignment, exactly the validity criterion the CSSG's
 // edges encode — and screened against the fault universe with the
-// batched multi-word fault simulator.
+// batched bit-parallel fault simulator.
 //
 // Detection semantics match the rest of the repository: a fault counts
 // as covered only when some cycle's response is guaranteed to differ
 // from the expected outputs under every delay assignment (a definite
-// output opposite a definite good value).  Unlike RunUniverse there is
+// output opposite a definite good value).  Unlike RunUniverseCtx there is
 // no exact-machine confirmation pass — that pass exists to reconcile
 // ternary detections with the CSSG's strictly more pessimistic
 // path-based TCR_k semantics, and the direct flow's contract is the
@@ -41,13 +42,10 @@ import (
 // screens never see it.  Any other fault the walks miss stays
 // uncovered (Detected=false) with no verdict, since without the CSSG
 // there is no exhaustive search to prove it untestable.
-func RunDirect(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
-	return RunDirectCtx(context.Background(), c, model, universe, opts)
-}
-
-// RunDirectCtx is RunDirect with cooperative cancellation, checked at
-// every batch boundary.  On cancellation it returns the partial Result
-// accumulated so far together with ctx.Err().
+//
+// Cancellation is checked at every batch boundary.  On cancellation it
+// returns the partial Result accumulated so far together with
+// ctx.Err().
 func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -56,7 +54,7 @@ func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, un
 		return nil, err
 	}
 	reset := sim.Machine{C: c}.InitState()
-	width := fs.Lanes()
+	const width = fsim.Lanes
 
 	// Walk generation is sharded across workers and pipelined with the
 	// fault simulation: while chunk k settles in SimulateBatch the

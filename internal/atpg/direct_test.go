@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestRunDirectWorkerCountInvariance(t *testing.T) {
 		tried++
 		universe := faults.InputUniverse(c)
 		run := func(workers int) *Result {
-			res, err := RunDirect(c, faults.InputSA, universe, Options{
+			res, err := RunDirectCtx(context.Background(), c, faults.InputSA, universe, Options{
 				Seed: 11, RandomSequences: 48, RandomLength: 10,
 				FaultSimWorkers: workers,
 			})

@@ -25,7 +25,7 @@ func TestVerifyRejectsNonDetectingTest(t *testing.T) {
 
 func TestTinyFaultySetCapCloses(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 1, MaxFaultySet: 1, SkipRandom: true})
+	res := runModel(g, faults.InputSA, Options{Seed: 1, MaxFaultySet: 1, SkipRandom: true})
 	if res.Covered+res.Untestable+res.Aborted != res.Total {
 		t.Fatalf("accounting broken under MaxFaultySet=1: %s", res.Summary())
 	}
@@ -46,7 +46,7 @@ func TestGenerateTestForInputFaultOnCElement(t *testing.T) {
 
 func TestResultTestIndicesConsistent(t *testing.T) {
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	res := Run(g, faults.InputSA, Options{Seed: 5})
+	res := runModel(g, faults.InputSA, Options{Seed: 5})
 	for i, fr := range res.PerFault {
 		if fr.Detected {
 			if fr.TestIndex < 0 || fr.TestIndex >= len(res.Tests) {
@@ -64,7 +64,7 @@ func TestResultTestIndicesConsistent(t *testing.T) {
 func TestTransitionModelSelectorVariants(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	for _, model := range []faults.Type{faults.Transition, faults.SlowRise, faults.SlowFall} {
-		res := Run(g, model, Options{Seed: 1})
+		res := runModel(g, model, Options{Seed: 1})
 		if res.Total != 2*g.C.NumGates() {
 			t.Fatalf("model %d universe %d", model, res.Total)
 		}
@@ -89,7 +89,7 @@ init A=0 c=1 d=1
 	if g.Stats.NumEdges != 0 {
 		t.Fatalf("fig1b should have no valid vectors: %s", g.Summary())
 	}
-	res := Run(g, faults.OutputSA, Options{Seed: 1})
+	res := runModel(g, faults.OutputSA, Options{Seed: 1})
 	if res.Covered+res.Untestable+res.Aborted != res.Total {
 		t.Fatal("accounting broken on edgeless CSSG")
 	}
@@ -102,17 +102,5 @@ init A=0 c=1 d=1
 				t.Fatalf("d/SA0 should be caught at reset: %+v", fr)
 			}
 		}
-	}
-}
-
-// An unsupported FaultSimLanes value must fall back to the default
-// width instead of panicking the flow, and produce the same result.
-func TestInvalidFaultSimLanesFallsBack(t *testing.T) {
-	g := buildCSSG(t, pipe2Src, "pipe2")
-	base := Run(g, faults.InputSA, Options{Seed: 1})
-	odd := Run(g, faults.InputSA, Options{Seed: 1, FaultSimLanes: 32})
-	if odd.Covered != base.Covered || len(odd.Tests) != len(base.Tests) {
-		t.Fatalf("fallback diverged: cov %d vs %d, tests %d vs %d",
-			odd.Covered, base.Covered, len(odd.Tests), len(base.Tests))
 	}
 }

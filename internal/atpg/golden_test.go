@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -46,8 +47,7 @@ var goldenDigests = map[string]struct{ detect, search string }{
 // TestGenerationGoldenDigest is the tripwire for changes that claim to
 // leave generation byte-identical (a new screen engine, a refactor of
 // the phase loops): any moved verdict, test or counter changes one of
-// the two digests.  Every case runs at both lane widths, which must
-// agree.  A change that alters generation on purpose must say so and
+// the two digests.  A change that alters generation on purpose must say so and
 // update the digests here.  The direct/s27 search digests were
 // re-pinned when both flows began proving faults.Unobservable faults
 // untestable up front: those faults gained the Untestable flag, while
@@ -93,23 +93,20 @@ func TestGenerationGoldenDigest(t *testing.T) {
 			}
 		}
 		m := models[parts[2]]
-		for _, lanes := range []int{64, 256} {
-			opts.FaultSimLanes = lanes
-			var res *Result
-			if parts[0] == "direct" {
-				if res, err = RunDirect(s27, m, faults.Universe(s27, m), opts); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				res = Run(si[parts[1]], m, opts)
+		var res *Result
+		if parts[0] == "direct" {
+			if res, err = RunDirectCtx(context.Background(), s27, m, faults.Universe(s27, m), opts); err != nil {
+				t.Fatal(err)
 			}
-			detect, search := resultDigests(res)
-			if detect != want.detect {
-				t.Errorf("%s at %d lanes: detection digest %s, want %s", key, lanes, detect, want.detect)
-			}
-			if search != want.search {
-				t.Errorf("%s at %d lanes: search digest %s, want %s", key, lanes, search, want.search)
-			}
+		} else {
+			res = runModel(si[parts[1]], m, opts)
+		}
+		detect, search := resultDigests(res)
+		if detect != want.detect {
+			t.Errorf("%s: detection digest %s, want %s", key, detect, want.detect)
+		}
+		if search != want.search {
+			t.Errorf("%s: search digest %s, want %s", key, search, want.search)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -126,7 +127,7 @@ func TestFlowsProveUnobservableUntestable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, model := range []faults.Type{faults.OutputSA, faults.InputSA} {
-		res, err := RunDirect(s27, model, faults.Universe(s27, model), Options{})
+		res, err := RunDirectCtx(context.Background(), s27, model, faults.Universe(s27, model), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestFlowsProveUnobservableUntestable(t *testing.T) {
 		}
 		opts := soundnessOptions
 		opts.RandomSequences, opts.RandomLength, opts.MaxProductStates = 16, 8, 2000
-		res := Run(g, faults.InputSA, opts)
+		res := runModel(g, faults.InputSA, opts)
 		found += res.Unobservable
 		check("cssg/"+c.Name, c, res)
 	}

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -88,11 +89,11 @@ func TestSpeedIndependentCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := atpg.Run(g, faults.OutputSA, atpg.Options{Seed: 1})
+			out, _ := atpg.RunUniverseCtx(context.Background(), g, faults.OutputSA, faults.Universe(g.C, faults.OutputSA), atpg.Options{Seed: 1})
 			if out.Coverage() != 1 {
 				t.Errorf("%s output-SA: %s", name, out.Summary())
 			}
-			in := atpg.Run(g, faults.InputSA, atpg.Options{Seed: 1})
+			in, _ := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, faults.Universe(g.C, faults.InputSA), atpg.Options{Seed: 1})
 			if in.Coverage() < 0.9 {
 				t.Errorf("%s input-SA coverage too low: %s", name, in.Summary())
 			}
@@ -112,7 +113,7 @@ func TestRedundantHazardFreeCircuitsLoseCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := atpg.Run(g, faults.InputSA, atpg.Options{Seed: 1})
+	res, _ := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, faults.Universe(g.C, faults.InputSA), atpg.Options{Seed: 1})
 	if res.Untestable == 0 {
 		t.Errorf("redundant circuit should have untestable faults: %s", res.Summary())
 	}
@@ -215,8 +216,8 @@ func TestTable1Golden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out := atpg.Run(g, faults.OutputSA, atpg.Options{Seed: 1})
-				in := atpg.Run(g, faults.InputSA, atpg.Options{Seed: 1})
+				out, _ := atpg.RunUniverseCtx(context.Background(), g, faults.OutputSA, faults.Universe(g.C, faults.OutputSA), atpg.Options{Seed: 1})
+				in, _ := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, faults.Universe(g.C, faults.InputSA), atpg.Options{Seed: 1})
 				mu.Lock()
 				outTot += out.Total
 				outCov += out.Covered

@@ -34,8 +34,8 @@
 // the original, fault for fault (not just the ratio), because the
 // passes only ever drop a test when each of its matrix detections is
 // carried by another kept test.  The property, differential and fuzz
-// suites assert exactly that against tester.MeasureCoverage at every
-// lane width and with both fsim engines.
+// suites assert exactly that against tester.MeasureCoverage with both
+// fsim engines.
 package compact
 
 import (
@@ -97,11 +97,10 @@ func ParseMode(s string) (Mode, bool) {
 	return ModeNone, false
 }
 
-// Options tunes the matrix-building fault simulation; zero values
-// select the fsim defaults (GOMAXPROCS workers, 64 lanes).
+// Options tunes the matrix-building fault simulation; the zero value
+// selects the fsim default of GOMAXPROCS workers.
 type Options struct {
 	Workers int
-	Lanes   int
 }
 
 // Result is the outcome of one compaction.

@@ -51,7 +51,7 @@ func TestCompactModesOnChain(t *testing.T) {
 	universe := faults.InputUniverse(c)
 	rng := rand.New(rand.NewSource(3))
 	progs := randPrograms(rng, c, 12, 6)
-	orig, err := tester.MeasureCoverage(c, progs, universe, 1, 0)
+	orig, err := tester.MeasureCoverage(c, progs, universe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCompactModesOnChain(t *testing.T) {
 				t.Fatalf("mode %s: Programs[%d] does not match progs[Kept[%d]]", mode, i, i)
 			}
 		}
-		got, err := tester.MeasureCoverage(c, cr.Programs, universe, 1, 0)
+		got, err := tester.MeasureCoverage(c, cr.Programs, universe, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,7 @@ package compact
 // Differential property: the detection matrix from the batched fsim
 // pass must be bit-identical to per-test × per-fault verdicts of the
 // scalar ternary machine (sim.Machine) — reset comparison included —
-// on seeded random cyclic circuits, at every lane width and with both
-// fsim engines.  This is the matrix analogue of internal/fsim's
+// on seeded random cyclic circuits, with both fsim engines.  This is the matrix analogue of internal/fsim's
 // differential suites, pushed up to the program/compaction layer.
 
 import (
@@ -56,7 +55,7 @@ func scalarMatrix(c *netlist.Circuit, universe []faults.Fault, progs []tester.Pr
 // full-sweep oracle engine, with the options BuildMatrix passes.  Only
 // fsim.Options selects that engine, so the oracle legs of the
 // compaction suites call fsim directly.
-func sweepRows(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault, lanes int) ([]fsim.LaneMask, error) {
+func sweepRows(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault) ([]fsim.LaneMask, error) {
 	seqs := make([][]uint64, len(progs))
 	expected := make([][]uint64, len(progs))
 	resetExp := make([]uint64, len(progs))
@@ -64,24 +63,17 @@ func sweepRows(c *netlist.Circuit, progs []tester.Program, universe []faults.Fau
 		seqs[i], expected[i], resetExp[i] = p.Patterns, p.Expected, p.ResetExpected
 	}
 	rows, _, err := fsim.DetectionMatrix(c, universe, seqs, expected, resetExp,
-		fsim.Options{Workers: 2, Lanes: lanes, Engine: fsim.EngineSweep, CheckReset: true})
+		fsim.Options{Workers: 2, Engine: fsim.EngineSweep, CheckReset: true})
 	return rows, err
 }
 
 func TestMatrixDifferentialAgainstScalar(t *testing.T) {
-	type cfg struct {
-		lanes  int
-		engine fsim.EngineKind
-	}
-	cfgs := []cfg{
-		{64, fsim.EngineEvent}, {256, fsim.EngineEvent},
-		{64, fsim.EngineSweep}, {256, fsim.EngineSweep},
-	}
+	engines := []fsim.EngineKind{fsim.EngineEvent, fsim.EngineSweep}
 	seeds := 20
 	nProgs := 80 // spans two 64-lane batches, exercises the base-shifted fold
 	if testing.Short() {
 		seeds = 5
-		cfgs = cfgs[:2]
+		engines = engines[:1]
 	}
 	tried := 0
 	for seed := int64(1); tried < seeds && seed < int64(20*seeds); seed++ {
@@ -95,15 +87,15 @@ func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 			faults.TransitionUniverse(c)...)
 		progs := randPrograms(rng, c, nProgs, 5)
 		ref := scalarMatrix(c, universe, progs)
-		for _, cf := range cfgs {
+		for _, engine := range engines {
 			var rows []fsim.LaneMask
-			if cf.engine == fsim.EngineSweep {
+			if engine == fsim.EngineSweep {
 				var err error
-				if rows, err = sweepRows(c, progs, universe, cf.lanes); err != nil {
+				if rows, err = sweepRows(c, progs, universe); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2, Lanes: cf.lanes})
+				mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,8 +107,8 @@ func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 			for fi := range universe {
 				for ti := range progs {
 					if rows[fi].Has(ti) != ref[fi][ti] {
-						t.Fatalf("seed %d lanes=%d engine=%s: fault %s × test %d: matrix %v, scalar %v",
-							seed, cf.lanes, cf.engine, universe[fi].Describe(c), ti,
+						t.Fatalf("seed %d engine=%s: fault %s × test %d: matrix %v, scalar %v",
+							seed, engine, universe[fi].Describe(c), ti,
 							rows[fi].Has(ti), ref[fi][ti])
 					}
 				}

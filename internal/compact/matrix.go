@@ -54,7 +54,7 @@ func BuildMatrixCtx(ctx context.Context, c *netlist.Circuit, progs []tester.Prog
 		resetExp[i] = p.ResetExpected
 	}
 	rows, stats, err := fsim.DetectionMatrixCtx(ctx, c, universe, seqs, expected, resetExp,
-		fsim.Options{Workers: opts.Workers, Lanes: opts.Lanes, CheckReset: true})
+		fsim.Options{Workers: opts.Workers, CheckReset: true})
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,16 @@
 package compact
 
-// Coverage-preservation property on the paper's Table-1 suite: for
-// every compaction mode × benchmark circuit × fault selection
-// (-faults sa|transition|both), the compacted program's measured
-// coverage must equal the original's EXACTLY — per-fault verdict
-// equality, not just the ratio — at every lane width and with both
-// fsim engines (the production engine through tester.MeasureCoverage,
-// the full-sweep oracle through its detection matrix).  The aggregate
-// ModeAll reduction is additionally pinned to the ≥25% acceptance bar
-// on both fault models.
+// Coverage-preservation property on the paper's Table-1 suite: for every
+// compaction mode × benchmark circuit × fault selection (-faults
+// sa|transition|both), the compacted program's measured coverage must
+// equal the original's EXACTLY — per-fault verdict equality, not just the
+// ratio — with both fsim engines (the production engine through
+// tester.MeasureCoverage, the full-sweep oracle through its detection
+// matrix).  The aggregate ModeAll reduction is additionally pinned to the
+// ≥25% acceptance bar on both fault models.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -22,13 +22,13 @@ import (
 	"repro/internal/tester"
 )
 
-// measure returns the per-fault verdicts of a program set at one lane
-// width on one fsim engine.
-func measure(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault, lanes int, engine fsim.EngineKind) (tester.CoverageSummary, error) {
+// measure returns the per-fault verdicts of a program set on one fsim
+// engine.
+func measure(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault, engine fsim.EngineKind) (tester.CoverageSummary, error) {
 	if engine == fsim.EngineEvent {
-		return tester.MeasureCoverage(c, progs, universe, 0, lanes)
+		return tester.MeasureCoverage(c, progs, universe, 0)
 	}
-	rows, err := sweepRows(c, progs, universe, lanes)
+	rows, err := sweepRows(c, progs, universe)
 	if err != nil {
 		return tester.CoverageSummary{}, err
 	}
@@ -45,18 +45,12 @@ func measure(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault
 func TestCompactionPreservesCoverageTable1(t *testing.T) {
 	suite := circuits.SpeedIndependent()
 	sels := []faults.Selection{faults.SelStuckAt, faults.SelTransition, faults.SelBoth}
-	laneWidths := []int{64, 256}
 	engines := []fsim.EngineKind{fsim.EngineEvent, fsim.EngineSweep}
 	modes := []Mode{ModeReverse, ModeDominance, ModeGreedy, ModeAll}
 	if testing.Short() {
 		suite = suite[:3]
 		sels = sels[:1]
-		laneWidths = laneWidths[:1]
 		engines = engines[:1]
-	}
-	type measureKey struct {
-		lanes  int
-		engine fsim.EngineKind
 	}
 	totalBefore := map[faults.Selection]int{}
 	totalAfter := map[faults.Selection]int{}
@@ -68,7 +62,10 @@ func TestCompactionPreservesCoverageTable1(t *testing.T) {
 		}
 		for _, sel := range sels {
 			universe := faults.SelectUniverse(c, faults.InputSA, sel)
-			res := atpg.RunUniverse(g, faults.InputSA, universe, atpg.Options{Seed: 1})
+			res, err := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, universe, atpg.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			progs := make([]tester.Program, len(res.Tests))
 			for i, tt := range res.Tests {
 				progs[i] = tester.Program{
@@ -76,15 +73,13 @@ func TestCompactionPreservesCoverageTable1(t *testing.T) {
 					ResetExpected: g.OutputsOf(g.Init),
 				}
 			}
-			orig := map[measureKey]tester.CoverageSummary{}
-			for _, lanes := range laneWidths {
-				for _, eng := range engines {
-					sum, err := measure(c, progs, universe, lanes, eng)
-					if err != nil {
-						t.Fatalf("%s sel=%v: %v", bm.Name, sel, err)
-					}
-					orig[measureKey{lanes, eng}] = sum
+			orig := map[fsim.EngineKind]tester.CoverageSummary{}
+			for _, eng := range engines {
+				sum, err := measure(c, progs, universe, eng)
+				if err != nil {
+					t.Fatalf("%s sel=%v: %v", bm.Name, sel, err)
 				}
+				orig[eng] = sum
 			}
 			for _, mode := range modes {
 				cr, err := Compact(c, progs, universe, mode, Options{})
@@ -95,25 +90,23 @@ func TestCompactionPreservesCoverageTable1(t *testing.T) {
 					t.Fatalf("%s sel=%v mode=%s: compaction grew the program: %d -> %d",
 						bm.Name, sel, mode, cr.Before, cr.After)
 				}
-				for _, lanes := range laneWidths {
-					for _, eng := range engines {
-						sum, err := measure(c, cr.Programs, universe, lanes, eng)
-						if err != nil {
-							t.Fatalf("%s sel=%v mode=%s: %v", bm.Name, sel, mode, err)
-						}
-						ref := orig[measureKey{lanes, eng}]
-						if !sum.VerdictsEqual(ref) {
-							for fi := range ref.PerFault {
-								if sum.PerFault[fi] != ref.PerFault[fi] {
-									t.Errorf("%s sel=%v mode=%s lanes=%d engine=%s: fault %s verdict flipped %v -> %v",
-										bm.Name, sel, mode, lanes, eng,
-										universe[fi].Describe(c), ref.PerFault[fi], sum.PerFault[fi])
-								}
+				for _, eng := range engines {
+					sum, err := measure(c, cr.Programs, universe, eng)
+					if err != nil {
+						t.Fatalf("%s sel=%v mode=%s: %v", bm.Name, sel, mode, err)
+					}
+					ref := orig[eng]
+					if !sum.VerdictsEqual(ref) {
+						for fi := range ref.PerFault {
+							if sum.PerFault[fi] != ref.PerFault[fi] {
+								t.Errorf("%s sel=%v mode=%s engine=%s: fault %s verdict flipped %v -> %v",
+									bm.Name, sel, mode, eng,
+									universe[fi].Describe(c), ref.PerFault[fi], sum.PerFault[fi])
 							}
-							t.Fatalf("%s sel=%v mode=%s lanes=%d engine=%s: coverage not preserved (%d/%d vs %d/%d)",
-								bm.Name, sel, mode, lanes, eng,
-								sum.Detected, sum.Total, ref.Detected, ref.Total)
 						}
+						t.Fatalf("%s sel=%v mode=%s engine=%s: coverage not preserved (%d/%d vs %d/%d)",
+							bm.Name, sel, mode, eng,
+							sum.Detected, sum.Total, ref.Detected, ref.Total)
 					}
 				}
 				if mode == ModeAll {

@@ -440,7 +440,7 @@ func Build(c *netlist.Circuit, opts Options) (*CSSG, error) {
 	if c.NumSignals() > netlist.WordBits {
 		// The explicit-state abstraction enumerates packed uint64 states;
 		// circuits past one word must use the fault-simulation-based
-		// direct flow (atpg.RunDirect), which is multi-word throughout.
+		// direct flow (atpg.RunDirectCtx), which is multi-word throughout.
 		return nil, fmt.Errorf("core: circuit %s has %d signals; the explicit-state CSSG supports at most %d — use the direct ATPG flow",
 			c.Name, c.NumSignals(), netlist.WordBits)
 	}

@@ -1,6 +1,7 @@
 package dft
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,8 @@ func coverage(t *testing.T, c *netlist.Circuit) (*atpg.Result, *core.CSSG) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return atpg.Run(g, faults.InputSA, atpg.Options{Seed: 1}), g
+	res, _ := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, faults.Universe(g.C, faults.InputSA), atpg.Options{Seed: 1})
+	return res, g
 }
 
 func TestDemoCircuitHasUntestableFaults(t *testing.T) {

@@ -8,17 +8,16 @@ import (
 	"repro/internal/netlist"
 )
 
-// DefaultLanes is the default lane width of the pattern-parallel
-// simulator: 64 independent test sequences per machine word.
-// Options.Lanes widens a Simulator to 256 lanes (four words per
-// vector).
-const DefaultLanes = 64
+// Lanes is the lane width of the pattern-parallel simulator: 64
+// independent test sequences per batch, one bit of a machine word per
+// lane.
+const Lanes = lanevec.Lanes
 
-// Batch is a set of independent test sequences (at most the simulator's
-// lane width), all applied from the circuit's reset state.  Lane l
-// carries Seqs[l]; sequences may have different lengths (ragged batches
-// are fine — a lane stops participating in detection once its sequence
-// is exhausted).
+// Batch is a set of independent test sequences (at most Lanes), all
+// applied from the circuit's reset state.  Lane l carries Seqs[l];
+// sequences may have different lengths (ragged batches are fine — a
+// lane stops participating in detection once its sequence is
+// exhausted).
 type Batch struct {
 	// Seqs holds one pattern sequence per lane: primary-input vectors
 	// (input i at bit i), applied in order from reset.
@@ -37,9 +36,6 @@ type Batch struct {
 	ResetExpected []uint64
 }
 
-// NumLanes returns the number of sequences in the batch.
-func (b *Batch) NumLanes() int { return len(b.Seqs) }
-
 // Cycles returns the length of the longest sequence.
 func (b *Batch) Cycles() int {
 	max := 0
@@ -51,14 +47,13 @@ func (b *Batch) Cycles() int {
 	return max
 }
 
-// validate checks lane count against the simulator width and the
-// Expected shape.
-func (b *Batch) validate(width int) error {
+// validate checks the lane count and the Expected shape.
+func (b *Batch) validate() error {
 	if len(b.Seqs) == 0 {
 		return fmt.Errorf("fsim: empty batch")
 	}
-	if len(b.Seqs) > width {
-		return fmt.Errorf("fsim: %d sequences exceed %d lanes", len(b.Seqs), width)
+	if len(b.Seqs) > Lanes {
+		return fmt.Errorf("fsim: %d sequences exceed %d lanes", len(b.Seqs), Lanes)
 	}
 	if b.Expected != nil {
 		if len(b.Expected) != len(b.Seqs) {
@@ -76,66 +71,70 @@ func (b *Batch) validate(width int) error {
 	return nil
 }
 
-// grow returns buf resized to n zeroed elements, reallocating (and
+// grow returns buf resized to n zeroed words, reallocating (and
 // counting the allocation) only when the capacity is short.  The
-// engine-owned packedBatch arenas go through here, so steady-state
+// Simulator-owned packedBatch arenas go through here, so steady-state
 // batches of the same shape allocate nothing.
-func grow[E any](buf []E, n int, allocs *int64) []E {
+func grow(buf []uint64, n int, allocs *int64) []uint64 {
 	if cap(buf) < n {
 		*allocs++
-		return make([]E, n)
+		return make([]uint64, n)
 	}
 	buf = buf[:n]
-	var zero E
-	for i := range buf {
-		buf[i] = zero
-	}
+	clear(buf)
 	return buf
 }
 
-// packedBatch is the lane-transposed form shared read-only by all
-// workers: per cycle, one lane vector per primary input, plus the
-// good-response trace as per-output definite vectors.  The backing
-// arenas (railsFlat and friends) are engine-owned and reused across
-// batches; pack reslices them instead of allocating.
-type packedBatch[V lanevec.Vec[V]] struct {
-	all    V     // mask of lanes in use
-	cycles int   // longest sequence length
-	rails  [][]V // [cycle][input]: lane vector of input values
-	live   []V   // [cycle]: lanes whose sequence includes this cycle
-
-	// Good-circuit response trace (definite values only).  These may
-	// alias the cached goodTrace's vectors (never written through) or
-	// the exp*/reset* arenas below (declared Expected).
-	good1, good0   [][]V // [cycle][output]
-	reset1, reset0 []V   // [output], before any pattern
-
-	// Reusable backing arenas.
-	railsFlat []V
-	expRows   [][]V
-	expFlat   []V
-	resetFlat []V
+// growRows is grow for row headers, which the caller overwrites whole.
+func growRows(buf [][]uint64, n int, allocs *int64) [][]uint64 {
+	if cap(buf) < n {
+		*allocs++
+		return make([][]uint64, n)
+	}
+	return buf[:n]
 }
 
-// pack transposes the batch into lane vectors, reusing pk's arenas.
+// packedBatch is the lane-transposed form shared read-only by all
+// workers: per cycle, one lane word per primary input, plus the
+// good-response trace as per-output definite words.  The backing
+// arenas (railsFlat and friends) are Simulator-owned and reused across
+// batches; pack reslices them instead of allocating.
+type packedBatch struct {
+	all    uint64     // mask of lanes in use
+	cycles int        // longest sequence length
+	rails  [][]uint64 // [cycle][input]: lane word of input values
+	live   []uint64   // [cycle]: lanes whose sequence includes this cycle
+
+	// Good-circuit response trace (definite values only).  These may
+	// alias the cached goodTrace's words (never written through) or
+	// the exp*/reset* arenas below (declared Expected).
+	good1, good0   [][]uint64 // [cycle][output]
+	reset1, reset0 []uint64   // [output], before any pattern
+
+	// Reusable backing arenas.
+	railsFlat []uint64
+	expRows   [][]uint64
+	expFlat   []uint64
+	resetFlat []uint64
+}
+
+// pack transposes the batch into lane words, reusing pk's arenas.
 // Lanes whose sequence is shorter than the batch keep re-applying their
 // last pattern (holding a settled state is idempotent) but are masked
 // out of detection by live.
-func pack[V lanevec.Vec[V]](c *netlist.Circuit, b *Batch, pk *packedBatch[V], allocs *int64) error {
-	var zero V
-	if err := b.validate(zero.Size()); err != nil {
+func pack(c *netlist.Circuit, b *Batch, pk *packedBatch, allocs *int64) error {
+	if err := b.validate(); err != nil {
 		return err
 	}
-	nl := len(b.Seqs)
 	pk.cycles = b.Cycles()
-	pk.all = zero.FirstN(nl)
+	pk.all = uint64(1)<<uint(len(b.Seqs)) - 1 // shifting by 64 gives 0: all ones
 	pk.good1, pk.good0 = nil, nil
 	pk.reset1, pk.reset0 = nil, nil
 	m := c.NumInputs()
 	resetRails := c.InputBitsW(c.InitWords())
 	pk.railsFlat = grow(pk.railsFlat, pk.cycles*m, allocs)
 	pk.live = grow(pk.live, pk.cycles, allocs)
-	pk.rails = grow(pk.rails, pk.cycles, allocs)
+	pk.rails = growRows(pk.rails, pk.cycles, allocs)
 	for t := 0; t < pk.cycles; t++ {
 		words := pk.railsFlat[t*m : (t+1)*m : (t+1)*m]
 		for l, seq := range b.Seqs {
@@ -143,16 +142,14 @@ func pack[V lanevec.Vec[V]](c *netlist.Circuit, b *Batch, pk *packedBatch[V], al
 			switch {
 			case t < len(seq):
 				pat = seq[t]
-				pk.live[t] = pk.live[t].WithBit(l)
+				pk.live[t] |= 1 << uint(l)
 			case len(seq) > 0:
 				pat = seq[len(seq)-1]
 			default:
 				pat = resetRails
 			}
 			for i := 0; i < m; i++ {
-				if pat>>uint(i)&1 == 1 {
-					words[i] = words[i].WithBit(l)
-				}
+				words[i] |= pat >> uint(i) & 1 << uint(l)
 			}
 		}
 		pk.rails[t] = words
@@ -160,12 +157,12 @@ func pack[V lanevec.Vec[V]](c *netlist.Circuit, b *Batch, pk *packedBatch[V], al
 	return nil
 }
 
-// traceFromExpected fills the good-response vectors from the batch's
+// traceFromExpected fills the good-response words from the batch's
 // declared expected outputs (definite by construction).
-func (pk *packedBatch[V]) traceFromExpected(c *netlist.Circuit, b *Batch, allocs *int64) {
+func (pk *packedBatch) traceFromExpected(c *netlist.Circuit, b *Batch, allocs *int64) {
 	no := len(c.Outputs)
 	pk.expFlat = grow(pk.expFlat, 2*pk.cycles*no, allocs)
-	pk.expRows = grow(pk.expRows, 2*pk.cycles, allocs)
+	pk.expRows = growRows(pk.expRows, 2*pk.cycles, allocs)
 	pk.good1 = pk.expRows[:pk.cycles]
 	pk.good0 = pk.expRows[pk.cycles:]
 	for t := 0; t < pk.cycles; t++ {
@@ -177,9 +174,9 @@ func (pk *packedBatch[V]) traceFromExpected(c *netlist.Circuit, b *Batch, allocs
 			}
 			for j := 0; j < no; j++ {
 				if e[t]>>uint(j)&1 == 1 {
-					g1[j] = g1[j].WithBit(l)
+					g1[j] |= 1 << uint(l)
 				} else {
-					g0[j] = g0[j].WithBit(l)
+					g0[j] |= 1 << uint(l)
 				}
 			}
 		}
@@ -187,9 +184,9 @@ func (pk *packedBatch[V]) traceFromExpected(c *netlist.Circuit, b *Batch, allocs
 	}
 }
 
-// traceFromResetExpected fills the reset-response vectors from the
+// traceFromResetExpected fills the reset-response words from the
 // batch's declared per-lane reset expectations.
-func (pk *packedBatch[V]) traceFromResetExpected(c *netlist.Circuit, b *Batch, allocs *int64) {
+func (pk *packedBatch) traceFromResetExpected(c *netlist.Circuit, b *Batch, allocs *int64) {
 	no := len(c.Outputs)
 	pk.resetFlat = grow(pk.resetFlat, 2*no, allocs)
 	pk.reset1 = pk.resetFlat[:no:no]
@@ -197,9 +194,9 @@ func (pk *packedBatch[V]) traceFromResetExpected(c *netlist.Circuit, b *Batch, a
 	for l, e := range b.ResetExpected {
 		for j := 0; j < no; j++ {
 			if e>>uint(j)&1 == 1 {
-				pk.reset1[j] = pk.reset1[j].WithBit(l)
+				pk.reset1[j] |= 1 << uint(l)
 			} else {
-				pk.reset0[j] = pk.reset0[j].WithBit(l)
+				pk.reset0[j] |= 1 << uint(l)
 			}
 		}
 	}
@@ -214,7 +211,7 @@ func (pk *packedBatch[V]) traceFromResetExpected(c *netlist.Circuit, b *Batch, a
 // state — every signal, not just the outputs — at both settling
 // fixpoints of every cycle: a faulty machine only re-simulates the
 // fanout cone of its fault, and the signals outside the cone are
-// served from these vectors.  Phase A of a cone settle must see the
+// served from these words.  Phase A of a cone settle must see the
 // out-of-cone signals at the good machine's raised (algorithm-A)
 // fixpoint and phase B at the settled (algorithm-B) fixpoint, or the
 // cone's own fixpoints would not match the full simulation's.  The
@@ -224,15 +221,15 @@ func (pk *packedBatch[V]) traceFromResetExpected(c *netlist.Circuit, b *Batch, a
 // All per-cycle matrices are carved out of single flat backing arrays:
 // a trace costs a handful of allocations however many cycles it spans,
 // and the rows stay cache-contiguous.
-type goodTrace[V lanevec.Vec[V]] struct {
-	all            V // active-lane mask the trace was recorded under
-	reset1, reset0 []V
-	good1, good0   [][]V
+type goodTrace struct {
+	all            uint64 // active-lane mask the trace was recorded under
+	reset1, reset0 []uint64
+	good1, good0   [][]uint64
 
-	resetA1, resetA0 []V   // full state at the reset A fixpoint
-	resetB1, resetB0 []V   // full state at the reset B fixpoint
-	stateA1, stateA0 [][]V // [cycle][signal], A fixpoint
-	stateB1, stateB0 [][]V // [cycle][signal], B fixpoint
+	resetA1, resetA0 []uint64   // full state at the reset A fixpoint
+	resetB1, resetB0 []uint64   // full state at the reset B fixpoint
+	stateA1, stateA0 [][]uint64 // [cycle][signal], A fixpoint
+	stateB1, stateB0 [][]uint64 // [cycle][signal], B fixpoint
 
 	allocs int64 // backing-array allocations recording it cost
 
@@ -243,27 +240,27 @@ type goodTrace[V lanevec.Vec[V]] struct {
 // diffs returns the per-cycle diff bitsets, computing them once per
 // trace (the trace is shared across Simulators via the cache, and the
 // diffs are a pure function of it).
-func (tr *goodTrace[V]) diffs(c *netlist.Circuit) *traceDiffs {
+func (tr *goodTrace) diffs(c *netlist.Circuit) *traceDiffs {
 	tr.diffsOnce.Do(func() { tr.df = computeDiffs(c, tr) })
 	return tr.df
 }
 
 // hasStates reports whether the full-state trace has been recorded.
-func (tr *goodTrace[V]) hasStates() bool { return tr.resetA1 != nil }
+func (tr *goodTrace) hasStates() bool { return tr.resetA1 != nil }
 
-// defOutputsInto extracts the definite output vectors from a full state.
-func defOutputsInto[V lanevec.Vec[V]](c *netlist.Circuit, p1, p0, d1, d0 []V) {
+// defOutputsInto extracts the definite output words from a full state.
+func defOutputsInto(c *netlist.Circuit, p1, p0, d1, d0 []uint64) {
 	for j, sig := range c.Outputs {
-		d1[j] = p1[sig].AndNot(p0[sig])
-		d0[j] = p0[sig].AndNot(p1[sig])
+		d1[j] = p1[sig] &^ p0[sig]
+		d0[j] = p0[sig] &^ p1[sig]
 	}
 }
 
 // arena2 carves a cycles×n matrix pair out of one flat backing array.
-func arena2[V lanevec.Vec[V]](cycles, n int) (r1, r0 [][]V) {
-	flat := make([]V, 2*cycles*n)
-	r1 = make([][]V, cycles)
-	r0 = make([][]V, cycles)
+func arena2(cycles, n int) (r1, r0 [][]uint64) {
+	flat := make([]uint64, 2*cycles*n)
+	r1 = make([][]uint64, cycles)
+	r0 = make([][]uint64, cycles)
 	for t := 0; t < cycles; t++ {
 		r1[t] = flat[2*t*n : (2*t+1)*n : (2*t+1)*n]
 		r0[t] = flat[(2*t+1)*n : (2*t+2)*n : (2*t+2)*n]
@@ -272,11 +269,11 @@ func arena2[V lanevec.Vec[V]](cycles, n int) (r1, r0 [][]V) {
 }
 
 // run simulates the good machine over the rails, filling the reset pair
-// and, when cycles is true, the per-cycle definite output vectors.
-func (tr *goodTrace[V]) run(m *machine[V], pk *packedBatch[V], cycles bool) {
+// and, when cycles is true, the per-cycle definite output words.
+func (tr *goodTrace) run(m *machine, pk *packedBatch, cycles bool) {
 	c := m.eng.Circuit()
 	no := len(c.Outputs)
-	def := func(d1, d0 []V) {
+	def := func(d1, d0 []uint64) {
 		for j, sig := range c.Outputs {
 			d1[j], d0[j] = m.eng.Definite(sig)
 		}
@@ -285,14 +282,14 @@ func (tr *goodTrace[V]) run(m *machine[V], pk *packedBatch[V], cycles bool) {
 	tr.all = pk.all
 	m.eng.Inject(nil)
 	m.reset()
-	rflat := make([]V, 2*no)
+	rflat := make([]uint64, 2*no)
 	tr.reset1, tr.reset0 = rflat[:no:no], rflat[no:]
 	tr.allocs++
 	def(tr.reset1, tr.reset0)
 	if !cycles {
 		return
 	}
-	tr.good1, tr.good0 = arena2[V](pk.cycles, no)
+	tr.good1, tr.good0 = arena2(pk.cycles, no)
 	tr.allocs += 3
 	for t := 0; t < pk.cycles; t++ {
 		m.apply(pk.rails[t])
@@ -305,7 +302,7 @@ func (tr *goodTrace[V]) run(m *machine[V], pk *packedBatch[V], cycles bool) {
 // the output trace.  The event settle is bit-identical to the sweeps
 // (both phases are confluent chaotic iterations), so a trace recorded
 // here serves sweep-engine batches too.
-func (tr *goodTrace[V]) runEvents(m *machine[V], pk *packedBatch[V], topo *netlist.Topology) {
+func (tr *goodTrace) runEvents(m *machine, pk *packedBatch, topo *netlist.Topology) {
 	e := m.eng
 	c := e.Circuit()
 	n := c.NumSignals()
@@ -316,15 +313,15 @@ func (tr *goodTrace[V]) runEvents(m *machine[V], pk *packedBatch[V], topo *netli
 	e.ClearOverrides()
 	e.SetGateMask(nil)
 
-	resetFlat := make([]V, 4*n+2*no)
+	resetFlat := make([]uint64, 4*n+2*no)
 	tr.resetA1, resetFlat = resetFlat[:n:n], resetFlat[n:]
 	tr.resetA0, resetFlat = resetFlat[:n:n], resetFlat[n:]
 	tr.resetB1, resetFlat = resetFlat[:n:n], resetFlat[n:]
 	tr.resetB0, resetFlat = resetFlat[:n:n], resetFlat[n:]
 	tr.reset1, tr.reset0 = resetFlat[:no:no], resetFlat[no:]
-	tr.stateA1, tr.stateA0 = arena2[V](pk.cycles, n)
-	tr.stateB1, tr.stateB0 = arena2[V](pk.cycles, n)
-	tr.good1, tr.good0 = arena2[V](pk.cycles, no)
+	tr.stateA1, tr.stateA0 = arena2(pk.cycles, n)
+	tr.stateB1, tr.stateB0 = arena2(pk.cycles, n)
+	tr.good1, tr.good0 = arena2(pk.cycles, no)
 	tr.allocs += 1 + 3*3
 
 	e.LoadInit()
@@ -340,8 +337,8 @@ func (tr *goodTrace[V]) runEvents(m *machine[V], pk *packedBatch[V], topo *netli
 	for t := 0; t < pk.cycles; t++ {
 		e.ClearActivity()
 		for i := 0; i < c.NumInputs(); i++ {
-			w := pk.rails[t][i].And(all)
-			e.MarkSignal(netlist.SigID(i), w, all.AndNot(w))
+			w := pk.rails[t][i] & all
+			e.MarkSignal(netlist.SigID(i), w, all&^w)
 		}
 		e.SeedFromActivity()
 		e.RunRaise()
@@ -377,15 +374,15 @@ type traceDiffs struct {
 }
 
 // diffStatesW marks into dst the signals where the two states differ.
-func diffStatesW[V lanevec.Vec[V]](n int, a1, a0, b1, b0 []V, dst []uint64) {
+func diffStatesW(n int, a1, a0, b1, b0, dst []uint64) {
 	for s := 0; s < n; s++ {
-		if !a1[s].Eq(b1[s]) || !a0[s].Eq(b0[s]) {
+		if a1[s] != b1[s] || a0[s] != b0[s] {
 			dst[s>>6] |= 1 << uint(s&63)
 		}
 	}
 }
 
-func computeDiffs[V lanevec.Vec[V]](c *netlist.Circuit, tr *goodTrace[V]) *traceDiffs {
+func computeDiffs(c *netlist.Circuit, tr *goodTrace) *traceDiffs {
 	n := c.NumSignals()
 	W := c.StateWords()
 	cycles := len(tr.stateA1)
@@ -402,14 +399,13 @@ func computeDiffs[V lanevec.Vec[V]](c *netlist.Circuit, tr *goodTrace[V]) *trace
 	// ra: compare the reset A fixpoint against the declared init values
 	// expanded to the trace's active lanes.
 	initW := c.InitWords()
-	var zero V
 	all := tr.all
 	for s := 0; s < n; s++ {
-		i1, i0 := zero, all
+		i1, i0 := uint64(0), all
 		if initW[s>>6]>>uint(s&63)&1 == 1 {
-			i1, i0 = all, zero
+			i1, i0 = all, 0
 		}
-		if !tr.resetA1[s].Eq(i1) || !tr.resetA0[s].Eq(i0) {
+		if tr.resetA1[s] != i1 || tr.resetA0[s] != i0 {
 			df.ra[s>>6] |= 1 << uint(s&63)
 		}
 	}

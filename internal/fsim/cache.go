@@ -7,7 +7,7 @@ import (
 )
 
 // Good-trace cache: the good machine's response trace over a batch is a
-// pure function of (circuit, lane width, sequence set), and the same
+// pure function of (circuit, sequence set), and the same
 // sequence set is routinely simulated several times — atpg.CoverageOfCtx
 // then tester.MeasureCoverage on the same tests, repeated SimulateBatch
 // calls while diagnosing, the differential sweeps.  The cache is shared
@@ -33,15 +33,14 @@ import (
 const DefaultTraceCacheCap = 8
 
 type traceKey struct {
-	c     *netlist.Circuit
-	width int
-	hash  uint64
+	c    *netlist.Circuit
+	hash uint64
 }
 
 type traceEntry struct {
 	key  traceKey
 	seqs [][]uint64 // copied key material for exact equality
-	tr   any        // *goodTrace[V] of the width's vector type
+	tr   *goodTrace
 }
 
 var (
@@ -156,7 +155,7 @@ func touch(i int) {
 
 // lookupTrace returns the cached trace for the key, or nil, refreshing
 // the entry's recency on a hit.
-func lookupTrace(key traceKey, seqs [][]uint64) any {
+func lookupTrace(key traceKey, seqs [][]uint64) *goodTrace {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	for i, e := range traceEntries {
@@ -183,7 +182,7 @@ type traceFlight struct {
 	seqs                   [][]uint64
 	needCycles, needStates bool
 	done                   chan struct{}
-	tr                     any // set before done closes; nil if the leader failed
+	tr                     *goodTrace // set before done closes; nil if the leader failed
 }
 
 // BeginTraceFlight registers intent to compute the trace for
@@ -210,7 +209,7 @@ func beginTraceFlight(key traceKey, seqs [][]uint64, needCycles, needStates bool
 // releases the waiters.  The trace itself is published via storeTrace;
 // fl.tr additionally hands it to waiters directly, so they are served
 // even when the cache capacity is 0 or the entry was evicted at once.
-func finishTraceFlight(fl *traceFlight, tr any) {
+func finishTraceFlight(fl *traceFlight, tr *goodTrace) {
 	traceMu.Lock()
 	for i, f := range traceFlights {
 		if f == fl {
@@ -225,7 +224,7 @@ func finishTraceFlight(fl *traceFlight, tr any) {
 
 // storeTrace inserts or replaces the trace for the key, evicting the
 // least recently used entry beyond the capacity.
-func storeTrace(key traceKey, seqs [][]uint64, tr any) {
+func storeTrace(key traceKey, seqs [][]uint64, tr *goodTrace) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	for i, e := range traceEntries {

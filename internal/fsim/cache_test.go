@@ -15,7 +15,7 @@ import (
 // identity, so a fresh empty struct suffices.
 func fakeKey(seqs [][]uint64) (traceKey, *netlist.Circuit) {
 	c := &netlist.Circuit{}
-	return traceKey{c: c, width: 64, hash: hashSeqs(seqs)}, c
+	return traceKey{c: c, hash: hashSeqs(seqs)}, c
 }
 
 func resetCacheForTest(t *testing.T) {
@@ -55,22 +55,23 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 	k1, _ := fakeKey(seqs)
 	k2, _ := fakeKey(seqs)
 	k3, _ := fakeKey(seqs)
+	t1, t2, t3 := &goodTrace{}, &goodTrace{}, &goodTrace{}
 
-	storeTrace(k1, seqs, "t1")
-	storeTrace(k2, seqs, "t2")
+	storeTrace(k1, seqs, t1)
+	storeTrace(k2, seqs, t2)
 	// Refresh k1 so k2 becomes least recently used.
-	if got := lookupTrace(k1, seqs); got != "t1" {
-		t.Fatalf("lookup k1 = %v, want t1", got)
+	if got := lookupTrace(k1, seqs); got != t1 {
+		t.Fatalf("lookup k1 = %p, want t1", got)
 	}
-	storeTrace(k3, seqs, "t3") // must evict k2, not k1
+	storeTrace(k3, seqs, t3) // must evict k2, not k1
 
-	if got := lookupTrace(k1, seqs); got != "t1" {
+	if got := lookupTrace(k1, seqs); got != t1 {
 		t.Fatalf("k1 evicted despite being most recently used (got %v)", got)
 	}
 	if got := lookupTrace(k2, seqs); got != nil {
 		t.Fatalf("k2 should have been evicted as LRU, got %v", got)
 	}
-	if got := lookupTrace(k3, seqs); got != "t3" {
+	if got := lookupTrace(k3, seqs); got != t3 {
 		t.Fatalf("lookup k3 = %v, want t3", got)
 	}
 
@@ -90,16 +91,18 @@ func TestTraceCacheShrinkAndDisable(t *testing.T) {
 
 	seqs := [][]uint64{{7}}
 	keys := make([]traceKey, 4)
+	trs := make([]*goodTrace, 4)
 	for i := range keys {
 		keys[i], _ = fakeKey(seqs)
-		storeTrace(keys[i], seqs, i)
+		trs[i] = &goodTrace{}
+		storeTrace(keys[i], seqs, trs[i])
 	}
 	SetTraceCacheCap(1) // evicts the three oldest
 	d := delta()
 	if d.Evictions != 3 || d.Entries != 1 {
 		t.Fatalf("after shrink: %+v, want 3 evictions, 1 entry", d)
 	}
-	if got := lookupTrace(keys[3], seqs); got != 3 {
+	if got := lookupTrace(keys[3], seqs); got != trs[3] {
 		t.Fatalf("newest entry lost on shrink: got %v", got)
 	}
 	for _, k := range keys[:3] {
@@ -110,7 +113,7 @@ func TestTraceCacheShrinkAndDisable(t *testing.T) {
 
 	SetTraceCacheCap(0) // disables caching
 	kd, _ := fakeKey(seqs)
-	storeTrace(kd, seqs, "nope")
+	storeTrace(kd, seqs, &goodTrace{})
 	if got := lookupTrace(kd, seqs); got != nil {
 		t.Fatalf("store succeeded with cap 0: %v", got)
 	}
@@ -123,12 +126,13 @@ func TestTraceCacheReplaceKeepsOneEntry(t *testing.T) {
 	resetCacheForTest(t)
 	seqs := [][]uint64{{9, 9}}
 	k, _ := fakeKey(seqs)
-	storeTrace(k, seqs, "v1")
-	storeTrace(k, seqs, "v2") // replace, not insert
+	v2 := &goodTrace{}
+	storeTrace(k, seqs, &goodTrace{})
+	storeTrace(k, seqs, v2) // replace, not insert
 	if st := TraceCacheStats(); st.Entries != 1 {
 		t.Fatalf("replacement grew the cache to %d entries", st.Entries)
 	}
-	if got := lookupTrace(k, seqs); got != "v2" {
+	if got := lookupTrace(k, seqs); got != v2 {
 		t.Fatalf("lookup = %v, want the replacing value", got)
 	}
 }
@@ -149,7 +153,7 @@ func TestTraceFlightSingleLeader(t *testing.T) {
 	}
 	const followers = 8
 	var wg sync.WaitGroup
-	got := make([]any, followers)
+	got := make([]*goodTrace, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -171,10 +175,11 @@ func TestTraceFlightSingleLeader(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	finishTraceFlight(fl, "the-trace")
+	want := &goodTrace{}
+	finishTraceFlight(fl, want)
 	wg.Wait()
 	for i, tr := range got {
-		if tr != "the-trace" {
+		if tr != want {
 			t.Fatalf("waiter %d read %v, want the leader's trace", i, tr)
 		}
 	}
@@ -245,7 +250,7 @@ func TestConcurrentSimulatorsShareOneTrace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := New(c, universe, Options{Lanes: 64, Engine: EngineEvent})
+			s, err := New(c, universe, Options{Engine: EngineEvent})
 			if err != nil {
 				errs[i] = err
 				return
@@ -301,7 +306,7 @@ func TestSimulatorCacheCounters(t *testing.T) {
 	seqs := randSeqs(rng, c.NumInputs(), 16, 6)
 
 	run := func() Stats {
-		s, err := New(c, universe, Options{Lanes: 64, Engine: EngineEvent})
+		s, err := New(c, universe, Options{Engine: EngineEvent})
 		if err != nil {
 			t.Fatal(err)
 		}

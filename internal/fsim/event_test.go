@@ -1,17 +1,16 @@
 package fsim
 
-// Event-vs-sweep differential coverage: the cone-limited event engine
-// must reproduce the full-sweep oracle's detection matrices bit for
-// bit — per fault, per lane, per cycle — at every lane width, in every
-// batch shape (plain, Expected-declared, ragged, CheckReset), while
-// doing measurably less gate-evaluation work.
+// Event-vs-sweep differential coverage: the cone-limited event engine must
+// reproduce the full-sweep oracle's detection matrices bit for bit — per
+// fault, per lane, per cycle — in every batch shape (plain,
+// Expected-declared, ragged, CheckReset), while doing measurably less
+// gate-evaluation work.
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/lanevec"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/randckt"
@@ -46,48 +45,44 @@ func TestEventVsSweepDetectedSets(t *testing.T) {
 		}
 		universe := append(faults.OutputUniverse(c), faults.InputUniverse(c)...)
 
-		for _, lanes := range []int{64, 256} {
-			run := func(engine EngineKind) (*Simulator, [][]LaneMask) {
-				s, err := New(c, universe, Options{
-					Workers: 2, Lanes: lanes, Engine: engine,
-					NoDrop: true, CheckReset: true,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var batches [][]LaneMask
-				err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
-					cp := make([]LaneMask, len(br.Lanes))
-					copy(cp, br.Lanes)
-					batches = append(batches, cp)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s, batches
+		run := func(engine EngineKind) (*Simulator, [][]uint64) {
+			s, err := New(c, universe, Options{
+				Workers: 2, Engine: engine,
+				NoDrop: true, CheckReset: true,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			evs, evb := run(EngineEvent)
-			sws, swb := run(EngineSweep)
-			if len(evb) != len(swb) {
-				t.Fatalf("seed %d lanes %d: batch counts differ", seed, lanes)
+			var batches [][]uint64
+			err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
+				batches = append(batches, append([]uint64(nil), br.Lanes...))
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for bi := range evb {
-				for fi := range universe {
-					if !evb[bi][fi].Equal(swb[bi][fi]) {
-						t.Fatalf("seed %d lanes %d batch %d fault %s: event lanes %v != sweep lanes %v",
-							seed, lanes, bi, universe[fi].Describe(c), evb[bi][fi], swb[bi][fi])
-					}
+			return s, batches
+		}
+		evs, evb := run(EngineEvent)
+		sws, swb := run(EngineSweep)
+		if len(evb) != len(swb) {
+			t.Fatalf("seed %d: batch counts differ", seed)
+		}
+		for bi := range evb {
+			for fi := range universe {
+				if evb[bi][fi] != swb[bi][fi] {
+					t.Fatalf("seed %d batch %d fault %s: event lanes %b != sweep lanes %b",
+						seed, bi, universe[fi].Describe(c), evb[bi][fi], swb[bi][fi])
 				}
 			}
-			evst, swst := evs.Stats(), sws.Stats()
-			if evst.Patterns != swst.Patterns {
-				t.Fatalf("seed %d lanes %d: pattern counts differ: %d vs %d",
-					seed, lanes, evst.Patterns, swst.Patterns)
-			}
-			if evst.GateEvals <= 0 || swst.GateEvals <= 0 {
-				t.Fatalf("seed %d lanes %d: gate evals not counted (%d, %d)",
-					seed, lanes, evst.GateEvals, swst.GateEvals)
-			}
+		}
+		evst, swst := evs.Stats(), sws.Stats()
+		if evst.Patterns != swst.Patterns {
+			t.Fatalf("seed %d: pattern counts differ: %d vs %d",
+				seed, evst.Patterns, swst.Patterns)
+		}
+		if evst.GateEvals <= 0 || swst.GateEvals <= 0 {
+			t.Fatalf("seed %d: gate evals not counted (%d, %d)",
+				seed, evst.GateEvals, swst.GateEvals)
 		}
 	}
 	if tried == 0 {
@@ -126,9 +121,8 @@ func TestEventVsSweepWithExpectedAndDropping(t *testing.T) {
 
 		// Expected responses from the sweep-simulated good machine, so
 		// detection is judged against declared vectors on both engines.
-		gm := newMachine[lanevec.V1](c)
-		var zero lanevec.V1
-		gm.setAll(zero.FirstN(nseq))
+		gm := newMachine(c)
+		gm.setAll(uint64(1)<<nseq - 1)
 		gm.eng.Inject(nil)
 		gm.reset()
 		expected := make([][]uint64, nseq)
@@ -136,7 +130,7 @@ func TestEventVsSweepWithExpectedAndDropping(t *testing.T) {
 			expected[l] = make([]uint64, cycles)
 		}
 		for tc := 0; tc < cycles; tc++ {
-			gm.apply(railVecs[lanevec.V1](m, seqs, tc, nseq))
+			gm.apply(railVecs(m, seqs, tc, nseq))
 			for l := 0; l < nseq; l++ {
 				st := gm.laneState(l)
 				var w uint64

@@ -2,15 +2,14 @@
 // pattern-parallel instantiation of the shared lanevec sweep core.  It
 // evaluates one fault at a time, injected into every lane by
 // lanevec.Engine.Inject, against a whole batch of test sequences (the
-// PPSFP — parallel-pattern single-fault propagation — orientation).
-// Coverage measurement, compaction and both generation flows run on
-// it; a flow screens each newly generated test as a one-lane batch on
-// the same Simulator that screened its random walks.  For the
-// "many tests × many faults" workload this is the winning shape,
-// because it composes with the standard ATPG scaling moves:
+// PPSFP — parallel-pattern single-fault propagation — orientation),
+// 64 sequences per batch, one machine word per signal.  Coverage
+// measurement, compaction and both generation flows run on it; a flow
+// screens each newly generated test as a one-lane batch on the same
+// Simulator that screened its random walks.  For the "many tests ×
+// many faults" workload this is the winning shape, because it composes
+// with the standard ATPG scaling moves:
 //
-//   - wide lanes: Options.Lanes selects 64 or 256 test sequences per
-//     sweep (one or four machine words per signal vector);
 //   - fault collapsing: structurally equivalent faults (faults.Collapse)
 //     are simulated once per class and the verdict is fanned back out to
 //     every member, so the simulated universe is smaller than the
@@ -43,10 +42,9 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/faults"
-	"repro/internal/lanevec"
 	"repro/internal/netlist"
 	"repro/internal/sched"
 )
@@ -89,11 +87,6 @@ type Options struct {
 	// the full-sweep oracle.  Detected sets are identical either way;
 	// only the differential tests and microbenchmarks pick the sweep.
 	Engine EngineKind
-	// Lanes is the number of test sequences simulated per sweep: 64
-	// (default) or 256.  Wider lanes trade more work per gate
-	// evaluation for fewer sweeps per batch; the detected sets are
-	// identical across widths.
-	Lanes int
 	// NoDrop keeps simulating a fault against the full batch after its
 	// first detection, so BatchResult.Lanes carries the complete
 	// fault × lane detection matrix (diagnostics and the ATPG random
@@ -137,15 +130,8 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) lanes() int {
-	if o.Lanes == 0 {
-		return DefaultLanes
-	}
-	return o.Lanes
-}
-
-// LaneMask is a bitset over batch lanes: lane l lives at bit l&63 of
-// word l>>6.  A nil mask is empty.
+// LaneMask is a bitset over the sequences of a DetectionMatrix row:
+// sequence l lives at bit l&63 of word l>>6.  A nil mask is empty.
 type LaneMask []uint64
 
 // Has reports whether lane l is set.
@@ -219,21 +205,13 @@ type Detection struct {
 // BatchResult is the outcome of simulating one batch.
 type BatchResult struct {
 	// Lanes maps each fault index to the mask of lanes that guarantee
-	// its detection.  With dropping enabled only the lanes seen up to
-	// the dropping cycle are set; with NoDrop it is the full matrix.
-	// Faults dropped in earlier batches stay empty (nil).
-	Lanes []LaneMask
+	// its detection (bit l: lane l).  With dropping enabled only the
+	// lanes seen up to the dropping cycle are set; with NoDrop it is the
+	// full matrix.  Faults dropped in earlier batches stay empty.
+	Lanes []uint64
 	// Detections lists the faults detected in this batch, ascending by
 	// fault index, with their first detecting lane and cycle.
 	Detections []Detection
-}
-
-// laneRunner is the width-erased handle to the generic engine; the
-// Simulator picks the instantiation once at New, so the per-batch and
-// per-fault hot paths stay monomorphic.
-type laneRunner interface {
-	run(b *Batch) (*BatchResult, error)
-	addStats(st *Stats)
 }
 
 // Stats reports the cumulative work counters of a Simulator.
@@ -297,12 +275,13 @@ func (st Stats) Line() string {
 // Simulator carries a fault universe across batches, dropping detected
 // faults as it goes.  It simulates one representative per structural
 // equivalence class (faults.Collapse) and fans each verdict out to the
-// class members, unless Options.NoCollapse.
+// class members, unless Options.NoCollapse.  It owns the sticky good
+// machine, the per-worker machines and the batch scratch, so
+// allocations and cache-warm state survive across batches.
 type Simulator struct {
 	c        *netlist.Circuit
 	universe []faults.Fault
 	opts     Options
-	lanes    int
 
 	// members[r] lists the universe indices equivalent to representative
 	// r (including r itself); nil for non-representatives.
@@ -324,13 +303,25 @@ type Simulator struct {
 	// (nil: unsharded, everything owned).
 	owned []bool
 
-	runner laneRunner
+	// liveUnits and liveItems are run's scratch for the units filtered
+	// down to live classes, and found its per-worker detection lists,
+	// all kept across batches.
+	liveUnits []sched.Unit
+	liveItems []int
+	found     [][]Detection
+
+	topo    *netlist.Topology // cone index; event mode only
+	good    *machine          // built on first use, reused for good runs
+	workers []*machine        // sticky per-worker machines
+	pk      packedBatch       // pooled packed-batch arenas, reused per run
 
 	dropped  []bool // no longer simulated (detected, unless NoDrop)
 	detected []bool // ever detected
 	ndet     int
 
-	patterns int64 // applied patterns, summed over lanes
+	patterns               int64 // applied patterns, summed over lanes
+	allocs                 int64 // packed-batch and trace backing-array allocations
+	cacheHits, cacheMisses int64 // this Simulator's trace-cache outcomes
 }
 
 // New builds a simulator for the fault universe.  Stuck-at faults
@@ -354,9 +345,8 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 	if opts.ShardCount > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount) {
 		return nil, fmt.Errorf("fsim: shard index %d out of range for %d shards", opts.ShardIndex, opts.ShardCount)
 	}
-	lanes := opts.lanes()
 	s := &Simulator{
-		c: c, universe: universe, opts: opts, lanes: lanes,
+		c: c, universe: universe, opts: opts,
 		dropped:  make([]bool, len(universe)),
 		detected: make([]bool, len(universe)),
 	}
@@ -417,6 +407,8 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 		nw = 1
 	}
 	s.nworkers = nw
+	s.workers = make([]*machine, nw)
+	s.found = make([][]Detection, nw)
 
 	// Cut the representative classes into work units sized by a cost
 	// estimate.  For the event engine a class's settling cost scales
@@ -427,9 +419,9 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 	// estimate only needs to be proportional, not exact.
 	s.weights = make([]int64, len(universe))
 	if opts.Engine == EngineEvent {
-		topo := c.Topology()
+		s.topo = c.Topology()
 		for _, fi := range reps {
-			cone := topo.ConeOf(c.Gates[universe[fi].Gate].Out)
+			cone := s.topo.ConeOf(c.Gates[universe[fi].Gate].Out)
 			w := int64(0)
 			for _, cw := range cone {
 				w += int64(bits.OnesCount64(cw))
@@ -442,27 +434,21 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 		}
 	}
 	s.units = sched.Partition(reps, func(i int) int64 { return s.weights[reps[i]] }, nw*sched.UnitsPerWorker)
-	switch lanes {
-	case lanevec.Lanes1:
-		s.runner = newEngine[lanevec.V1](s)
-	case lanevec.Lanes4:
-		s.runner = newEngine[lanevec.V4](s)
-	default:
-		return nil, fmt.Errorf("fsim: unsupported lane width %d (want %d or %d)",
-			lanes, lanevec.Lanes1, lanevec.Lanes4)
-	}
+	s.liveItems = make([]int, 0, len(reps))
 	return s, nil
 }
 
 // Stats returns the cumulative work counters.
 func (s *Simulator) Stats() Stats {
-	st := Stats{Patterns: s.patterns}
-	s.runner.addStats(&st)
+	st := Stats{Patterns: s.patterns, Allocs: s.allocs, CacheHits: s.cacheHits, CacheMisses: s.cacheMisses}
+	for _, m := range append([]*machine{s.good}, s.workers...) {
+		if m != nil {
+			st.GateEvals += m.eng.GateEvals()
+			st.Allocs += m.allocs
+		}
+	}
 	return st
 }
-
-// Lanes returns the configured lane width (sequences per batch).
-func (s *Simulator) Lanes() int { return s.lanes }
 
 // NumClasses returns the number of simulated equivalence classes (the
 // universe size when collapsing is off).
@@ -538,7 +524,7 @@ func (s *Simulator) deadLive() bool {
 // per-fault detection masks.  Detected faults are dropped from future
 // batches unless NoDrop is set.
 func (s *Simulator) SimulateBatch(b Batch) (*BatchResult, error) {
-	res, err := s.runner.run(&b)
+	res, err := s.run(&b)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +543,7 @@ func (s *Simulator) SimulateBatch(b Batch) (*BatchResult, error) {
 	return res, nil
 }
 
-// SimulateSequences chunks a sequence set into lane-width batches and
+// SimulateSequences chunks a sequence set into 64-lane batches and
 // simulates each, invoking record with the base sequence index of every
 // batch (lane l of that batch is sequence base+l).  An empty set still
 // simulates one empty-lane batch, so reset-observable faults are
@@ -568,7 +554,7 @@ func (s *Simulator) SimulateSequences(seqs, expected [][]uint64, resetExpected [
 }
 
 // SimulateSequencesCtx is SimulateSequences with cooperative
-// cancellation: the context is checked between lane-width batches, so
+// cancellation: the context is checked between batches, so
 // a cancelled run returns ctx.Err() within one batch of settling and
 // every batch already handed to record remains valid.
 func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][]uint64, resetExpected []uint64, record func(base int, br *BatchResult)) error {
@@ -580,11 +566,11 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 		record(0, br)
 		return nil
 	}
-	for base := 0; base < len(seqs); base += s.lanes {
+	for base := 0; base < len(seqs); base += Lanes {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := min(base+s.lanes, len(seqs))
+		end := min(base+Lanes, len(seqs))
 		b := Batch{Seqs: seqs[base:end]}
 		if expected != nil {
 			b.Expected = expected[base:end]
@@ -601,60 +587,9 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 	return nil
 }
 
-// engine is the width-specialised runner: it owns the sticky good
-// machine and per-worker machines, so allocations and cache-warm state
-// survive across batches.
-//
-// In event mode (the default) each fault is simulated cone-limited:
-// the cone theorem says a fault at gate g can only ever disturb the
-// signals in Topology().Cone[g.Out] — every gate outside that cone has
-// unmodified function and (by cone closure) reads only out-of-cone
-// signals, so by induction over cycles and over each settling phase's
-// confluent iteration its value equals the good machine's, lane for
-// lane.  A transition fault's cone is the same gate-output cone: the
-// directional gate's extra read is its own output, which lies inside
-// its own cone, so cone limiting applies to SlowRise/SlowFall
-// unchanged.  The fault machines therefore admit only cone gates to their
-// event queues and serve everything else from the cached good-state
-// trace, which also means DetectVs sees exactly the values the full
-// simulation would produce: bit-identical detection, a fraction of the
-// gate evaluations.
-type engine[V lanevec.Vec[V]] struct {
-	s       *Simulator
-	mode    EngineKind
-	topo    *netlist.Topology // cone index; event mode only
-	good    *machine[V]       // built on first use, reused for good runs
-	workers []*machine[V]     // sticky per-worker machines
-	pk      packedBatch[V]    // pooled packed-batch arenas, reused per run
-
-	allocs                 int64 // engine-side backing-array allocations
-	cacheHits, cacheMisses int64 // this Simulator's trace-cache outcomes
-}
-
-func newEngine[V lanevec.Vec[V]](s *Simulator) *engine[V] {
-	e := &engine[V]{s: s, mode: s.opts.Engine, workers: make([]*machine[V], s.nworkers)}
-	if e.mode == EngineEvent {
-		e.topo = s.c.Topology()
-	}
-	return e
-}
-
-// addStats folds the engine's work counters into st.
-func (e *engine[V]) addStats(st *Stats) {
-	st.Allocs += e.allocs
-	st.CacheHits += e.cacheHits
-	st.CacheMisses += e.cacheMisses
-	for _, m := range append([]*machine[V]{e.good}, e.workers...) {
-		if m != nil {
-			st.GateEvals += m.eng.GateEvals()
-			st.Allocs += m.allocs
-		}
-	}
-}
-
 // sufficientTrace reports whether a trace satisfies the requirement
 // level of a lookup.
-func sufficientTrace[V lanevec.Vec[V]](tr *goodTrace[V], needCycles, needStates bool) bool {
+func sufficientTrace(tr *goodTrace, needCycles, needStates bool) bool {
 	return (tr.good1 != nil || !needCycles) && (tr.hasStates() || !needStates)
 }
 
@@ -667,16 +602,12 @@ func sufficientTrace[V lanevec.Vec[V]](tr *goodTrace[V], needCycles, needStates 
 // needCycles requests the per-cycle output trace on top of the reset
 // response; needStates additionally requests the full-state fixpoint
 // trace the cone-limited engine consumes.
-func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], needCycles, needStates bool) *goodTrace[V] {
-	var zero V
-	key := traceKey{c: e.s.c, width: zero.Size(), hash: hashSeqs(b.Seqs)}
+func (s *Simulator) traceFor(b *Batch, needCycles, needStates bool) *goodTrace {
+	key := traceKey{c: s.c, hash: hashSeqs(b.Seqs)}
 	for {
-		if cached := lookupTrace(key, b.Seqs); cached != nil {
-			tr := cached.(*goodTrace[V])
-			if sufficientTrace(tr, needCycles, needStates) {
-				e.cacheHits++
-				return tr
-			}
+		if tr := lookupTrace(key, b.Seqs); tr != nil && sufficientTrace(tr, needCycles, needStates) {
+			s.cacheHits++
+			return tr
 		}
 		fl, leader := beginTraceFlight(key, b.Seqs, needCycles, needStates)
 		if !leader {
@@ -684,14 +615,14 @@ func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], needCycles, needState
 			// The flight covered our requirements, so its result (also
 			// published via storeTrace) serves directly; a nil result
 			// means the leader failed — loop and compute ourselves.
-			if tr, ok := fl.tr.(*goodTrace[V]); ok && tr != nil {
-				e.cacheHits++
-				return tr
+			if fl.tr != nil {
+				s.cacheHits++
+				return fl.tr
 			}
 			continue
 		}
-		e.cacheMisses++
-		tr := e.computeTrace(pk, needCycles, needStates)
+		s.cacheMisses++
+		tr := s.computeTrace(needCycles, needStates)
 		storeTrace(key, b.Seqs, tr)
 		finishTraceFlight(fl, tr)
 		return tr
@@ -699,49 +630,47 @@ func (e *engine[V]) traceFor(b *Batch, pk *packedBatch[V], needCycles, needState
 }
 
 // computeTrace records the good machine's trace for the packed batch.
-func (e *engine[V]) computeTrace(pk *packedBatch[V], needCycles, needStates bool) *goodTrace[V] {
-	if e.good == nil {
-		e.good = newMachine[V](e.s.c)
+func (s *Simulator) computeTrace(needCycles, needStates bool) *goodTrace {
+	if s.good == nil {
+		s.good = newMachine(s.c)
 	}
-	m := e.good
-	tr := &goodTrace[V]{}
+	tr := &goodTrace{}
 	if needStates {
-		tr.runEvents(m, pk, e.topo)
+		tr.runEvents(s.good, &s.pk, s.topo)
 		// Derive the diff bitsets eagerly so their cost is accounted to
 		// the Simulator that recorded the trace (cache hits then find
 		// them precomputed).
-		e.allocs += tr.diffs(e.s.c).allocs
+		s.allocs += tr.diffs(s.c).allocs
 	} else {
-		tr.run(m, pk, needCycles)
+		tr.run(s.good, &s.pk, needCycles)
 	}
-	e.allocs += tr.allocs
+	s.allocs += tr.allocs
 	return tr
 }
 
 // run simulates one batch: pack, fill the response trace, then settle
 // every live fault class on the work-stealing pool.
-func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
-	s := e.s
-	pk := &e.pk
-	var packAllocs int64
-	if err := pack[V](s.c, b, pk, &packAllocs); err != nil {
+func (s *Simulator) run(b *Batch) (*BatchResult, error) {
+	pk := &s.pk
+	if err := pack(s.c, b, pk, &s.allocs); err != nil {
 		return nil, err
 	}
 	if b.Expected != nil {
-		pk.traceFromExpected(s.c, b, &packAllocs)
+		pk.traceFromExpected(s.c, b, &s.allocs)
 	}
 	if b.ResetExpected != nil {
-		pk.traceFromResetExpected(s.c, b, &packAllocs)
+		pk.traceFromResetExpected(s.c, b, &s.allocs)
 	}
-	e.allocs += packAllocs
-	res := &BatchResult{Lanes: make([]LaneMask, len(s.universe))}
+	res := &BatchResult{Lanes: make([]uint64, len(s.universe))}
 	// Filter each unit down to its live classes, re-summing weights so
 	// the pool balances today's survivors, not the seed universe (after
 	// a few batches most classes are detected and dropped — the static
-	// cut would starve every worker but one).
-	var liveUnits []sched.Unit
+	// cut would starve every worker but one).  The filtered units are
+	// carved out of the Simulator's scratch, which holds every
+	// representative at most once.
+	liveUnits, items := s.liveUnits[:0], s.liveItems[:0]
 	for _, u := range s.units {
-		var items []int
+		start := len(items)
 		var w int64
 		for _, fi := range u.Items {
 			if s.repLive(fi) {
@@ -749,10 +678,11 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 				w += s.weights[fi]
 			}
 		}
-		if len(items) > 0 {
-			liveUnits = append(liveUnits, sched.Unit{Items: items, Weight: w})
+		if len(items) > start {
+			liveUnits = append(liveUnits, sched.Unit{Items: items[start:len(items):len(items)], Weight: w})
 		}
 	}
+	s.liveUnits, s.liveItems = liveUnits, items
 	// An unobservable class can detect only where declared responses
 	// contradict the good trace, so without declared responses it has
 	// nothing to answer.
@@ -770,13 +700,13 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	// often buys it back entirely).
 	needReset := s.opts.CheckReset && b.ResetExpected == nil
 	needCycles := pk.good1 == nil
-	var tr *goodTrace[V]
+	var tr *goodTrace
 	var df *traceDiffs
-	if e.mode == EngineEvent {
-		tr = e.traceFor(b, pk, true, true)
+	if s.opts.Engine == EngineEvent {
+		tr = s.traceFor(b, true, true)
 		df = tr.diffs(s.c)
 	} else if needReset || needCycles {
-		tr = e.traceFor(b, pk, needCycles, false)
+		tr = s.traceFor(b, needCycles, false)
 	}
 	if tr != nil {
 		if pk.reset1 == nil {
@@ -796,7 +726,7 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	// trace, an out-of-cone output could detect at that lane for every
 	// fault, so the batch falls back to eager full maintenance.
 	eager := s.opts.eagerSeed
-	if e.mode == EngineEvent && !eager {
+	if s.opts.Engine == EngineEvent && !eager {
 		eager = !expectedMatchesGood(b, pk, tr, s.opts.CheckReset)
 	}
 
@@ -807,7 +737,7 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	if eager && deadLive {
 		if mask, lane, cycle, ok := deadVerdict(pk, tr, s.opts.CheckReset, s.opts.NoDrop); ok {
 			for _, fi := range s.dead {
-				res.Detections = s.fanOut(fi, LaneMask(mask.Words()), lane, cycle, res.Lanes, res.Detections)
+				res.Detections = s.fanOut(fi, mask, lane, cycle, res.Lanes, res.Detections)
 			}
 		}
 	}
@@ -817,34 +747,41 @@ func (e *engine[V]) run(b *Batch) (*BatchResult, error) {
 	// (the trace and diffs are shared read-only).  A unit is executed
 	// entirely by one worker, on that worker's sticky machine — stealing
 	// moves units, never splits them.
-	found := make([][]Detection, s.nworkers)
+	// Each worker appends to its own detection list, which the
+	// Simulator keeps across batches.
+	for w := range s.found {
+		s.found[w] = s.found[w][:0]
+	}
 	sched.Run(s.nworkers, liveUnits, func(w int, u sched.Unit) {
-		found[w] = append(found[w], e.runUnit(w, pk, tr, df, u.Items, res.Lanes, eager)...)
+		s.found[w] = s.runUnit(w, tr, df, u.Items, res.Lanes, eager, s.found[w])
 	})
-	for _, part := range found {
+	n := 0
+	for _, part := range s.found {
+		n += len(part)
+	}
+	res.Detections = slices.Grow(res.Detections, n)
+	for _, part := range s.found {
 		res.Detections = append(res.Detections, part...)
 	}
 	// Stealing makes the execution order nondeterministic; sorting by
 	// fault index keeps the result deterministic regardless.
-	sort.Slice(res.Detections, func(i, j int) bool {
-		return res.Detections[i].Fault < res.Detections[j].Fault
-	})
+	slices.SortFunc(res.Detections, func(a, b Detection) int { return a.Fault - b.Fault })
 	return res, nil
 }
 
 // expectedMatchesGood reports whether the batch's declared responses
 // never definitely contradict the good machine's — the soundness
 // condition for cone-masked detection.
-func expectedMatchesGood[V lanevec.Vec[V]](b *Batch, pk *packedBatch[V], tr *goodTrace[V], checkReset bool) bool {
+func expectedMatchesGood(b *Batch, pk *packedBatch, tr *goodTrace, checkReset bool) bool {
 	if b.Expected != nil {
 		for t := range pk.good1 {
-			if !contradiction(tr.good1[t], tr.good0[t], pk.good1[t], pk.good0[t]).IsZero() {
+			if contradiction(tr.good1[t], tr.good0[t], pk.good1[t], pk.good0[t]) != 0 {
 				return false
 			}
 		}
 	}
 	if checkReset && b.ResetExpected != nil {
-		if !contradiction(tr.reset1, tr.reset0, pk.reset1, pk.reset0).IsZero() {
+		if contradiction(tr.reset1, tr.reset0, pk.reset1, pk.reset0) != 0 {
 			return false
 		}
 	}
@@ -854,10 +791,10 @@ func expectedMatchesGood[V lanevec.Vec[V]](b *Batch, pk *packedBatch[V], tr *goo
 // contradiction returns the lanes where some output of the response
 // (got1, got0) is definite and opposite the definite value of the
 // response (want1, want0).
-func contradiction[V lanevec.Vec[V]](got1, got0, want1, want0 []V) V {
-	var d V
+func contradiction(got1, got0, want1, want0 []uint64) uint64 {
+	var d uint64
 	for j := range want1 {
-		d = d.Or(got1[j].And(want0[j])).Or(got0[j].And(want1[j]))
+		d |= got1[j]&want0[j] | got0[j]&want1[j]
 	}
 	return d
 }
@@ -868,25 +805,25 @@ func contradiction[V lanevec.Vec[V]](got1, got0, want1, want0 []V) V {
 // by the cone theorem it shows the good trace's value in every lane,
 // and detection is the good trace's own contradiction of the declared
 // responses — one verdict shared by every such class.
-func deadVerdict[V lanevec.Vec[V]](pk *packedBatch[V], tr *goodTrace[V], checkReset, noDrop bool) (mask V, lane, cycle int, ok bool) {
+func deadVerdict(pk *packedBatch, tr *goodTrace, checkReset, noDrop bool) (mask uint64, lane, cycle int, ok bool) {
 	lane, cycle = -1, -1
 	if checkReset {
-		if d := contradiction(tr.reset1, tr.reset0, pk.reset1, pk.reset0).And(pk.all); !d.IsZero() {
-			lane, ok, mask = d.TrailingZeros(), true, d
+		if d := contradiction(tr.reset1, tr.reset0, pk.reset1, pk.reset0) & pk.all; d != 0 {
+			lane, ok, mask = bits.TrailingZeros64(d), true, d
 			if !noDrop {
 				return mask, lane, cycle, true
 			}
 		}
 	}
 	for t := 0; t < pk.cycles; t++ {
-		d := contradiction(tr.good1[t], tr.good0[t], pk.good1[t], pk.good0[t]).And(pk.all).And(pk.live[t])
-		if d.IsZero() {
+		d := contradiction(tr.good1[t], tr.good0[t], pk.good1[t], pk.good0[t]) & pk.all & pk.live[t]
+		if d == 0 {
 			continue
 		}
 		if !ok {
-			lane, cycle, ok = d.TrailingZeros(), t, true
+			lane, cycle, ok = bits.TrailingZeros64(d), t, true
 		}
-		mask = mask.Or(d)
+		mask |= d
 		if !noDrop {
 			break
 		}
@@ -896,18 +833,16 @@ func deadVerdict[V lanevec.Vec[V]](pk *packedBatch[V], tr *goodTrace[V], checkRe
 
 // runUnit simulates the live representatives of one work unit on
 // worker w's sticky machine and fans each verdict out to the class
-// members.
-func (e *engine[V]) runUnit(w int, pk *packedBatch[V], tr *goodTrace[V], df *traceDiffs, unit []int, lanes []LaneMask, eager bool) []Detection {
-	s := e.s
-	m := e.workers[w]
+// members, appending their Detections to found.
+func (s *Simulator) runUnit(w int, tr *goodTrace, df *traceDiffs, unit []int, lanes []uint64, eager bool, found []Detection) []Detection {
+	m := s.workers[w]
 	if m == nil {
-		m = newMachine[V](s.c)
-		e.workers[w] = m
+		m = newMachine(s.c)
+		s.workers[w] = m
 	}
-	var found []Detection
 	for _, fi := range unit {
-		if mask, lane, cycle, ok := e.runFault(m, pk, tr, df, fi, eager); ok {
-			found = s.fanOut(fi, LaneMask(mask.Words()), lane, cycle, lanes, found)
+		if mask, lane, cycle, ok := s.runFault(m, tr, df, fi, eager); ok {
+			found = s.fanOut(fi, mask, lane, cycle, lanes, found)
 		}
 	}
 	return found
@@ -916,12 +851,12 @@ func (e *engine[V]) runUnit(w int, pk *packedBatch[V], tr *goodTrace[V], df *tra
 // fanOut records representative fi's detection (lane mask, first lane
 // and cycle) for every live member of its class, appending their
 // Detections to found.
-func (s *Simulator) fanOut(fi int, words LaneMask, lane, cycle int, lanes []LaneMask, found []Detection) []Detection {
+func (s *Simulator) fanOut(fi int, mask uint64, lane, cycle int, lanes []uint64, found []Detection) []Detection {
 	for _, mi := range s.members[fi] {
 		if s.dropped[mi] {
 			continue
 		}
-		lanes[mi] = words
+		lanes[mi] = mask
 		found = append(found, Detection{Fault: mi, Lane: lane, Cycle: cycle})
 	}
 	return found
@@ -930,25 +865,40 @@ func (s *Simulator) fanOut(fi int, words LaneMask, lane, cycle int, lanes []Lane
 // runFault evaluates one fault against the whole batch, stopping at the
 // first detection unless NoDrop.  Event mode settles cone-limited
 // against the good trace; sweep mode settles the whole circuit.
-func (e *engine[V]) runFault(m *machine[V], pk *packedBatch[V], tr *goodTrace[V], df *traceDiffs, fi int, eager bool) (mask V, lane, cycle int, ok bool) {
-	s := e.s
-	event := e.mode == EngineEvent
+//
+// In event mode (the default) each fault is simulated cone-limited:
+// the cone theorem says a fault at gate g can only ever disturb the
+// signals in Topology().Cone[g.Out] — every gate outside that cone has
+// unmodified function and (by cone closure) reads only out-of-cone
+// signals, so by induction over cycles and over each settling phase's
+// confluent iteration its value equals the good machine's, lane for
+// lane.  A transition fault's cone is the same gate-output cone: the
+// directional gate's extra read is its own output, which lies inside
+// its own cone, so cone limiting applies to SlowRise/SlowFall
+// unchanged.  The fault machines therefore admit only cone gates to
+// their event queues and serve everything else from the cached
+// good-state trace, which also means DetectVs sees exactly the values
+// the full simulation would produce: bit-identical detection, a
+// fraction of the gate evaluations.
+func (s *Simulator) runFault(m *machine, tr *goodTrace, df *traceDiffs, fi int, eager bool) (mask uint64, lane, cycle int, ok bool) {
+	pk := &s.pk
+	event := s.opts.Engine == EngineEvent
 	m.setAll(pk.all)
 	if event {
 		f := &s.universe[fi]
-		cone := e.topo.ConeOf(s.c.Gates[f.Gate].Out)
-		m.eventReset(f, cone, e.topo, tr, df, eager)
+		cone := s.topo.ConeOf(s.c.Gates[f.Gate].Out)
+		m.eventReset(f, cone, s.topo, tr, df, eager)
 	} else {
 		m.eng.Inject(&s.universe[fi])
 		m.reset()
 	}
 	lane, cycle = -1, -1
 	if s.opts.CheckReset {
-		if d := m.detectVs(pk.reset1, pk.reset0); !d.IsZero() {
+		if d := m.detectVs(pk.reset1, pk.reset0); d != 0 {
 			// The reset state is pattern-independent, so against the good
 			// machine's own reset the verdict is lane-uniform; per-lane
 			// ResetExpected declarations can make it ragged.
-			lane, cycle, ok = d.TrailingZeros(), -1, true
+			lane, cycle, ok = bits.TrailingZeros64(d), -1, true
 			mask = d
 			if !s.opts.NoDrop {
 				return mask, lane, cycle, true
@@ -963,14 +913,14 @@ func (e *engine[V]) runFault(m *machine[V], pk *packedBatch[V], tr *goodTrace[V]
 		} else {
 			m.apply(pk.rails[t])
 		}
-		d := m.detectVs(pk.good1[t], pk.good0[t]).And(pk.live[t])
-		if d.IsZero() {
+		d := m.detectVs(pk.good1[t], pk.good0[t]) & pk.live[t]
+		if d == 0 {
 			continue
 		}
 		if !ok {
-			lane, cycle, ok = d.TrailingZeros(), t, true
+			lane, cycle, ok = bits.TrailingZeros64(d), t, true
 		}
-		mask = mask.Or(d)
+		mask |= d
 		if !s.opts.NoDrop {
 			break
 		}

@@ -16,14 +16,14 @@ import (
 // stuck-at, input stuck-at and transition universes and every
 // sequence, the engine's lane bit must equal the scalar verdict
 // (some cycle shows a definite output opposite the good machine's).
-// The sequences are ragged, and the size bytes pick their count, their
-// longest length and the lane width.
+// The sequences are ragged, and the size bytes pick their count and
+// their longest length.
 func FuzzEventEngineVsScalar(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(6), uint8(0))
-	f.Add(int64(7), uint8(70), uint8(3), uint8(0)) // >64 sequences: two batches
-	f.Add(int64(42), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(99), uint8(20), uint8(11), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, nSeqs, maxLen, wide uint8) {
+	f.Add(int64(1), uint8(8), uint8(6))
+	f.Add(int64(7), uint8(70), uint8(3)) // >64 sequences: two batches
+	f.Add(int64(42), uint8(1), uint8(1))
+	f.Add(int64(99), uint8(20), uint8(11))
+	f.Fuzz(func(t *testing.T, seed int64, nSeqs, maxLen uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c, ok := randckt.New(rng, randckt.Config{})
 		if !ok {
@@ -37,14 +37,10 @@ func FuzzEventEngineVsScalar(f *testing.F) {
 				seqs[l][tc] = rng.Uint64() & (1<<uint(m) - 1)
 			}
 		}
-		lanes := DefaultLanes
-		if wide&1 == 1 {
-			lanes = 256
-		}
 		universe := append(faults.OutputUniverse(c), faults.InputUniverse(c)...)
 		universe = append(universe, faults.TransitionUniverse(c)...)
 
-		s, err := New(c, universe, Options{Workers: 2, Lanes: lanes, NoDrop: true})
+		s, err := New(c, universe, Options{Workers: 2, NoDrop: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +51,7 @@ func FuzzEventEngineVsScalar(f *testing.F) {
 		err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
 			for fi := range universe {
 				for l := 0; base+l < len(seqs); l++ {
-					got[fi][base+l] = br.Lanes[fi].Has(l)
+					got[fi][base+l] = br.Lanes[fi]>>uint(l)&1 == 1
 				}
 			}
 		})
@@ -82,8 +78,8 @@ func FuzzEventEngineVsScalar(f *testing.F) {
 					want = want || scalarDetects(c, goodStates[l][tc], st)
 				}
 				if got[fi][l] != want {
-					t.Fatalf("seed %d fault %s sequence %d (%d lanes): engine says %v, scalar machine %v",
-						seed, universe[fi].Describe(c), l, lanes, got[fi][l], want)
+					t.Fatalf("seed %d fault %s sequence %d: engine says %v, scalar machine %v",
+						seed, universe[fi].Describe(c), l, got[fi][l], want)
 				}
 			}
 		}

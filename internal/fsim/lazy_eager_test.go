@@ -13,8 +13,6 @@ package fsim
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/faults"
@@ -24,26 +22,23 @@ import (
 
 // runBoth simulates the batch stream with lazy and with eager seeding
 // and requires bit-identical results on every surface.
-func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int) {
+func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64) {
 	t.Helper()
 	type outcome struct {
-		batches [][]LaneMask
+		batches [][]uint64
 		dets    [][]Detection
 		det     []bool
 	}
 	run := func(eager bool) outcome {
 		s, err := New(c, universe, Options{
-			Lanes: lanes, Engine: EngineEvent, CheckReset: true,
-			eagerSeed: eager,
+			Engine: EngineEvent, CheckReset: true, eagerSeed: eager,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		var o outcome
 		err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
-			cp := make([]LaneMask, len(br.Lanes))
-			copy(cp, br.Lanes)
-			o.batches = append(o.batches, cp)
+			o.batches = append(o.batches, append([]uint64(nil), br.Lanes...))
 			o.dets = append(o.dets, append([]Detection(nil), br.Detections...))
 		})
 		if err != nil {
@@ -61,8 +56,8 @@ func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe [
 	}
 	for bi := range lazy.batches {
 		for fi := range universe {
-			if !lazy.batches[bi][fi].Equal(eager.batches[bi][fi]) {
-				t.Fatalf("%s batch %d fault %s: lazy lanes %v != eager lanes %v",
+			if lazy.batches[bi][fi] != eager.batches[bi][fi] {
+				t.Fatalf("%s batch %d fault %s: lazy lanes %b != eager lanes %b",
 					label, bi, universe[fi].Describe(c), lazy.batches[bi][fi], eager.batches[bi][fi])
 			}
 		}
@@ -87,11 +82,11 @@ func compareLazyEager(t *testing.T, label string, c *netlist.Circuit, universe [
 
 // compareMatrices requires identical full detection-matrix rows across
 // lazy event, eager event and (optionally) the sweep engine.
-func compareMatrices(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int, withSweep bool) {
+func compareMatrices(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, withSweep bool) {
 	t.Helper()
 	matrix := func(engine EngineKind, eager bool) []LaneMask {
 		rows, _, err := DetectionMatrix(c, universe, seqs, nil, nil, Options{
-			Lanes: lanes, Engine: engine, CheckReset: true, eagerSeed: eager,
+			Engine: engine, CheckReset: true, eagerSeed: eager,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -185,10 +180,8 @@ func TestLazyVsEagerRandckt(t *testing.T) {
 			for _, fs := range faultSelections {
 				universe := faults.SelectUniverse(c, faults.InputSA, fs.sel)
 				label := c.Name + "/" + fs.name
-				for _, lanes := range []int{64, 256} {
-					compareLazyEager(t, label, c, universe, seqs, lanes)
-				}
-				compareMatrices(t, label, c, universe, seqs, 64, band.sweep)
+				compareLazyEager(t, label, c, universe, seqs)
+				compareMatrices(t, label, c, universe, seqs, band.sweep)
 			}
 		}
 	}
@@ -213,23 +206,15 @@ func TestLazyVsEagerISCAS(t *testing.T) {
 		if !ok {
 			continue
 		}
-		f, err := os.Open(filepath.Join("..", "..", "examples", "iscas", name+".ckt"))
-		if err != nil {
-			t.Fatalf("%v (regenerate with `go run ./examples/iscas`)", err)
-		}
-		c, err := netlist.Parse(f, name)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := loadCorpus(t, name)
 		rng := rand.New(rand.NewSource(31))
 		seqs := seqsFor(rng, c, shape.nseq, shape.cycles)
 		for _, fs := range faultSelections {
 			universe := faults.SelectUniverse(c, faults.InputSA, fs.sel)
 			label := name + "/" + fs.name
-			compareLazyEager(t, label, c, universe, seqs, 64)
+			compareLazyEager(t, label, c, universe, seqs)
 			withSweep := name != "s953" || fs.sel == faults.SelStuckAt
-			compareMatrices(t, label, c, universe, seqs, 64, withSweep)
+			compareMatrices(t, label, c, universe, seqs, withSweep)
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"repro/internal/netlist"
 )
 
-// machine is the pattern-parallel instantiation of the shared
-// lanevec.Engine sweep core: one (possibly faulty) circuit simulated
-// across the lanes of V, where each lane carries an independent test
-// sequence and the single fault is injected into every lane by
-// Engine.Inject (the PPSFP orientation).
-type machine[V lanevec.Vec[V]] struct {
-	eng *lanevec.Engine[V]
+// machine is the pattern-parallel use of the shared lanevec.Engine
+// sweep core: one (possibly faulty) circuit simulated across 64 lanes,
+// where each lane carries an independent test sequence and the single
+// fault is injected into every lane by Engine.Inject (the PPSFP
+// orientation).
+type machine struct {
+	eng *lanevec.Engine
 
 	gm      []uint64 // scratch gate-mask buffer for cone-limited runs
 	initW   []uint64 // cached multi-word initial state
@@ -26,30 +26,30 @@ type machine[V lanevec.Vec[V]] struct {
 	allocs int64 // backing-array allocations this machine performed
 }
 
-func newMachine[V lanevec.Vec[V]](c *netlist.Circuit) *machine[V] {
-	return &machine[V]{eng: lanevec.NewEngine[V](c)}
+func newMachine(c *netlist.Circuit) *machine {
+	return &machine{eng: lanevec.NewEngine(c)}
 }
 
 // setAll selects the active lanes; safe to change between batches on a
 // reused machine.
-func (m *machine[V]) setAll(all V) { m.eng.SetAll(all) }
+func (m *machine) setAll(all uint64) { m.eng.SetAll(all) }
 
 // reset loads the circuit's declared initial state into every lane and
 // settles (a fault can destabilise the reset state).
-func (m *machine[V]) reset() { m.eng.Reset() }
+func (m *machine) reset() { m.eng.Reset() }
 
 // apply drives the primary-input rails with per-lane values and
-// settles: rails[i] holds the lane vector of input i.  One synchronous
+// settles: rails[i] holds the lane word of input i.  One synchronous
 // test cycle for all lanes at once.
-func (m *machine[V]) apply(rails []V) { m.eng.ApplyRails(rails) }
+func (m *machine) apply(rails []uint64) { m.eng.ApplyRails(rails) }
 
 // detectVs returns the lanes whose primary outputs are definitely
 // different from the good response encoded as per-output definite
-// vectors — detection guaranteed under every delay assignment.  After
+// words — detection guaranteed under every delay assignment.  After
 // a lazily-seeded event reset only the cone's outputs are consulted
 // (detOuts): the out-of-cone outputs are not maintained, and by the
 // cone theorem they equal the good response anyway.
-func (m *machine[V]) detectVs(good1, good0 []V) V {
+func (m *machine) detectVs(good1, good0 []uint64) uint64 {
 	if m.detOuts != nil {
 		return m.eng.DetectVsOn(m.detOuts, good1, good0)
 	}
@@ -57,11 +57,11 @@ func (m *machine[V]) detectVs(good1, good0 []V) V {
 }
 
 // laneState extracts the ternary state of one lane (tests/debugging).
-func (m *machine[V]) laneState(lane int) logic.Vec { return m.eng.LaneState(lane) }
+func (m *machine) laneState(lane int) logic.Vec { return m.eng.LaneState(lane) }
 
 // clearActivity zeroes the activity accumulated since the last clear,
 // scanning only the span that could hold it.
-func (m *machine[V]) clearActivity() {
+func (m *machine) clearActivity() {
 	if m.chgSpan == nil {
 		m.eng.ClearActivity()
 	} else {
@@ -71,7 +71,7 @@ func (m *machine[V]) clearActivity() {
 
 // seedActivity enqueues the readers of every changed signal, scanning
 // only the span that could hold activity.
-func (m *machine[V]) seedActivity() {
+func (m *machine) seedActivity() {
 	if m.chgSpan == nil {
 		m.eng.SeedFromActivity()
 	} else {
@@ -80,7 +80,7 @@ func (m *machine[V]) seedActivity() {
 }
 
 // growMask returns dst resized to n words, counting reallocations.
-func (m *machine[V]) growMask(dst []uint64, n int) []uint64 {
+func (m *machine) growMask(dst []uint64, n int) []uint64 {
 	if cap(dst) < n {
 		m.allocs++
 		return make([]uint64, n)
@@ -92,7 +92,7 @@ func (m *machine[V]) growMask(dst []uint64, n int) []uint64 {
 // of fault f, whose faulty gate's output cone is `cone` (a signal
 // bitset from the circuit topology).
 //
-// Correctness rests on the cone theorem (see the engine in fsim.go):
+// Correctness rests on the cone theorem (see runFault in fsim.go):
 // signals outside the cone are bit-identical to the good machine at
 // every phase fixpoint, so loading them from the cached trace and
 // evaluating only cone gates reproduces the full simulation exactly.
@@ -129,7 +129,7 @@ func (m *machine[V]) growMask(dst []uint64, n int) []uint64 {
 // both ways, and which remains the sound fallback when a batch's
 // declared Expected responses deviate from the good machine (then an
 // out-of-cone output can detect, so all outputs must stay fresh).
-func (m *machine[V]) eventReset(f *faults.Fault, cone []uint64, topo *netlist.Topology, tr *goodTrace[V], df *traceDiffs, eager bool) {
+func (m *machine) eventReset(f *faults.Fault, cone []uint64, topo *netlist.Topology, tr *goodTrace, df *traceDiffs, eager bool) {
 	e := m.eng
 	c := e.Circuit()
 	e.InitEvents(topo)
@@ -146,7 +146,6 @@ func (m *machine[V]) eventReset(f *faults.Fault, cone []uint64, topo *netlist.To
 		m.initW = c.InitWords()
 	}
 	all := e.All()
-	var zero V
 
 	if eager {
 		m.chgSpan = nil
@@ -168,9 +167,9 @@ func (m *machine[V]) eventReset(f *faults.Fault, cone []uint64, topo *netlist.To
 		e.LoadState(tr.resetA1, tr.resetA0)
 		netlist.EachSet(cone, nil, nil, func(s netlist.SigID) {
 			if m.initW[int(s)>>6]>>uint(int(s)&63)&1 == 1 {
-				e.SetSignal(s, all, zero)
+				e.SetSignal(s, all, 0)
 			} else {
-				e.SetSignal(s, zero, all)
+				e.SetSignal(s, 0, all)
 			}
 		})
 		e.EnqueueMaskGates()
@@ -223,9 +222,9 @@ func (m *machine[V]) eventReset(f *faults.Fault, cone []uint64, topo *netlist.To
 	})
 	netlist.EachSet(df.ra, cone, nil, func(s netlist.SigID) {
 		if m.initW[int(s)>>6]>>uint(int(s)&63)&1 == 1 {
-			e.MarkSignal(s, all, zero)
+			e.MarkSignal(s, all, 0)
 		} else {
-			e.MarkSignal(s, zero, all)
+			e.MarkSignal(s, 0, all)
 		}
 		e.EnqueueGate(int(s) - topo.NumInputs)
 	})
@@ -259,7 +258,7 @@ func (m *machine[V]) eventReset(f *faults.Fault, cone []uint64, topo *netlist.To
 // swap selection, seed scan) runs over word-level intersections of
 // the precomputed diff bitsets with the fault's support instead of
 // per-signal cone-membership tests.
-func (m *machine[V]) eventApply(t int, tr *goodTrace[V], df *traceDiffs) {
+func (m *machine) eventApply(t int, tr *goodTrace, df *traceDiffs) {
 	e := m.eng
 	m.clearActivity()
 	netlist.EachSet(df.a[t], m.swap, nil, func(s netlist.SigID) {

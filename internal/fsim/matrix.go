@@ -11,12 +11,12 @@ import (
 // sequence set in one batched pass: one mask per fault over ALL
 // sequences (not just the lanes of one batch), with bit t set iff
 // sequence t guarantees the fault's detection.  Sequences ride the
-// lanes of consecutive batches (opts.Lanes wide) and the lane masks of
-// each batch are folded into the global masks at the batch's base
-// offset — every base is a multiple of the lane width, so the fold is
-// a word-aligned OR.  NoDrop is forced: a matrix pass must answer
-// every (test, fault) cell, not stop at first detection; everything
-// else (CheckReset, engine, width, workers, collapsing) follows opts.
+// lanes of consecutive 64-lane batches and each batch's lane word is
+// stored at its base offset — every base is a multiple of 64, so the
+// batch fills exactly one mask word.  NoDrop is forced: a matrix pass
+// must answer every (test, fault) cell, not stop at first detection;
+// everything else (CheckReset, engine, workers, collapsing) follows
+// opts.
 // With opts.CheckReset on, a reset-observation detection is charged to
 // the lane whose declared ResetExpected (or the good machine's own
 // reset response, when resetExpected is nil) it violates — exactly the
@@ -28,7 +28,7 @@ func DetectionMatrix(c *netlist.Circuit, universe []faults.Fault, seqs, expected
 }
 
 // DetectionMatrixCtx is DetectionMatrix with cooperative cancellation,
-// checked between lane-width batches.  A cancelled pass returns
+// checked between batches.  A cancelled pass returns
 // ctx.Err() and no matrix: a partial matrix would silently claim the
 // unsimulated cells are non-detections.
 func DetectionMatrixCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fault, seqs, expected [][]uint64, resetExpected []uint64, opts Options) ([]LaneMask, Stats, error) {
@@ -43,22 +43,14 @@ func DetectionMatrixCtx(ctx context.Context, c *netlist.Circuit, universe []faul
 	}
 	words := (len(seqs) + 63) / 64
 	err = s.SimulateSequencesCtx(ctx, seqs, expected, resetExpected, func(base int, br *BatchResult) {
-		w0 := base >> 6
 		for fi, lm := range br.Lanes {
-			if !lm.Any() {
+			if lm == 0 {
 				continue
 			}
 			if rows[fi] == nil {
 				rows[fi] = make(LaneMask, words)
 			}
-			for w, word := range lm {
-				// A ragged final batch reports full-width masks whose
-				// trailing words are zero and may lie past the matrix
-				// width; only nonzero words carry real lanes.
-				if word != 0 {
-					rows[fi][w0+w] |= word
-				}
-			}
+			rows[fi][base/Lanes] = lm
 		}
 	})
 	if err != nil {

@@ -34,8 +34,8 @@ func TestLaneMaskCountAndContainedIn(t *testing.T) {
 
 // TestDetectionMatrixRaggedTrailingBatches pins the multi-batch fold on
 // sequence counts that leave the final batch partially filled and the
-// final mask word partially used (65 and 129 sequences at 64 lanes,
-// every count at 256).  Each row must agree bit for bit with a
+// final mask word partially used (65, 100 and 129 sequences).  Each
+// row must agree bit for bit with a
 // per-sequence reference (one matrix pass per single sequence), carry
 // no phantom lanes at or past the sequence count — a padded lane
 // leaking into the fold would inflate LaneMask.Count and flip
@@ -84,58 +84,54 @@ func TestDetectionMatrixRaggedTrailingBatches(t *testing.T) {
 		counts = []int{65, 129}
 	}
 	for _, nseq := range counts {
-		for _, lanes := range []int{64, 256} {
-			rows, _, err := DetectionMatrix(c, universe, all[:nseq], nil, nil,
-				Options{Lanes: lanes, CheckReset: true})
-			if err != nil {
-				t.Fatal(err)
+		rows, _, err := DetectionMatrix(c, universe, all[:nseq], nil, nil,
+			Options{CheckReset: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := (nseq + 63) / 64
+		for fi := range universe {
+			if len(rows[fi]) > words {
+				t.Fatalf("nseq=%d fault %s: row spans %d words, matrix width is %d",
+					nseq, universe[fi].Describe(c), len(rows[fi]), words)
 			}
-			words := (nseq + 63) / 64
-			for fi := range universe {
-				if len(rows[fi]) > words {
-					t.Fatalf("nseq=%d lanes=%d fault %s: row spans %d words, matrix width is %d",
-						nseq, lanes, universe[fi].Describe(c), len(rows[fi]), words)
+			wantCount := 0
+			for l := 0; l < nseq; l++ {
+				if rows[fi].Has(l) != ref[fi][l] {
+					t.Fatalf("nseq=%d fault %s seq %d: matrix %v, per-sequence reference %v",
+						nseq, universe[fi].Describe(c), l, rows[fi].Has(l), ref[fi][l])
 				}
-				wantCount := 0
-				for l := 0; l < nseq; l++ {
-					if rows[fi].Has(l) != ref[fi][l] {
-						t.Fatalf("nseq=%d lanes=%d fault %s seq %d: matrix %v, per-sequence reference %v",
-							nseq, lanes, universe[fi].Describe(c), l, rows[fi].Has(l), ref[fi][l])
-					}
-					if ref[fi][l] {
-						wantCount++
-					}
+				if ref[fi][l] {
+					wantCount++
 				}
-				for l := nseq; l < len(rows[fi])*64; l++ {
-					if rows[fi].Has(l) {
-						t.Fatalf("nseq=%d lanes=%d fault %s: phantom lane %d past the sequence count",
-							nseq, lanes, universe[fi].Describe(c), l)
-					}
+			}
+			for l := nseq; l < len(rows[fi])*64; l++ {
+				if rows[fi].Has(l) {
+					t.Fatalf("nseq=%d fault %s: phantom lane %d past the sequence count",
+						nseq, universe[fi].Describe(c), l)
 				}
-				if got := rows[fi].Count(); got != wantCount {
-					t.Fatalf("nseq=%d lanes=%d fault %s: Count=%d, want %d detecting sequences",
-						nseq, lanes, universe[fi].Describe(c), got, wantCount)
-				}
-				// A row restricted to its own lanes is self-contained, and
-				// the all-lanes mask contains every row.
-				full := make(LaneMask, words)
-				for l := 0; l < nseq; l++ {
-					full[l>>6] |= 1 << uint(l&63)
-				}
-				if !rows[fi].ContainedIn(full) {
-					t.Fatalf("nseq=%d lanes=%d fault %s: row not contained in the full lane set",
-						nseq, lanes, universe[fi].Describe(c))
-				}
+			}
+			if got := rows[fi].Count(); got != wantCount {
+				t.Fatalf("nseq=%d fault %s: Count=%d, want %d detecting sequences",
+					nseq, universe[fi].Describe(c), got, wantCount)
+			}
+			// A row restricted to its own lanes is self-contained, and
+			// the all-lanes mask contains every row.
+			full := make(LaneMask, words)
+			for l := 0; l < nseq; l++ {
+				full[l>>6] |= 1 << uint(l&63)
+			}
+			if !rows[fi].ContainedIn(full) {
+				t.Fatalf("nseq=%d fault %s: row not contained in the full lane set",
+					nseq, universe[fi].Describe(c))
 			}
 		}
 	}
 }
 
 // TestDetectionMatrixMatchesChunkedBatches pins DetectionMatrix to a
-// hand-rolled SimulateSequences accumulation: same rows at every lane
-// width and engine, nonzero rows exactly for the detected faults, and
-// bit-identical masks across widths (the batch layout must not leak
-// into the matrix).
+// hand-rolled SimulateSequences accumulation: same rows on both
+// engines and nonzero rows exactly for the detected faults.
 func TestDetectionMatrixMatchesChunkedBatches(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -163,54 +159,52 @@ func TestDetectionMatrixMatchesChunkedBatches(t *testing.T) {
 
 		var ref []LaneMask
 		for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-			for _, lanes := range []int{64, 256} {
-				opts := Options{Workers: 2, Lanes: lanes, Engine: engine, CheckReset: true}
-				rows, stats, err := DetectionMatrix(c, universe, seqs, nil, nil, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Patterns == 0 {
-					t.Fatalf("seed %d: matrix pass applied no patterns", seed)
-				}
-				// Hand-rolled accumulation through the raw batch API.
-				s, err := New(c, universe, Options{Workers: 2, Lanes: lanes, Engine: engine, CheckReset: true, NoDrop: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([]LaneMask, len(universe))
-				for fi := range want {
-					want[fi] = make(LaneMask, (nseq+63)/64)
-				}
-				err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
-					for fi := range universe {
-						for l := 0; base+l < nseq; l++ {
-							if br.Lanes[fi].Has(l) {
-								want[fi][(base+l)>>6] |= 1 << uint((base+l)&63)
-							}
-						}
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+			opts := Options{Workers: 2, Engine: engine, CheckReset: true}
+			rows, stats, err := DetectionMatrix(c, universe, seqs, nil, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Patterns == 0 {
+				t.Fatalf("seed %d: matrix pass applied no patterns", seed)
+			}
+			// Hand-rolled accumulation through the raw batch API.
+			s, err := New(c, universe, Options{Workers: 2, Engine: engine, CheckReset: true, NoDrop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]LaneMask, len(universe))
+			for fi := range want {
+				want[fi] = make(LaneMask, (nseq+63)/64)
+			}
+			err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
 				for fi := range universe {
-					if !rows[fi].Equal(want[fi]) {
-						t.Fatalf("seed %d engine %s lanes %d fault %s: matrix row %v, chunked %v",
-							seed, engine, lanes, universe[fi].Describe(c), rows[fi], want[fi])
-					}
-					if rows[fi].Any() != s.Detected(fi) {
-						t.Fatalf("seed %d fault %s: row nonempty=%v but Detected=%v",
-							seed, universe[fi].Describe(c), rows[fi].Any(), s.Detected(fi))
+					for l := 0; base+l < nseq; l++ {
+						if br.Lanes[fi]>>uint(l)&1 == 1 {
+							want[fi][(base+l)>>6] |= 1 << uint((base+l)&63)
+						}
 					}
 				}
-				if ref == nil {
-					ref = rows
-				} else {
-					for fi := range universe {
-						if !rows[fi].Equal(ref[fi]) {
-							t.Fatalf("seed %d: engine %s lanes %d row differs from reference for fault %s",
-								seed, engine, lanes, universe[fi].Describe(c))
-						}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fi := range universe {
+				if !rows[fi].Equal(want[fi]) {
+					t.Fatalf("seed %d engine %s fault %s: matrix row %v, chunked %v",
+						seed, engine, universe[fi].Describe(c), rows[fi], want[fi])
+				}
+				if rows[fi].Any() != s.Detected(fi) {
+					t.Fatalf("seed %d fault %s: row nonempty=%v but Detected=%v",
+						seed, universe[fi].Describe(c), rows[fi].Any(), s.Detected(fi))
+				}
+			}
+			if ref == nil {
+				ref = rows
+			} else {
+				for fi := range universe {
+					if !rows[fi].Equal(ref[fi]) {
+						t.Fatalf("seed %d: engine %s row differs from reference for fault %s",
+							seed, engine, universe[fi].Describe(c))
 					}
 				}
 			}

@@ -7,8 +7,8 @@ package fsim
 // f∨self table and the scalar ternary machine simulates the copy one
 // fault × one sequence at a time.  The override path never builds a
 // circuit copy, which is the whole point; these tests are what make
-// that shortcut trustworthy, across every lane width, both engines,
-// with and without dropping, on random cyclic circuits and on the
+// that shortcut trustworthy, on both engines, with and without
+// dropping, on random cyclic circuits and on the
 // Table-1 suite.
 
 import (
@@ -64,11 +64,11 @@ func materialisedMatrix(c *netlist.Circuit, universe []faults.Fault, seqs [][]ui
 }
 
 // engineMatrix collects the fault × sequence detection matrix of the
-// override-based engine (NoDrop, CheckReset) for one width and engine.
-func engineMatrix(t *testing.T, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, lanes int, engine EngineKind, noCollapse bool) [][]bool {
+// override-based engine (NoDrop, CheckReset) for one engine.
+func engineMatrix(t *testing.T, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64, engine EngineKind, noCollapse bool) [][]bool {
 	t.Helper()
 	s, err := New(c, universe, Options{
-		Workers: 2, Lanes: lanes, Engine: engine,
+		Workers: 2, Engine: engine,
 		NoDrop: true, CheckReset: true, NoCollapse: noCollapse,
 	})
 	if err != nil {
@@ -81,9 +81,7 @@ func engineMatrix(t *testing.T, c *netlist.Circuit, universe []faults.Fault, seq
 	err = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
 		for fi := range universe {
 			for l := 0; base+l < len(seqs); l++ {
-				if br.Lanes[fi].Has(l) {
-					mx[fi][base+l] = true
-				}
+				mx[fi][base+l] = br.Lanes[fi]>>uint(l)&1 == 1
 			}
 		}
 	})
@@ -108,14 +106,14 @@ func randSeqs(rng *rand.Rand, m, nseq, cycles int) [][]uint64 {
 // TestTransitionDifferentialAgainstMaterialised pins the override-based
 // simulation of the full TransitionUniverse to the materialised-circuit
 // serial oracle on seeded random cyclic circuits (C elements included,
-// whose self input exercises the monotone-in-self argument), at every
-// lane width, on both engines, collapsed and uncollapsed.
+// whose self input exercises the monotone-in-self argument), on both
+// engines, collapsed and uncollapsed.
 func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 	seeds := 15
 	if testing.Short() {
 		seeds = 4
 	}
-	const nseq, cycles = 80, 6 // >64 sequences so wide words really fill
+	const nseq, cycles = 80, 6 // >64 sequences: a full batch and a ragged one
 	tried := 0
 	for seed := int64(1); tried < seeds && seed < int64(20*seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -128,16 +126,14 @@ func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 		universe := faults.TransitionUniverse(c)
 		want := materialisedMatrix(c, universe, seqs)
 
-		for _, lanes := range []int{64, 256} {
-			for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-				for _, noCollapse := range []bool{false, true} {
-					got := engineMatrix(t, c, universe, seqs, lanes, engine, noCollapse)
-					for fi := range universe {
-						for l := 0; l < nseq; l++ {
-							if got[fi][l] != want[fi][l] {
-								t.Fatalf("seed %d fault %s lanes=%d engine=%s noCollapse=%v: sequence %d detection %v, oracle %v",
-									seed, universe[fi].Describe(c), lanes, engine, noCollapse, l, got[fi][l], want[fi][l])
-							}
+		for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
+			for _, noCollapse := range []bool{false, true} {
+				got := engineMatrix(t, c, universe, seqs, engine, noCollapse)
+				for fi := range universe {
+					for l := 0; l < nseq; l++ {
+						if got[fi][l] != want[fi][l] {
+							t.Fatalf("seed %d fault %s engine=%s noCollapse=%v: sequence %d detection %v, oracle %v",
+								seed, universe[fi].Describe(c), engine, noCollapse, l, got[fi][l], want[fi][l])
 						}
 					}
 				}
@@ -177,7 +173,7 @@ func TestTransitionDifferentialAgainstMaterialised(t *testing.T) {
 // TestTransitionSuiteParity runs the combined stuck-at + transition
 // universe over the Table-1 benchmark circuits: the override engines
 // must match the materialised oracle exactly, and event must match
-// sweep at every width.
+// sweep.
 func TestTransitionSuiteParity(t *testing.T) {
 	suite := circuits.SpeedIndependent()
 	if testing.Short() {
@@ -190,15 +186,13 @@ func TestTransitionSuiteParity(t *testing.T) {
 		seqs := randSeqs(rng, c.NumInputs(), nseq, cycles)
 		universe := append(faults.InputUniverse(c), faults.TransitionUniverse(c)...)
 		want := materialisedMatrix(c, universe, seqs)
-		for _, lanes := range []int{64, 256} {
-			for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
-				got := engineMatrix(t, c, universe, seqs, lanes, engine, false)
-				for fi := range universe {
-					for l := 0; l < nseq; l++ {
-						if got[fi][l] != want[fi][l] {
-							t.Fatalf("%s fault %s lanes=%d engine=%s: sequence %d detection %v, oracle %v",
-								bm.Name, universe[fi].Describe(c), lanes, engine, l, got[fi][l], want[fi][l])
-						}
+		for _, engine := range []EngineKind{EngineEvent, EngineSweep} {
+			got := engineMatrix(t, c, universe, seqs, engine, false)
+			for fi := range universe {
+				for l := 0; l < nseq; l++ {
+					if got[fi][l] != want[fi][l] {
+						t.Fatalf("%s fault %s engine=%s: sequence %d detection %v, oracle %v",
+							bm.Name, universe[fi].Describe(c), engine, l, got[fi][l], want[fi][l])
 					}
 				}
 			}

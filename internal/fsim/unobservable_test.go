@@ -90,8 +90,8 @@ func comparePruned(t *testing.T, label string, c *netlist.Circuit, universe []fa
 	for bi := range ev.batches {
 		eb, sb := ev.batches[bi], sw.batches[bi]
 		for fi := range universe {
-			if !eb.Lanes[fi].Equal(sb.Lanes[fi]) {
-				t.Fatalf("%s batch %d fault %s (unobservable=%v): event lanes %v != sweep lanes %v",
+			if eb.Lanes[fi] != sb.Lanes[fi] {
+				t.Fatalf("%s batch %d fault %s (unobservable=%v): event lanes %b != sweep lanes %b",
 					label, bi, universe[fi].Describe(c), faults.Unobservable(c, universe[fi]), eb.Lanes[fi], sb.Lanes[fi])
 			}
 		}
@@ -116,10 +116,10 @@ func comparePruned(t *testing.T, label string, c *netlist.Circuit, universe []fa
 	return dead
 }
 
-// comparePrunedAll runs comparePruned at both lane widths, with and
-// without dropping, on responses judged against the good machine,
-// declared equal to it, and declared against it.  Only the last can
-// make an unobservable fault detect, and it must.
+// comparePrunedAll runs comparePruned with and without dropping, on
+// responses judged against the good machine, declared equal to it, and
+// declared against it.  Only the last can make an unobservable fault
+// detect, and it must.
 func comparePrunedAll(t *testing.T, label string, c *netlist.Circuit, universe []faults.Fault, seqs [][]uint64) {
 	t.Helper()
 	good, goodReset := goodResponses(c, seqs)
@@ -134,14 +134,12 @@ func comparePrunedAll(t *testing.T, label string, c *netlist.Circuit, universe [
 		{"declared", good, goodReset, false},
 		{"contradicted", bad, badReset, true},
 	} {
-		for _, lanes := range []int{64, 256} {
-			for _, noDrop := range []bool{false, true} {
-				dead := comparePruned(t, label+"/"+resp.name, c, universe, seqs, resp.expected, resp.reset,
-					Options{Lanes: lanes, NoDrop: noDrop, CheckReset: true})
-				if (dead > 0) != resp.detects {
-					t.Fatalf("%s/%s at %d lanes, NoDrop=%v: %d detections of unobservable faults",
-						label, resp.name, lanes, noDrop, dead)
-				}
+		for _, noDrop := range []bool{false, true} {
+			dead := comparePruned(t, label+"/"+resp.name, c, universe, seqs, resp.expected, resp.reset,
+				Options{NoDrop: noDrop, CheckReset: true})
+			if (dead > 0) != resp.detects {
+				t.Fatalf("%s/%s, NoDrop=%v: %d detections of unobservable faults",
+					label, resp.name, noDrop, dead)
 			}
 		}
 	}

@@ -32,9 +32,9 @@ package lanevec
 
 import "repro/internal/netlist"
 
-// eventState is the width-independent scheduling state of the event
-// kernels: the levelized queue, the admission mask and the per-run
-// divergence guard.
+// eventState is the scheduling state of the event kernel: the
+// levelized queue, the admission mask and the per-run divergence
+// guard.
 type eventState struct {
 	topo    *netlist.Topology
 	buckets [][]int // per level: gates pending evaluation
@@ -52,11 +52,10 @@ type eventState struct {
 // InitEvents prepares the engine for event-driven settling against the
 // circuit's structural index.  Idempotent; the sweep paths are
 // unaffected.  All gates are admitted until SetGateMask narrows it.
-func (e *Engine[V]) InitEvents(topo *netlist.Topology) {
+func (e *Engine) InitEvents(topo *netlist.Topology) {
 	if e.ev != nil {
 		return
 	}
-	var zero V
 	// Per phase, each signal's possibility words can change at most
 	// 2×lanes times (every lane bit of p1 and p0 flips at most once —
 	// both phases are monotone), so the eval count is bounded by the
@@ -72,10 +71,10 @@ func (e *Engine[V]) InitEvents(topo *netlist.Topology) {
 		buckets: make([][]int, topo.MaxLevel+1),
 		inQ:     make([]bool, e.c.NumGates()),
 		allMask: allMask,
-		guard:   (2*int64(zero.Size()) + 4) * (gates + 1) * (netlist.MaxLocalInputs + 1),
+		guard:   (2*Lanes + 4) * (gates + 1) * (netlist.MaxLocalInputs + 1),
 	}
 	e.ev.gateMask = allMask
-	e.chg = make([]V, e.c.NumSignals())
+	e.chg = make([]uint64, e.c.NumSignals())
 }
 
 // SetGateMask restricts event admission to the gates in mask (a gate
@@ -83,7 +82,7 @@ func (e *Engine[V]) InitEvents(topo *netlist.Topology) {
 // gi/64 — what Topology.GateMaskW produces from a fanout cone); a nil
 // mask admits every gate.  The engine keeps a reference: the caller
 // must not mutate the mask while settling.
-func (e *Engine[V]) SetGateMask(mask []uint64) {
+func (e *Engine) SetGateMask(mask []uint64) {
 	if mask == nil {
 		mask = e.ev.allMask
 	}
@@ -92,12 +91,7 @@ func (e *Engine[V]) SetGateMask(mask []uint64) {
 
 // ClearActivity zeroes the per-signal activity masks; call at the
 // start of each test cycle, before the MarkSignal swaps.
-func (e *Engine[V]) ClearActivity() {
-	var zero V
-	for i := range e.chg {
-		e.chg[i] = zero
-	}
-}
+func (e *Engine) ClearActivity() { clear(e.chg) }
 
 // ClearActivityOn zeroes the activity masks of the signals in mask
 // only.  Valid when every activity bit set since the last clear lies
@@ -107,36 +101,35 @@ func (e *Engine[V]) ClearActivity() {
 // O(|mask|) instead of O(signals) — on large circuits with small
 // cones this loop is most of what ClearActivity was costing per fault
 // per cycle.
-func (e *Engine[V]) ClearActivityOn(mask []uint64) {
-	var zero V
-	netlist.EachSet(mask, nil, nil, func(s netlist.SigID) { e.chg[s] = zero })
+func (e *Engine) ClearActivityOn(mask []uint64) {
+	netlist.EachSet(mask, nil, nil, func(s netlist.SigID) { e.chg[s] = 0 })
 }
 
 // MarkSignal assigns signal s the possibility words (m1, m0) and
 // accumulates the lanes that actually changed into the activity mask.
 // This is how externally-known values — rails, and out-of-cone signals
 // served from the cached good trace — enter an event settle.
-func (e *Engine[V]) MarkSignal(s netlist.SigID, m1, m0 V) {
-	d := m1.Xor(e.p1[s]).Or(m0.Xor(e.p0[s]))
-	if d.IsZero() {
+func (e *Engine) MarkSignal(s netlist.SigID, m1, m0 uint64) {
+	d := (m1 ^ e.p1[s]) | (m0 ^ e.p0[s])
+	if d == 0 {
 		return
 	}
 	e.p1[s], e.p0[s] = m1, m0
-	e.chg[s] = e.chg[s].Or(d)
+	e.chg[s] |= d
 }
 
 // SetSignal assigns signal s without touching the activity mask (bulk
 // state loads that are followed by explicit seeding).
-func (e *Engine[V]) SetSignal(s netlist.SigID, m1, m0 V) { e.p1[s], e.p0[s] = m1, m0 }
+func (e *Engine) SetSignal(s netlist.SigID, m1, m0 uint64) { e.p1[s], e.p0[s] = m1, m0 }
 
 // LoadState copies a full state vector into the engine.
-func (e *Engine[V]) LoadState(p1, p0 []V) {
+func (e *Engine) LoadState(p1, p0 []uint64) {
 	copy(e.p1, p1)
 	copy(e.p0, p0)
 }
 
 // CopyState snapshots the engine's state into the destination slices.
-func (e *Engine[V]) CopyState(d1, d0 []V) {
+func (e *Engine) CopyState(d1, d0 []uint64) {
 	copy(d1, e.p1)
 	copy(d0, e.p0)
 }
@@ -155,11 +148,11 @@ func (ev *eventState) enqueue(gi int) {
 }
 
 // EnqueueGate seeds one gate into the event queue.
-func (e *Engine[V]) EnqueueGate(gi int) { e.ev.enqueue(gi) }
+func (e *Engine) EnqueueGate(gi int) { e.ev.enqueue(gi) }
 
 // EnqueueMaskGates seeds every gate the mask admits — used when no
 // cheaper seed set is known (reset, or a fresh fault's whole cone).
-func (e *Engine[V]) EnqueueMaskGates() {
+func (e *Engine) EnqueueMaskGates() {
 	for gi := 0; gi < e.c.NumGates(); gi++ {
 		e.ev.enqueue(gi)
 	}
@@ -170,9 +163,9 @@ func (e *Engine[V]) EnqueueMaskGates() {
 // externally-changed signals) and again before RunLower (phase B must
 // re-evaluate everything whose inputs changed during the whole settle,
 // because its assignment semantics can lower what A's OR raised).
-func (e *Engine[V]) SeedFromActivity() {
-	for s := range e.chg {
-		if e.chg[s].IsZero() {
+func (e *Engine) SeedFromActivity() {
+	for s, d := range e.chg {
+		if d == 0 {
 			continue
 		}
 		for _, ri := range e.ev.topo.Readers[s] {
@@ -185,9 +178,9 @@ func (e *Engine[V]) SeedFromActivity() {
 // mask, under the same containment condition as ClearActivityOn (no
 // activity bit may live outside mask).  The full scan costs O(signals)
 // per phase per cycle; the masked scan costs O(|mask|).
-func (e *Engine[V]) SeedFromActivityOn(mask []uint64) {
+func (e *Engine) SeedFromActivityOn(mask []uint64) {
 	netlist.EachSet(mask, nil, nil, func(s netlist.SigID) {
-		if e.chg[s].IsZero() {
+		if e.chg[s] == 0 {
 			return
 		}
 		for _, ri := range e.ev.topo.Readers[s] {
@@ -199,17 +192,66 @@ func (e *Engine[V]) SeedFromActivityOn(mask []uint64) {
 // RunRaise drains the queue with phase-A (information-raising, OR)
 // semantics; RunLower with phase-B (lowering, assignment) semantics.
 // Both leave the final fixpoint the matching Jacobi sweep would leave.
-func (e *Engine[V]) RunRaise() { e.runEvents(true) }
+func (e *Engine) RunRaise() { e.runEvents(true) }
 
 // RunLower is phase B; see RunRaise.
-func (e *Engine[V]) RunLower() { e.runEvents(false) }
+func (e *Engine) RunLower() { e.runEvents(false) }
 
-func (e *Engine[V]) runEvents(raise bool) {
-	e.ev.cursor = 0
-	switch e := any(e).(type) {
-	case *Engine[V1]:
-		runEvents64(e, raise)
-	case *Engine[V4]:
-		runEvents256(e, raise)
+// runEvents drains the levelized event queue: pop the lowest pending
+// level, evaluate the gate (override partition dispatch), and on any
+// lane change write the output, accumulate the per-lane activity mask
+// and enqueue the admitted readers — feedback drops the cursor back.
+// raise selects phase-A (OR into the output) semantics; otherwise
+// phase-B (assignment).  Both phases are chaotic iterations of a
+// monotone operator, so the drained fixpoint is bit-identical to the
+// corresponding Jacobi sweep (see the file comment).
+func (e *Engine) runEvents(raise bool) {
+	ev := e.ev
+	ev.cursor = 0
+	gm := ev.gateMask // multi-word gate admission bitset, hoisted
+	guard := ev.guard
+	for ev.cursor < len(ev.buckets) {
+		b := ev.buckets[ev.cursor]
+		n := len(b)
+		if n == 0 {
+			ev.cursor++
+			continue
+		}
+		gi := b[n-1]
+		ev.buckets[ev.cursor] = b[:n-1]
+		ev.inQ[gi] = false
+		var e1, e0 uint64
+		if e.hasOv[gi] {
+			e1, e0 = evalGateOv(e, gi, e.p1, e.p0)
+		} else {
+			e1, e0 = evalGate(e, gi, e.p1, e.p0)
+		}
+		e.evals++
+		if guard--; guard < 0 {
+			panic("lanevec: event settling did not converge")
+		}
+		out := e.c.Gates[gi].Out
+		o1, o0 := e.p1[out], e.p0[out]
+		if raise {
+			e1 |= o1
+			e0 |= o0
+		}
+		d := (e1 ^ o1) | (e0 ^ o0)
+		if d == 0 {
+			continue
+		}
+		e.p1[out], e.p0[out] = e1, e0
+		e.chg[out] |= d
+		for _, ri := range ev.topo.Readers[out] {
+			if gm[ri>>6]>>uint(ri&63)&1 == 0 || ev.inQ[ri] {
+				continue
+			}
+			ev.inQ[ri] = true
+			lv := ev.topo.Level[ri]
+			ev.buckets[lv] = append(ev.buckets[lv], ri)
+			if lv < ev.cursor {
+				ev.cursor = lv
+			}
+		}
 	}
 }

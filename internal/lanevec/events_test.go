@@ -17,12 +17,12 @@ import (
 // eventCycle drives one synchronous cycle on an event-initialised
 // engine the way the good machine does: mark the rails, raise, re-seed
 // from the accumulated activity, lower.
-func eventCycle[V Vec[V]](e *Engine[V], rails []V) {
+func eventCycle(e *Engine, rails []uint64) {
 	all := e.All()
 	e.ClearActivity()
 	for i := 0; i < e.Circuit().NumInputs(); i++ {
-		w := rails[i].And(all)
-		e.MarkSignal(netlist.SigID(i), w, all.AndNot(w))
+		w := rails[i] & all
+		e.MarkSignal(netlist.SigID(i), w, all&^w)
 	}
 	e.SeedFromActivity()
 	e.RunRaise()
@@ -32,7 +32,7 @@ func eventCycle[V Vec[V]](e *Engine[V], rails []V) {
 
 // eventReset loads the initial state and settles with every admitted
 // gate seeded in both phases.
-func eventReset[V Vec[V]](e *Engine[V]) {
+func eventReset(e *Engine) {
 	e.LoadInit()
 	e.EnqueueMaskGates()
 	e.RunRaise()
@@ -54,25 +54,24 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 			continue
 		}
 		tried++
-		var zero V1
-		all := zero.FirstN(lanes)
+		const all = uint64(1)<<lanes - 1
 
-		sweep := NewEngine[V1](c)
+		sweep := NewEngine(c)
 		sweep.SetAll(all)
-		event := NewEngine[V1](c)
+		event := NewEngine(c)
 		event.SetAll(all)
 		event.InitEvents(c.Topology())
 
 		// Inject the same per-lane faults into both engines so the
 		// override kernels are exercised by the event path too.
 		gi := rng.Intn(c.NumGates())
-		mask := zero.WithBit(rng.Intn(lanes))
-		sweep.orOutOverride(gi, mask, zero)
-		event.orOutOverride(gi, mask, zero)
+		mask := uint64(1) << rng.Intn(lanes)
+		sweep.orOutOverride(gi, mask, 0)
+		event.orOutOverride(gi, mask, 0)
 		gj := rng.Intn(c.NumGates())
 		if nf := len(c.Gates[gj].Fanin); nf > 0 {
 			pin := rng.Intn(nf)
-			pm := zero.WithBit(rng.Intn(lanes))
+			pm := uint64(1) << rng.Intn(lanes)
 			sweep.addPinOverride(gj, pin, pm, true)
 			event.addPinOverride(gj, pin, pm, true)
 		}
@@ -81,8 +80,8 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 		// self-dependent in the good circuit — the event queue must
 		// reach the same fixpoint without a self reader edge.
 		gk := rng.Intn(c.NumGates())
-		fm := zero.WithBit(rng.Intn(lanes))
-		rm := zero.WithBit(rng.Intn(lanes))
+		fm := uint64(1) << rng.Intn(lanes)
+		rm := uint64(1) << rng.Intn(lanes)
 		sweep.orDirOverride(gk, fm, rm)
 		event.orDirOverride(gk, fm, rm)
 
@@ -92,13 +91,11 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 
 		m := c.NumInputs()
 		for cyc := 0; cyc < cycles; cyc++ {
-			rails := make([]V1, m)
+			rails := make([]uint64, m)
 			for l := 0; l < lanes; l++ {
 				pat := rng.Uint64()
 				for i := 0; i < m; i++ {
-					if pat>>uint(i)&1 == 1 {
-						rails[i] = rails[i].WithBit(l)
-					}
+					rails[i] |= pat >> uint(i) & 1 << uint(l)
 				}
 			}
 			sweep.ApplyRails(rails)
@@ -115,7 +112,7 @@ func TestEventSettleMatchesSweep(t *testing.T) {
 	t.Logf("event-vs-sweep settled %d random circuits", tried)
 }
 
-func compareStates[V Vec[V]](t *testing.T, seed int64, cyc int, a, b *Engine[V], lanes int) {
+func compareStates(t *testing.T, seed int64, cyc int, a, b *Engine, lanes int) {
 	t.Helper()
 	for l := 0; l < lanes; l++ {
 		sa, sb := a.LaneState(l), b.LaneState(l)
@@ -135,10 +132,8 @@ func TestEventSettleRespectsGateMask(t *testing.T) {
 		t.Skip("no circuit for seed")
 	}
 	topo := ckt.Topology()
-	var zero V1
-	all := zero.FirstN(4)
-	e := NewEngine[V1](ckt)
-	e.SetAll(all)
+	e := NewEngine(ckt)
+	e.SetAll(0xf)
 	e.InitEvents(topo)
 	e.LoadInit()
 	// Admit only the cone of the last gate's output.

@@ -1,6 +1,7 @@
 package randckt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestATPGSoundOnRandomCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := atpg.Run(g, faults.InputSA, atpg.Options{Seed: 1, RandomSequences: 16, RandomLength: 8})
+		res, _ := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, faults.Universe(g.C, faults.InputSA), atpg.Options{Seed: 1, RandomSequences: 16, RandomLength: 8})
 		if res.Covered+res.Untestable+res.Aborted != res.Total {
 			t.Fatalf("%s: accounting broken: %s", c.Name, res.Summary())
 		}

@@ -6,7 +6,7 @@
 //
 // Keys are opaque strings the caller derives from everything
 // verdict-affecting about a query — circuit content hash, fault model
-// and selection, engine, lane width, shard assignment, and a hash of
+// and selection, shard assignment, and a hash of
 // the full test program.  Values are opaque byte blobs (in practice
 // the JSON response body the service would have computed).
 //

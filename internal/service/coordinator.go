@@ -267,7 +267,7 @@ func (s *Server) localShard(ctx context.Context, c *netlist.Circuit, universe []
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
 	return atpg.CoverageOfCtx(ctx, c, universe, tests, atpg.CoverageOptions{
-		Workers: workers, Lanes: req.Lanes,
-		Shard: shard, Shards: shards,
+		Workers: workers,
+		Shard:   shard, Shards: shards,
 	})
 }

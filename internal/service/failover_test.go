@@ -278,8 +278,8 @@ func TestCoordinatorMalformedRequestsKeepPeersHealthy(t *testing.T) {
 		Peers: []string{newWorker(t).URL, newWorker(t).URL},
 	}))
 	for _, req := range []*service.CoverageRequest{
-		{CircuitText: text, Tests: tests, Lanes: 96},
-		{CircuitText: text, Tests: tests, Lanes: 128},
+		{CircuitText: text, Tests: tests, Faults: "stuckat"},
+		{Circuit: "deadbeef00000000", Tests: tests},
 		{CircuitText: text, Tests: tests, Model: "both"},
 	} {
 		if rec := postJSON(t, coord, "/v1/coverage", req); rec.Code != http.StatusBadRequest {

@@ -17,15 +17,16 @@ import (
 // a directory (`satpgd -store DIR`).
 //
 // Scheduling knobs (workers, streaming) stay out of the key: they
-// change how fast the answer arrives, never what it is.  Lane width
-// and shard restriction are hashed even though the engine is
-// parity-pinned across them — a cache must never be the thing that
-// papers over a parity bug.
+// change how fast the answer arrives, never what it is.  The shard
+// restriction is hashed even though the engine is parity-pinned
+// across shards — a cache must never be the thing that papers over a
+// parity bug.
 //
-// The keys keep a constant "event" in the slot that once hashed a
-// selectable fault-simulation engine, so a store written before the
-// event engine became the only one still serves the requests that
-// never named an engine (TestStoreKeysStable pins this).
+// The keys keep constants in the slots that once hashed a selectable
+// fault-simulation engine ("event") and lane width (64), so a store
+// written before the event engine and the 64-lane width became the
+// only ones still serves the requests that never named them
+// (TestStoreKeysStable pins this).
 
 // canon substitutes a keyword's documented default for the empty
 // string so "", "input" and explicit defaults share a key.
@@ -55,14 +56,10 @@ func hashWords(h io.Writer, ws []uint64) {
 
 // coverageKey derives the result-store key of a coverage request.
 func coverageKey(circuitID string, req *CoverageRequest) string {
-	lanes := req.Lanes
-	if lanes == 0 {
-		lanes = 64
-	}
 	h := sha256.New()
-	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00event\x00%d\x00%d\x00%d\x00",
+	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00event\x0064\x00%d\x00%d\x00",
 		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
-		lanes, req.Shard, req.Shards)
+		req.Shard, req.Shards)
 	for _, t := range req.Tests {
 		hashWords(h, t.Patterns)
 		hashWords(h, t.Expected)
@@ -73,14 +70,10 @@ func coverageKey(circuitID string, req *CoverageRequest) string {
 
 // compactKey derives the result-store key of a compaction request.
 func compactKey(circuitID string, req *CompactRequest) string {
-	lanes := req.Lanes
-	if lanes == 0 {
-		lanes = 64
-	}
 	h := sha256.New()
-	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00event\x00%d\x00%s\x00",
+	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00event\x0064\x00%s\x00",
 		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
-		lanes, canon(req.Mode, "all"))
+		canon(req.Mode, "all"))
 	var b [8]byte
 	for _, p := range req.Programs {
 		hashWords(h, p.Patterns)

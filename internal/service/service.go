@@ -65,11 +65,12 @@
 // # Input bounds
 //
 // Every POST body is capped at MaxRequestBytes (413 past it), and every
-// request field is validated — circuit, model, faults, lanes, mode,
-// flow, and generation's walk count and length (each capped by a Max*
-// constant) — before the result store is probed, any peer is
-// contacted or any generation runs, so a malformed query is a 400 that
-// costs neither a store miss nor a peer's health.
+// request field is validated — circuit, model, faults, mode, flow, the
+// lengths of declared responses, the shard index, and generation's
+// walk count and length (each capped by a Max* constant) — before the
+// result store is probed, any peer is contacted or any generation
+// runs, so a malformed query is a 400 that costs neither a store miss
+// nor a peer's health.
 package service
 
 import (
@@ -333,7 +334,7 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	}
 	id, c, err := s.circuits.Intern(string(text), "submitted")
 	if err != nil {
-		s.httpError(w, http.StatusUnprocessableEntity, err)
+		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.writeJSON(w, CircuitInfo{
@@ -362,7 +363,6 @@ type CoverageRequest struct {
 
 	Model   string     `json:"model,omitempty"`   // input (default) | output
 	Faults  string     `json:"faults,omitempty"`  // sa (default) | transition | both
-	Lanes   int        `json:"lanes,omitempty"`   // 64 (default) | 256
 	Workers int        `json:"workers,omitempty"` // 0: server default
 	Tests   []TestJSON `json:"tests"`
 
@@ -403,7 +403,6 @@ type CoverageResponse struct {
 	Detected  int           `json:"detected"`
 	Coverage  float64       `json:"coverage"`
 	Classes   int           `json:"classes"`
-	Lanes     int           `json:"lanes"`
 	Workers   int           `json:"workers"`
 	Shard     int           `json:"shard,omitempty"`
 	Shards    int           `json:"shards,omitempty"`
@@ -455,23 +454,26 @@ func resolveFaults(model, sel string) (faults.Type, faults.Selection, error) {
 	return fm, fs, nil
 }
 
-// checkLanes rejects a lane width the fault simulator does not run.
-func checkLanes(n int) error {
-	switch n {
-	case 0, 64, 256:
-		return nil
+// checkCoverageShape rejects a declared response trace whose length
+// differs from its test's pattern count (a test without one is judged
+// against the good machine) and a shard index outside its partition.
+func checkCoverageShape(req *CoverageRequest) error {
+	for i, t := range req.Tests {
+		if t.Expected != nil && len(t.Expected) != len(t.Patterns) {
+			return fmt.Errorf("test %d: %d expected responses for %d patterns", i, len(t.Expected), len(t.Patterns))
+		}
 	}
-	return fmt.Errorf("unsupported lanes %d (want 64 or 256)", n)
+	if req.Shards > 0 && (req.Shard < 0 || req.Shard >= req.Shards) {
+		return fmt.Errorf("shard %d out of range for %d shards", req.Shard, req.Shards)
+	}
+	return nil
 }
 
-// resolveUniverse validates the request's model, faults and lanes
-// fields and returns the fault universe they select.
-func resolveUniverse(c *netlist.Circuit, model, sel string, lanes int) ([]faults.Fault, error) {
+// resolveUniverse validates the request's model and faults fields and
+// returns the fault universe they select.
+func resolveUniverse(c *netlist.Circuit, model, sel string) ([]faults.Fault, error) {
 	fm, fs, err := resolveFaults(model, sel)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkLanes(lanes); err != nil {
 		return nil, err
 	}
 	return faults.SelectUniverse(c, fm, fs), nil
@@ -496,7 +498,10 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	universe, err := resolveUniverse(c, req.Model, req.Faults, req.Lanes)
+	universe, err := resolveUniverse(c, req.Model, req.Faults)
+	if err == nil {
+		err = checkCoverageShape(&req)
+	}
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -543,8 +548,8 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
 	opts := atpg.CoverageOptions{
-		Workers: workers, Lanes: req.Lanes,
-		Shard: req.Shard, Shards: req.Shards,
+		Workers: workers,
+		Shard:   req.Shard, Shards: req.Shards,
 	}
 
 	var enc *json.Encoder
@@ -610,7 +615,7 @@ func coverageResponse(circuitID string, rep *atpg.CoverageReport) *CoverageRespo
 	resp := &CoverageResponse{
 		Kind: "report", CircuitID: circuitID,
 		Total: rep.Total, Detected: rep.Detected, Coverage: rep.Coverage(),
-		Classes: rep.Classes, Lanes: rep.Lanes, Workers: rep.Workers,
+		Classes: rep.Classes, Workers: rep.Workers,
 		Shard: rep.Shard, Shards: rep.Shards,
 		PerFault:  make([]VerdictJSON, len(rep.PerFault)),
 		Patterns:  rep.Stats.Patterns,
@@ -644,7 +649,7 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 	}
 	rep := &atpg.CoverageReport{
 		Total: resp.Total, Detected: resp.Detected,
-		Classes: resp.Classes, Lanes: resp.Lanes, Workers: resp.Workers,
+		Classes: resp.Classes, Workers: resp.Workers,
 		Shard: resp.Shard, Shards: resp.Shards,
 		PerFault: make([]atpg.FaultCoverage, resp.Total),
 		Stats: fsim.Stats{
@@ -669,14 +674,14 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 // GenerateRequest is the POST /v1/generate body: run the full ATPG
 // flow on a circuit and return the generated tests with per-phase
 // attribution.  The decoder ignores unknown fields, so an old client's
-// skip_podem, podem_budget and podem_cycles are accepted and ignored.
+// lanes, skip_podem, podem_budget and podem_cycles are accepted and
+// ignored.
 type GenerateRequest struct {
 	Circuit     string `json:"circuit,omitempty"`
 	CircuitText string `json:"circuit_text,omitempty"`
 
 	Model   string `json:"model,omitempty"`   // input (default) | output
 	Faults  string `json:"faults,omitempty"`  // sa (default) | transition | both
-	Lanes   int    `json:"lanes,omitempty"`   // 64 (default) | 256
 	Workers int    `json:"workers,omitempty"` // 0: server default
 	Flow    string `json:"flow,omitempty"`    // auto (default) | cssg | direct
 
@@ -716,7 +721,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	opts := atpg.Options{
 		Seed:            req.Seed,
 		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
-		FaultSimWorkers: workers, FaultSimLanes: req.Lanes,
+		FaultSimWorkers: workers,
 	}
 	err := checkGenerateCaps(&req)
 	if err == nil {
@@ -825,7 +830,6 @@ type CompactRequest struct {
 	CircuitText string        `json:"circuit_text,omitempty"`
 	Model       string        `json:"model,omitempty"`
 	Faults      string        `json:"faults,omitempty"`
-	Lanes       int           `json:"lanes,omitempty"`
 	Workers     int           `json:"workers,omitempty"`
 	Mode        string        `json:"mode,omitempty"` // none | reverse | dominance | greedy | all (default)
 	Programs    []ProgramJSON `json:"programs"`
@@ -854,7 +858,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	universe, err := resolveUniverse(c, req.Model, req.Faults, req.Lanes)
+	universe, err := resolveUniverse(c, req.Model, req.Faults)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -864,6 +868,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		var ok bool
 		if mode, ok = compact.ParseMode(req.Mode); !ok {
 			s.httpError(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want none, reverse, dominance, greedy or all)", req.Mode))
+			return
+		}
+	}
+	for i, p := range req.Programs {
+		if len(p.Expected) != len(p.Patterns) {
+			s.httpError(w, http.StatusBadRequest, fmt.Errorf("program %d: %d expected responses for %d patterns", i, len(p.Expected), len(p.Patterns)))
 			return
 		}
 	}
@@ -889,7 +899,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		progs[i] = tester.Program{Patterns: p.Patterns, Expected: p.Expected, ResetExpected: p.ResetExpected}
 	}
 	start := time.Now()
-	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers, Lanes: req.Lanes})
+	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers})
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, err)
 		return

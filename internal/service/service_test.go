@@ -326,25 +326,22 @@ func TestRequestValidation(t *testing.T) {
 		{service.CoverageRequest{Tests: tests}, "circuit or circuit_text is required"},
 		{service.CoverageRequest{CircuitText: text, Model: "both", Tests: tests}, "input or output"},
 		{service.CoverageRequest{CircuitText: text, Faults: "stuckat", Tests: tests}, "sa, transition or both"},
-		{service.CoverageRequest{CircuitText: text, Lanes: 96, Tests: tests}, "64 or 256"},
-		{service.CoverageRequest{CircuitText: text, Lanes: 128, Tests: tests}, "64 or 256"},
 	} {
 		rec := postJSON(t, srv, "/v1/coverage", &tc.req)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
 			t.Fatalf("request %+v = %d %s; want 400 containing %q", tc.req, rec.Code, rec.Body.String(), tc.want)
 		}
 	}
-	// The other two option-carrying endpoints reject the removed width
-	// the same way, and generation rejects a negative or over-cap walk
-	// count or walk length, and a walk count × length past its cap with
-	// each field under its own, before any work.
+	// Compaction rejects an unknown mode, and generation rejects a
+	// negative or over-cap walk count or walk length, and a walk count
+	// × length past its cap with each field under its own, before any
+	// work.
 	for _, tc := range []struct {
 		path string
 		req  any
 		want string
 	}{
-		{"/v1/generate", &service.GenerateRequest{CircuitText: text, Lanes: 128}, "64 or 256"},
-		{"/v1/compact", &service.CompactRequest{CircuitText: text, Lanes: 128}, "64 or 256"},
+		{"/v1/compact", &service.CompactRequest{CircuitText: text, Mode: "fast"}, "none, reverse, dominance, greedy or all"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: -1}, "RandomSequences"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: -1}, "RandomLength"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: service.MaxRandomSeqs + 1}, "random_seqs"},
@@ -559,7 +556,7 @@ func TestExpectedOptionalMatchesDeclared(t *testing.T) {
 // library counts them.
 func TestGenerateReportsUnobservable(t *testing.T) {
 	text, c := loadISCAS(t, "s27")
-	res, err := atpg.RunDirect(c, faults.InputSA, faults.InputUniverse(c), atpg.Options{Seed: 1})
+	res, err := atpg.RunDirectCtx(context.Background(), c, faults.InputSA, faults.InputUniverse(c), atpg.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,5 +606,70 @@ func TestGenerateIgnoresRemovedPodemFields(t *testing.T) {
 	if len(bare.Tests) == 0 || !reflect.DeepEqual(old.Tests, bare.Tests) || old.Covered != bare.Covered {
 		t.Fatalf("with the removed fields: %d tests covering %d; bare request: %d tests covering %d",
 			len(old.Tests), old.Covered, len(bare.Tests), bare.Covered)
+	}
+}
+
+// TestRemovedLanesFieldIgnored: the lane-width request field is gone
+// with the 256-lane simulator, so lanes is an unknown field every
+// endpoint ignores: a request naming the old width or a width that
+// was never valid gets the bare request's answer.
+func TestRemovedLanesFieldIgnored(t *testing.T) {
+	text, c := loadISCAS(t, "s27")
+	tests := randomTests(c, 70, 6, 23)
+	res, err := satpg.Run(context.Background(), c, satpg.InputStuckAt, satpg.Options{Seed: 3, Flow: satpg.FlowDirect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progs []service.ProgramJSON
+	for _, p := range satpg.ProgramsForCircuit(c, res) {
+		progs = append(progs, service.ProgramJSON{Patterns: p.Patterns, Expected: p.Expected, ResetExpected: p.ResetExpected})
+	}
+	srv := service.New(service.Config{})
+	post := func(path string, body map[string]any, out any) {
+		t.Helper()
+		rec := postJSON(t, srv, path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s with lanes=%v = %d %s; want 200", path, body["lanes"], rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	with := func(body map[string]any, lanes int) map[string]any {
+		out := map[string]any{"lanes": lanes}
+		for k, v := range body {
+			out[k] = v
+		}
+		return out
+	}
+	cov := map[string]any{"circuit_text": text, "faults": "both", "tests": tests}
+	cmp := map[string]any{"circuit_text": text, "programs": progs}
+	gen := map[string]any{"circuit_text": text, "flow": "direct", "seed": 1}
+	var bareCov service.CoverageResponse
+	var bareCmp service.CompactResponse
+	var bareGen service.GenerateResponse
+	post("/v1/coverage", cov, &bareCov)
+	post("/v1/compact", cmp, &bareCmp)
+	post("/v1/generate", gen, &bareGen)
+	if bareCov.Detected == 0 || bareCmp.After == 0 || len(bareGen.Tests) == 0 {
+		t.Fatalf("bare requests answered nothing: %d detected, %d kept, %d tests",
+			bareCov.Detected, bareCmp.After, len(bareGen.Tests))
+	}
+	for _, lanes := range []int{256, 7} {
+		var gotCov service.CoverageResponse
+		var gotCmp service.CompactResponse
+		var gotGen service.GenerateResponse
+		post("/v1/coverage", with(cov, lanes), &gotCov)
+		post("/v1/compact", with(cmp, lanes), &gotCmp)
+		post("/v1/generate", with(gen, lanes), &gotGen)
+		if gotCov.Detected != bareCov.Detected || !reflect.DeepEqual(gotCov.PerFault, bareCov.PerFault) {
+			t.Errorf("coverage at lanes=%d: %d detected, bare %d, or per-fault verdicts differ", lanes, gotCov.Detected, bareCov.Detected)
+		}
+		if gotCmp.Detected != bareCmp.Detected || !reflect.DeepEqual(gotCmp.Kept, bareCmp.Kept) {
+			t.Errorf("compact at lanes=%d: kept %v covering %d, bare %v covering %d", lanes, gotCmp.Kept, gotCmp.Detected, bareCmp.Kept, bareCmp.Detected)
+		}
+		if gotGen.Covered != bareGen.Covered || !reflect.DeepEqual(gotGen.Tests, bareGen.Tests) {
+			t.Errorf("generate at lanes=%d: %d tests covering %d, bare %d covering %d", lanes, len(gotGen.Tests), gotGen.Covered, len(bareGen.Tests), bareGen.Covered)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func (s CoverageSummary) VerdictsEqual(o CoverageSummary) bool {
 // MeasureCoverage evaluates a fault universe — stuck-at, transition,
 // or a mix (every concrete model fsim accepts) — against the program
 // set with the bit-parallel fault simulator: programs ride the lanes of
-// each batch (64 or 256 wide per `lanes`), one representative per
+// each 64-lane batch, one representative per
 // structural equivalence class is simulated, the class list is sharded
 // across workers, and detected faults are dropped from later batches.
 // A fault counts as
@@ -55,9 +55,9 @@ func (s CoverageSummary) VerdictsEqual(o CoverageSummary) bool {
 // compares — under every delay assignment; the same promise MonteCarlo
 // spot-checks on the timed model, established here exhaustively on the
 // untimed one.
-func MeasureCoverage(c *netlist.Circuit, progs []Program, universe []faults.Fault, workers, lanes int) (CoverageSummary, error) {
+func MeasureCoverage(c *netlist.Circuit, progs []Program, universe []faults.Fault, workers int) (CoverageSummary, error) {
 	start := time.Now()
-	sim, err := fsim.New(c, universe, fsim.Options{Workers: workers, Lanes: lanes, CheckReset: true})
+	sim, err := fsim.New(c, universe, fsim.Options{Workers: workers, CheckReset: true})
 	if err != nil {
 		return CoverageSummary{}, err
 	}

@@ -1,6 +1,7 @@
 package tester
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func programFor(g *core.CSSG, tst atpg.Test) Program {
 // faulty circuit must mismatch in every trial of its covering test.
 func TestVectorsDelayIndependent(t *testing.T) {
 	c, g := buildAll(t, pipe2Src)
-	res := atpg.Run(g, faults.InputSA, atpg.Options{Seed: 1})
+	res, _ := atpg.RunUniverseCtx(context.Background(), g, faults.InputSA, faults.Universe(g.C, faults.InputSA), atpg.Options{Seed: 1})
 	cycle := CycleFor(g.Stats.MaxSettleDepth, 1.5)
 	for ti, tst := range res.Tests {
 		prog := programFor(g, tst)
@@ -89,7 +90,7 @@ func TestBenchmarkCircuitDelayIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := atpg.Run(g, faults.OutputSA, atpg.Options{Seed: 1})
+	res, _ := atpg.RunUniverseCtx(context.Background(), g, faults.OutputSA, faults.Universe(g.C, faults.OutputSA), atpg.Options{Seed: 1})
 	cycle := CycleFor(g.Stats.MaxSettleDepth, 1.5)
 	for ti, tst := range res.Tests {
 		if ti >= 4 {

@@ -13,8 +13,7 @@ import (
 
 // The multi-word differential suite: circuits past the 64-signal
 // single-word ceiling must behave bit-identically to the scalar ternary
-// oracle, across both fsim engines and both lane widths,
-// and a ≤64-signal circuit pushed through the multi-word paths (via
+// oracle, across both fsim engines, and a ≤64-signal circuit pushed through the multi-word paths (via
 // SetMinStateWords) must reproduce its single-word verdicts exactly.
 
 func loadCorpus(t *testing.T, name string) *Circuit {
@@ -78,7 +77,7 @@ func scalarOracleDetects(c *Circuit, f Fault, tests []Test) bool {
 // TestDirectFlowOracleOnCorpus runs the direct flow on the corpus and
 // checks (a) every kept test and credited detection replays on the
 // scalar oracle, (b) event and sweep engines agree verdict for verdict
-// at both lane widths on the generated tests.
+// on the generated tests.
 func TestDirectFlowOracleOnCorpus(t *testing.T) {
 	files := []string{"s27.ckt", "s349.ckt"}
 	if !testing.Short() {
@@ -97,19 +96,13 @@ func TestDirectFlowOracleOnCorpus(t *testing.T) {
 		if err := ValidateDirect(c, res); err != nil {
 			t.Errorf("%s: %v", file, err)
 		}
-		lanes := []int{64, 256}
-		if file == "s953.ckt" {
-			lanes = []int{256}
-		}
-		for _, lw := range lanes {
-			crossEngineCompare(t, c, InputStuckAt, SelectStuckAt, res.Tests, lw)
-		}
+		crossEngineCompare(t, c, InputStuckAt, SelectStuckAt, res.Tests)
 	}
 }
 
 // TestMultiWordEnginesMatchScalarOracle cross-validates the multi-word
 // engines on random feedback circuits at 65–300 signals: both engines
-// at every lane width must agree with each other on every fault, and
+// must agree with each other on every fault, and
 // with the scalar ternary machine on a sampled subset.
 func TestMultiWordEnginesMatchScalarOracle(t *testing.T) {
 	type band struct{ minGates, maxGates int }
@@ -132,10 +125,7 @@ func TestMultiWordEnginesMatchScalarOracle(t *testing.T) {
 		res := runDirect(t, c, InputStuckAt, Options{Seed: 7, RandomSequences: 32, RandomLength: 12})
 		t.Logf("band %d: %s, %d signals (%d words), %d tests, cov %d/%d",
 			bi, c.Name, c.NumSignals(), c.StateWords(), len(res.Tests), res.Covered, res.Total)
-		var ev []FaultCoverage
-		for _, lw := range []int{64, 256} {
-			ev, _, _ = crossEngineCompare(t, c, InputStuckAt, SelectStuckAt, res.Tests, lw)
-		}
+		ev, _, _ := crossEngineCompare(t, c, InputStuckAt, SelectStuckAt, res.Tests)
 		// Scalar spot-check: every 7th fault's verdict must match a full
 		// replay on the ternary machine.
 		for fi := 0; fi < len(ev); fi += 7 {
@@ -163,8 +153,8 @@ func TestSingleVsMultiWordBitEquality(t *testing.T) {
 		forced.SetMinStateWords(2)
 		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
 			for _, engine := range []fsim.EngineKind{fsim.EngineEvent, fsim.EngineSweep} {
-				one, _ := engineVerdicts(t, bm.Circuit, model, SelectStuckAt, res.Tests, 64, engine)
-				two, _ := engineVerdicts(t, forced, model, SelectStuckAt, res.Tests, 64, engine)
+				one, _ := engineVerdicts(t, bm.Circuit, model, SelectStuckAt, res.Tests, engine)
+				two, _ := engineVerdicts(t, forced, model, SelectStuckAt, res.Tests, engine)
 				for fi := range one {
 					a, b := one[fi], two[fi]
 					if a.Detected != b.Detected || a.TestIndex != b.TestIndex || a.Cycle != b.Cycle {

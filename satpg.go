@@ -14,7 +14,8 @@
 //     pairs that neither race nor oscillate within the k-transition
 //     test cycle.
 //  3. Generate stuck-at tests on the CSSG with random TPG, three-phase
-//     ATPG and parallel ternary fault simulation, then (optionally)
+//     ATPG and bit-parallel ternary fault simulation (64 test
+//     sequences per machine word), then (optionally)
 //     compact the test program over its exact detection matrix
 //     (CompactProgram — coverage preserved fault for fault) and
 //     validate the vectors on a timed model of the chip under random
@@ -187,11 +188,6 @@ type Options struct {
 	// many goroutines (0: GOMAXPROCS).  It affects the ATPG random
 	// phase and the FaultSimBatch / coverage measurements.
 	FaultSimWorkers int
-	// FaultSimLanes selects the lane width of bit-parallel fault
-	// simulation: 64 (default, one word per signal) or 256 test
-	// sequences per sweep.  Detected sets are identical across widths;
-	// wider lanes amortise each ternary sweep over more patterns.
-	FaultSimLanes int
 	// Faults selects which universes Run, GenerateCtx, FaultSimBatch and
 	// MeasureProgramCoverage target: the chosen stuck-at model
 	// (SelectStuckAt, the default), the transition universe
@@ -270,7 +266,6 @@ func (o Options) atpgOpts() atpg.Options {
 		SkipRandom:      o.SkipRandom,
 		SkipFaultSim:    o.SkipFaultSim,
 		FaultSimWorkers: o.FaultSimWorkers,
-		FaultSimLanes:   o.FaultSimLanes,
 	}
 }
 
@@ -387,26 +382,25 @@ func VerifyTest(g *CSSG, f Fault, t Test) bool {
 	return atpg.Verify(g, f, t, atpg.Options{})
 }
 
-// FaultSimBatch measures the guaranteed coverage of a test set over
-// the universe Options.Faults selects (the model's stuck-at faults,
-// the transition universe, or both) with the bit-parallel fault
-// simulator:
-// tests ride the lanes of each batch (Options.FaultSimLanes patterns
-// per sweep), only one representative per structural fault-equivalence
-// class is simulated (verdicts fan out to the whole universe), the
-// class list is sharded across Options.FaultSimWorkers goroutines, and
-// faults are dropped from later batches once detected.
+// FaultSimBatch measures the guaranteed coverage of a test set over the
+// universe Options.Faults selects (the model's stuck-at faults, the
+// transition universe, or both) with the bit-parallel fault simulator:
+// tests ride the lanes of each 64-lane batch, only one representative per
+// structural fault-equivalence class is simulated (verdicts fan out to the
+// whole universe), the class list is sharded across
+// Options.FaultSimWorkers goroutines, and faults are dropped from later
+// batches once detected.
 func FaultSimBatch(c *Circuit, model FaultModel, tests []Test, opts Options) (*CoverageReport, error) {
 	return FaultSimBatchCtx(context.Background(), c, model, tests, opts)
 }
 
 // FaultSimBatchCtx is FaultSimBatch with cooperative cancellation,
-// checked between lane-width batches; a cancelled measurement returns
+// checked between batches; a cancelled measurement returns
 // ctx.Err() and no report (a partial coverage number undercounts
 // silently).
 func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests []Test, opts Options) (*CoverageReport, error) {
 	return atpg.CoverageOfCtx(ctx, c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
+		Workers: opts.FaultSimWorkers,
 	})
 }
 
@@ -419,8 +413,8 @@ func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests [
 // bit-identical to the unsharded FaultSimBatch.
 func FaultSimBatchShard(c *Circuit, model FaultModel, tests []Test, shard, shards int, opts Options) (*CoverageReport, error) {
 	return atpg.CoverageOfCtx(context.Background(), c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes,
-		Shard: shard, Shards: shards,
+		Workers: opts.FaultSimWorkers,
+		Shard:   shard, Shards: shards,
 	})
 }
 
@@ -435,13 +429,13 @@ func MergeCoverageShards(reports []*CoverageReport) (*CoverageReport, error) {
 // MeasureProgramCoverage is FaultSimBatch for tester programs: the
 // stimulus/response view of the same measurement.
 func MeasureProgramCoverage(c *Circuit, progs []Program, model FaultModel, opts Options) (ProgramCoverageSummary, error) {
-	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers, opts.FaultSimLanes)
+	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers)
 }
 
 // CompactProgram shrinks a tester program set over the universe
 // Options.Faults selects, running the passes Options.Compact names on
-// the exact detection matrix (one batched fsim pass; the lane-width and
-// worker options apply to it).  The compacted program's
+// the exact detection matrix (one batched fsim pass; the worker option
+// applies to it).  The compacted program's
 // measured coverage is bit-identical to the original's, per fault —
 // only tests whose every detection another kept test carries are
 // dropped.
@@ -451,11 +445,11 @@ func CompactProgram(c *Circuit, progs []Program, model FaultModel, opts Options)
 
 // CompactProgramCtx is CompactProgram with cooperative cancellation:
 // the context gates the detection-matrix pass (the expensive part),
-// checked between lane-width batches; a cancelled run returns
+// checked between batches; a cancelled run returns
 // ctx.Err() and no result.
 func CompactProgramCtx(ctx context.Context, c *Circuit, progs []Program, model FaultModel, opts Options) (*CompactionResult, error) {
 	return compact.CompactCtx(ctx, c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.Compact,
-		compact.Options{Workers: opts.FaultSimWorkers, Lanes: opts.FaultSimLanes})
+		compact.Options{Workers: opts.FaultSimWorkers})
 }
 
 // Programs converts the result's tests into tester programs (stimulus

@@ -205,59 +205,6 @@ func TestFacadeFaultSimBatch(t *testing.T) {
 	}
 }
 
-// TestFaultSimLaneWidthsAgreeOnSuite pins the multi-word lane engine to
-// the stacked 64-lane runs on the Table-1 benchmarks: for both fault
-// models, the per-fault verdicts of FaultSimBatch must be identical at
-// 64 and 256 lanes, and the full ATPG flow must produce the same
-// result whichever width the random phase batches its walks at.
-func TestFaultSimLaneWidthsAgreeOnSuite(t *testing.T) {
-	suite := SpeedIndependentSuite()
-	if testing.Short() {
-		suite = suite[:3]
-	}
-	for _, bm := range suite {
-		g, res := runCSSG(t, bm.Circuit, InputStuckAt, Options{Seed: 1})
-		for _, model := range []FaultModel{OutputStuckAt, InputStuckAt} {
-			base, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimLanes: 64})
-			if err != nil {
-				t.Fatalf("%s: %v", bm.Name, err)
-			}
-			rep, err := FaultSimBatch(bm.Circuit, model, res.Tests, Options{FaultSimLanes: 256})
-			if err != nil {
-				t.Fatalf("%s lanes=256: %v", bm.Name, err)
-			}
-			for fi := range rep.PerFault {
-				if rep.PerFault[fi].Detected != base.PerFault[fi].Detected {
-					t.Errorf("%s %v lanes=256: fault %s detected=%v, 64-lane says %v",
-						bm.Name, model, rep.PerFault[fi].Fault.Describe(bm.Circuit),
-						rep.PerFault[fi].Detected, base.PerFault[fi].Detected)
-				}
-			}
-		}
-		// The random phase batches its walks by lane width; the walks,
-		// their order, and the exact-machine confirmation are width
-		// independent, so the whole ATPG result must be too.
-		wide := generate(t, g, InputStuckAt, Options{Seed: 1, FaultSimLanes: 256})
-		if wide.Covered != res.Covered || wide.Untestable != res.Untestable ||
-			len(wide.Tests) != len(res.Tests) {
-			t.Fatalf("%s: 256-lane ATPG diverged: cov %d vs %d, tests %d vs %d",
-				bm.Name, wide.Covered, res.Covered, len(wide.Tests), len(res.Tests))
-		}
-		for p, n := range res.ByPhase {
-			if wide.ByPhase[p] != n {
-				t.Errorf("%s: phase %v count %d vs %d", bm.Name, p, wide.ByPhase[p], n)
-			}
-		}
-		for i := range res.PerFault {
-			if wide.PerFault[i].Detected != res.PerFault[i].Detected ||
-				wide.PerFault[i].Phase != res.PerFault[i].Phase ||
-				wide.PerFault[i].TestIndex != res.PerFault[i].TestIndex {
-				t.Errorf("%s: fault %d verdict diverged across lane widths", bm.Name, i)
-			}
-		}
-	}
-}
-
 func TestFacadeSelfCheck(t *testing.T) {
 	spec, err := ParseSTGString(`
 .model celem
@@ -318,7 +265,7 @@ func TestFacadeBaseline(t *testing.T) {
 // end: the combined universe must be the stuck-at list followed by the
 // transition list, the full ATPG flow must cover it with exactly
 // verified tests, and the batched coverage measurement must agree
-// fault for fault across both engines at every lane width.
+// fault for fault across both engines.
 func TestFacadeFaultSelections(t *testing.T) {
 	c, err := LoadBenchmark("si/vbe5b")
 	if err != nil {
@@ -351,9 +298,7 @@ func TestFacadeFaultSelections(t *testing.T) {
 		t.Fatalf("combined coverage suspiciously low: %s", res.Summary())
 	}
 
-	for _, lanes := range []int{64, 256} {
-		crossEngineCompare(t, c, InputStuckAt, SelectBoth, res.Tests, lanes)
-	}
+	crossEngineCompare(t, c, InputStuckAt, SelectBoth, res.Tests)
 
 	// Program-side measurement accepts the combined universe too.
 	sum, err := MeasureProgramCoverage(c, Programs(g, res), InputStuckAt, Options{Faults: SelectBoth})
@@ -451,8 +396,6 @@ func TestOptionsValidate(t *testing.T) {
 		opts Options
 	}{
 		{"negative workers", Options{FaultSimWorkers: -1}},
-		{"bad lane width", Options{FaultSimLanes: 96}},
-		{"removed lane width", Options{FaultSimLanes: 128}},
 		{"unknown flow", Options{Flow: Flow(9)}},
 		{"negative K", Options{K: -1}},
 	}
@@ -461,14 +404,11 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.opts)
 		}
 	}
-	if err := (Options{FaultSimLanes: 128}).Validate(); err == nil || !strings.Contains(err.Error(), "64 or 256") {
-		t.Errorf("128 lanes: Validate error %v, want one listing 64 or 256", err)
-	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
 	c := mustBenchmark(t, "fig1a")
-	if _, err := Run(context.Background(), c, InputStuckAt, Options{FaultSimLanes: 100}); err == nil {
-		t.Error("Run accepted an invalid lane width")
+	if _, err := Run(context.Background(), c, InputStuckAt, Options{FaultSimWorkers: -1}); err == nil {
+		t.Error("Run accepted a negative worker count")
 	}
 }
