@@ -10,10 +10,10 @@
 // (the model/engine/lanes-N naming of BenchmarkEventVsSweepTable1, the
 // engine shapes of BenchmarkFaultSimEngines, the model/mode naming of
 // BenchmarkCompactTable1, the circuit/signals-N naming of
-// BenchmarkISCASScale, the workers-N / inflight-N throughput
-// dimension of BenchmarkServiceShardThroughput and
-// BenchmarkServiceConcurrentQueries, whose queries/sec and aggregate
-// patterns/sec metrics ride along like any other custom metric).
+// BenchmarkISCASScale, the inflight-N throughput dimension of
+// BenchmarkServiceConcurrentQueries, and the workers-N one that older
+// transcripts of the service benchmarks carry; their queries/sec
+// metrics ride along like any other custom metric).
 // Rows that share a name — a transcript from `go test -count=N` —
 // collapse into one row holding the median of each metric.
 //
@@ -68,9 +68,9 @@ type Entry struct {
 	Circuit string `json:"circuit,omitempty"`
 	Signals int    `json:"signals,omitempty"`
 	// Workers and Inflight are the throughput dimension of the service
-	// benchmarks (e.g. ServiceShardThroughput/s953/workers-4,
-	// ServiceConcurrentQueries/s27/inflight-1024/workers-2): the shard
-	// or handler worker count, and the concurrent in-flight query count.
+	// benchmarks: the worker count older transcripts name (e.g.
+	// ServiceShardThroughput/s953/workers-4), and the concurrent
+	// in-flight query count (ServiceConcurrentQueries/s27/inflight-1024).
 	Workers    int                `json:"workers,omitempty"`
 	Inflight   int                `json:"inflight,omitempty"`
 	Iterations int64              `json:"iterations"`

@@ -38,17 +38,6 @@ func parseCompactMode(s string) (satpg.CompactMode, error) {
 	return m, nil
 }
 
-// parseWorkers validates a goroutine-count flag: a positive count is
-// taken as-is, 0 selects GOMAXPROCS, and a negative count is rejected
-// up front — fsim would silently clamp it to one worker, hiding the
-// typo (-fsim-workers -4 for -fsim-workers 4) behind a 4× slowdown.
-func parseWorkers(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("invalid -fsim-workers %d (want a positive count, or 0 for GOMAXPROCS)", n)
-	}
-	return n, nil
-}
-
 // validateProfilePaths rejects a -cpuprofile/-memprofile pair naming
 // the same file (the heap profile written at exit would truncate the
 // CPU profile streamed over the whole run) and profile paths in

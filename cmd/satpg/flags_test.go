@@ -50,20 +50,6 @@ func TestParseCompactMode(t *testing.T) {
 	}
 }
 
-func TestParseWorkers(t *testing.T) {
-	for _, ok := range []int{0, 1, 4, 64} {
-		if n, err := parseWorkers(ok); err != nil || n != ok {
-			t.Fatalf("parseWorkers(%d) = %d, %v", ok, n, err)
-		}
-	}
-	for _, bad := range []int{-1, -4} {
-		_, err := parseWorkers(bad)
-		if err == nil || !strings.Contains(err.Error(), "-fsim-workers") || !strings.Contains(err.Error(), "0 for GOMAXPROCS") {
-			t.Fatalf("parseWorkers(%d) error = %v; want -fsim-workers rejection listing choices", bad, err)
-		}
-	}
-}
-
 func TestValidateProfilePaths(t *testing.T) {
 	for _, ok := range [][2]string{
 		{"", ""}, {"cpu.prof", ""}, {"", "mem.prof"}, {"cpu.prof", "mem.prof"},

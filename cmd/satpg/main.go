@@ -35,7 +35,6 @@ func main() {
 		seqLen      = flag.Int("random-len", 0, "vectors per walk (0: default 24)")
 		skipRandom  = flag.Bool("skip-random", false, "disable the random TPG phase")
 		fsimFlag    = flag.Bool("fsim", false, "re-measure coverage of the generated tests with the bit-parallel fault simulator")
-		fsimWorkers = flag.Int("fsim-workers", 0, "goroutines sharding the fault list (0: GOMAXPROCS)")
 		compactMode = flag.String("compact", "none", "test-program compaction passes: none, reverse, dominance, greedy or all (coverage preserved fault for fault)")
 		direct      = flag.Bool("direct", false, "use the CSSG-free direct flow (automatic for circuits past the 64-signal explicit-state ceiling)")
 		testsOut    = flag.String("tests", "", "write tester programs to this file")
@@ -89,10 +88,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	workers, err := parseWorkers(*fsimWorkers)
-	if err != nil {
-		fatal(err)
-	}
 	cmode, err := parseCompactMode(*compactMode)
 	if err != nil {
 		fatal(err)
@@ -100,8 +95,7 @@ func main() {
 	opts := satpg.Options{
 		K: *k, Seed: *seed,
 		RandomSequences: *seqs, RandomLength: *seqLen, SkipRandom: *skipRandom,
-		FaultSimWorkers: workers,
-		Faults:          sel, Compact: cmode,
+		Faults: sel, Compact: cmode,
 	}
 	if *direct {
 		opts.Flow = satpg.FlowDirect

@@ -41,7 +41,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8714", "listen address (host:port)")
 		peersFlag  = flag.String("peers", "", "comma-separated worker base URLs; enables coordinator mode")
-		workers    = flag.Int("workers", 0, "default fault-shard goroutines per query (0: GOMAXPROCS)")
 		traceCap   = flag.Int("trace-cache", 64, "shared good-trace cache capacity in entries (0 disables)")
 		circuitCap = flag.Int("circuit-cache", 0, "interned circuit capacity (0: default)")
 		storeDir   = flag.String("store", "", "result-store directory; persists finished responses across restarts")
@@ -56,7 +55,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := validateCaps(*workers, *traceCap, *circuitCap); err != nil {
+	if err := validateCaps(*traceCap, *circuitCap); err != nil {
 		fatal(err)
 	}
 	if err := validateDispatch(*storeCap, *shardTO, *shardTries); err != nil {
@@ -74,7 +73,6 @@ func main() {
 	}
 
 	srv := service.New(service.Config{
-		Workers:       *workers,
 		CircuitCap:    *circuitCap,
 		Peers:         peers,
 		Store:         store,
@@ -145,10 +143,7 @@ func parsePeers(s string) ([]string, error) {
 }
 
 // validateCaps rejects nonsensical sizing flags up front.
-func validateCaps(workers, traceCap, circuitCap int) error {
-	if workers < 0 {
-		return fmt.Errorf("invalid -workers %d (want a positive count, or 0 for GOMAXPROCS)", workers)
-	}
+func validateCaps(traceCap, circuitCap int) error {
 	if traceCap < 0 {
 		return fmt.Errorf("invalid -trace-cache %d (want a positive entry count, or 0 to disable)", traceCap)
 	}

@@ -32,23 +32,22 @@ func TestParsePeers(t *testing.T) {
 }
 
 func TestValidateCaps(t *testing.T) {
-	if err := validateCaps(0, 0, 0); err != nil {
+	if err := validateCaps(0, 0); err != nil {
 		t.Fatalf("zero caps rejected: %v", err)
 	}
-	if err := validateCaps(4, 256, 32); err != nil {
+	if err := validateCaps(256, 32); err != nil {
 		t.Fatalf("positive caps rejected: %v", err)
 	}
 	for _, tc := range []struct {
-		w, tcap, ccap int
-		flag          string
+		tcap, ccap int
+		flag       string
 	}{
-		{-1, 0, 0, "-workers"},
-		{0, -1, 0, "-trace-cache"},
-		{0, 0, -1, "-circuit-cache"},
+		{-1, 0, "-trace-cache"},
+		{0, -1, "-circuit-cache"},
 	} {
-		err := validateCaps(tc.w, tc.tcap, tc.ccap)
+		err := validateCaps(tc.tcap, tc.ccap)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Fatalf("validateCaps(%d,%d,%d) = %v; want %s rejection", tc.w, tc.tcap, tc.ccap, err, tc.flag)
+			t.Fatalf("validateCaps(%d,%d) = %v; want %s rejection", tc.tcap, tc.ccap, err, tc.flag)
 		}
 	}
 }

@@ -55,7 +55,6 @@ func main() {
 		ntests      = flag.Int("tests", 128, "random test sequences per query")
 		cycles      = flag.Int("cycles", 12, "patterns per test sequence")
 		seed        = flag.Int64("seed", 29, "random pattern seed")
-		workers     = flag.Int("workers", 0, "fault-shard goroutines per query (0: server default)")
 
 		chaosListen  = flag.String("chaos-listen", "", "run as a chaos proxy on this address instead of generating load")
 		chaosTarget  = flag.String("chaos-target", "http://127.0.0.1:8714", "worker base URL the chaos proxy forwards to")
@@ -90,7 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	body, err := buildRequest(string(text), c, *ntests, *cycles, *seed, *workers)
+	body, err := buildRequest(string(text), c, *ntests, *cycles, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,7 +108,7 @@ func main() {
 // buildRequest assembles the coverage request every query repeats:
 // deterministic random patterns, no declared responses (the server
 // judges against its own good machine — and caches that run).
-func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int64, workers int) ([]byte, error) {
+func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int64) ([]byte, error) {
 	rng := rand.New(rand.NewSource(seed))
 	mask := uint64(1)<<uint(c.NumInputs()) - 1
 	tests := make([]service.TestJSON, ntests)
@@ -120,9 +119,7 @@ func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int6
 		}
 		tests[i] = service.TestJSON{Patterns: pats}
 	}
-	return json.Marshal(&service.CoverageRequest{
-		CircuitText: text, Tests: tests, Workers: workers,
-	})
+	return json.Marshal(&service.CoverageRequest{CircuitText: text, Tests: tests})
 }
 
 // loadResult aggregates one load run.

@@ -31,7 +31,7 @@ func TestRunLoadAgainstService(t *testing.T) {
 	defer ts.Close()
 
 	const ntests, cycles = 64, 8
-	body, err := buildRequest(string(data), c, ntests, cycles, 3, 0)
+	body, err := buildRequest(string(data), c, ntests, cycles, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

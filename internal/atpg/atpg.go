@@ -103,9 +103,6 @@ type Options struct {
 	// MaxFaultySet caps the exact state set tracked for the faulty
 	// circuit (default 1024); exceeding it marks the fault Aborted.
 	MaxFaultySet int
-	// FaultSimWorkers shards the bit-parallel fault simulation of the
-	// random phase across this many goroutines (0: GOMAXPROCS).
-	FaultSimWorkers int
 }
 
 // Validate reports the first nonsensical numeric option with a
@@ -114,15 +111,14 @@ type Options struct {
 // do, before any work.
 func (o Options) Validate() error {
 	for _, f := range []struct {
-		name, zero string
-		v          int
+		name string
+		v    int
 	}{
-		{"RandomSequences", "", o.RandomSequences},
-		{"RandomLength", "", o.RandomLength},
-		{"FaultSimWorkers", " (0 selects GOMAXPROCS)", o.FaultSimWorkers},
+		{"RandomSequences", o.RandomSequences},
+		{"RandomLength", o.RandomLength},
 	} {
 		if f.v < 0 {
-			return fmt.Errorf("atpg: %s must be ≥ 0, got %d%s", f.name, f.v, f.zero)
+			return fmt.Errorf("atpg: %s must be ≥ 0, got %d", f.name, f.v)
 		}
 	}
 	return nil
@@ -375,7 +371,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 // that later leaves remaining is dropped too, so it only ever
 // simulates the faults still in play.
 func newRun(c *netlist.Circuit, model faults.Type, universe []faults.Fault, opts Options) (*Result, []int, *fsim.Simulator, error) {
-	fs, err := fsim.New(c, universe, fsim.Options{Workers: opts.FaultSimWorkers, NoDrop: true})
+	fs, err := fsim.New(c, universe, fsim.Options{NoDrop: true})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -31,7 +31,7 @@ type CoverageReport struct {
 	Total    int
 	Detected int
 	PerFault []FaultCoverage
-	Workers  int
+	Workers  int        // fault-simulation workers (GOMAXPROCS); merged reports sum them
 	Classes  int        // simulated equivalence classes (≤ Total)
 	Stats    fsim.Stats // applied patterns and gate evaluations
 	Elapsed  time.Duration
@@ -64,7 +64,6 @@ func (r *CoverageReport) Summary() string {
 
 // CoverageOptions tunes CoverageOfCtx.
 type CoverageOptions struct {
-	Workers int // fault-class shard goroutines (0: GOMAXPROCS)
 	// Shard/Shards select a 1-of-N partition of the representative
 	// fault classes (fsim.Options.ShardIndex/ShardCount): the report
 	// covers only the owned slice, for merging with the other shards'
@@ -80,13 +79,13 @@ type CoverageOptions struct {
 
 // CoverageOfCtx measures the guaranteed fault coverage of a test set
 // with the bit-parallel pattern-parallel engine: tests ride the lanes
-// of each 64-lane fsim batch, only one representative per
-// structural equivalence class is simulated, the class list is sharded
-// across workers, and a fault is dropped from later batches the moment
-// one test detects it.  The verdict is the conservative ternary one — a
-// fault counts only when some primary output settles definitely
-// opposite the expected response (or the reset response) under every
-// delay assignment.  The test set may lack Expected responses: if any
+// of each 64-lane fsim batch, only one representative per structural
+// equivalence class is simulated, the classes are spread across
+// GOMAXPROCS workers, and a fault is dropped from later batches the
+// moment one test detects it.  The verdict is the conservative ternary
+// one — a fault counts only when some primary output settles
+// definitely opposite the expected response (or the reset response)
+// under every delay assignment.  The test set may lack Expected responses: if any
 // test omits them, every fault is judged against the good machine's
 // own (simulated) response instead of declared ones — the form
 // service-submitted bare pattern programs arrive in.
@@ -100,7 +99,6 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 		return nil, fmt.Errorf("atpg: shard index %d out of range for %d shards", opts.Shard, opts.Shards)
 	}
 	s, err := fsim.New(c, universe, fsim.Options{
-		Workers:    opts.Workers,
 		CheckReset: true,
 		ShardIndex: opts.Shard, ShardCount: opts.Shards,
 	})
@@ -110,11 +108,8 @@ func CoverageOfCtx(ctx context.Context, c *netlist.Circuit, universe []faults.Fa
 	rep := &CoverageReport{
 		Total:    len(universe),
 		PerFault: make([]FaultCoverage, len(universe)),
-		Workers:  opts.Workers,
+		Workers:  runtime.GOMAXPROCS(0),
 		Classes:  s.NumClasses(),
-	}
-	if rep.Workers <= 0 {
-		rep.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.Shards > 0 {
 		// Shards == 1 is a degenerate but valid partition (a one-worker

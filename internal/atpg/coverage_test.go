@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -17,7 +18,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 	res := runModel(g, faults.InputSA, Options{Seed: 1})
 	universe := faults.Universe(g.C, faults.InputSA)
 
-	rep, err := CoverageOfCtx(context.Background(), g.C, universe, res.Tests, CoverageOptions{Workers: 2})
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, res.Tests, CoverageOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCoverageOfMatchesRun(t *testing.T) {
 func TestCoverageOfEmptyTestSet(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	universe := faults.Universe(g.C, faults.OutputSA)
-	rep, err := CoverageOfCtx(context.Background(), g.C, universe, nil, CoverageOptions{Workers: 1})
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, nil, CoverageOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestCoverageOfEmptyTestSet(t *testing.T) {
 func TestCoverageOfAcceptsTransitionFaults(t *testing.T) {
 	g := buildCSSG(t, invSrc, "inv")
 	universe := faults.Universe(g.C, faults.Transition)
-	rep, err := CoverageOfCtx(context.Background(), g.C, universe, nil, CoverageOptions{Workers: 1})
+	rep, err := CoverageOfCtx(context.Background(), g.C, universe, nil, CoverageOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +117,14 @@ func TestRunNegativeRandomSequences(t *testing.T) {
 
 // The batched random phase must leave the flow deterministic and
 // worker-count independent: the whole point of the NoDrop matrix replay.
+// GOMAXPROCS sets the fault simulator's worker count.
 func TestRunIndependentOfFaultSimWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g := buildCSSG(t, pipe2Src, "pipe2")
-	a := runModel(g, faults.InputSA, Options{Seed: 1, FaultSimWorkers: 1})
-	b := runModel(g, faults.InputSA, Options{Seed: 1, FaultSimWorkers: 8})
+	runtime.GOMAXPROCS(1)
+	a := runModel(g, faults.InputSA, Options{Seed: 1})
+	runtime.GOMAXPROCS(8)
+	b := runModel(g, faults.InputSA, Options{Seed: 1})
 	if a.Covered != b.Covered || len(a.Tests) != len(b.Tests) {
 		t.Fatalf("worker count changed the result: %s vs %s", a.Summary(), b.Summary())
 	}

@@ -56,8 +56,8 @@ func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, un
 	reset := sim.Machine{C: c}.InitState()
 	const width = fsim.Lanes
 
-	// Walk generation is sharded across workers and pipelined with the
-	// fault simulation: while chunk k settles in SimulateBatch the
+	// Walk generation runs on GOMAXPROCS workers and is pipelined with
+	// the fault simulation: while chunk k settles in SimulateBatch the
 	// workers are already drawing the walks of chunk k+1 and beyond.
 	// Each walk's randomness is a pure function of (seed, index) via
 	// walkSeed, and the selection replay below consumes chunks strictly
@@ -68,11 +68,7 @@ func RunDirectCtx(ctx context.Context, c *netlist.Circuit, model faults.Type, un
 		total = 0
 	}
 	walks := make([]Test, total)
-	workers := opts.FaultSimWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, max(total, 1))
+	workers := min(runtime.GOMAXPROCS(0), max(total, 1))
 	numChunks := (total + width - 1) / width
 	ready := make([]chan struct{}, numChunks)
 	chunkLeft := make([]int32, numChunks)

@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -15,7 +16,9 @@ import (
 // and the per-fault verdicts are byte-identical no matter how many
 // workers generate walks, because each walk's randomness derives from
 // (seed, index) alone and selection replays chunks in index order.
+// GOMAXPROCS sets the worker count of the walks and the fault simulator.
 func TestRunDirectWorkerCountInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(77))
 	tried := 0
 	for tried < 3 {
@@ -26,9 +29,9 @@ func TestRunDirectWorkerCountInvariance(t *testing.T) {
 		tried++
 		universe := faults.InputUniverse(c)
 		run := func(workers int) *Result {
+			runtime.GOMAXPROCS(workers)
 			res, err := RunDirectCtx(context.Background(), c, faults.InputSA, universe, Options{
 				Seed: 11, RandomSequences: 48, RandomLength: 10,
-				FaultSimWorkers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)

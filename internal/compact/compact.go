@@ -97,11 +97,10 @@ func ParseMode(s string) (Mode, bool) {
 	return ModeNone, false
 }
 
-// Options tunes the matrix-building fault simulation; the zero value
-// selects the fsim default of GOMAXPROCS workers.
-type Options struct {
-	Workers int
-}
+// Options has no settings: the matrix-building fault simulation runs
+// on GOMAXPROCS workers.  The struct stays in the signatures so that
+// callers written against it keep compiling.
+type Options struct{}
 
 // Result is the outcome of one compaction.
 type Result struct {

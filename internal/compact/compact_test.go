@@ -51,7 +51,7 @@ func TestCompactModesOnChain(t *testing.T) {
 	universe := faults.InputUniverse(c)
 	rng := rand.New(rand.NewSource(3))
 	progs := randPrograms(rng, c, 12, 6)
-	orig, err := tester.MeasureCoverage(c, progs, universe, 1)
+	orig, err := tester.MeasureCoverage(c, progs, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCompactModesOnChain(t *testing.T) {
 	}
 	impliedSeen := false
 	for _, mode := range []Mode{ModeNone, ModeReverse, ModeDominance, ModeGreedy, ModeAll} {
-		cr, err := Compact(c, progs, universe, mode, Options{Workers: 1})
+		cr, err := Compact(c, progs, universe, mode, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestCompactModesOnChain(t *testing.T) {
 				t.Fatalf("mode %s: Programs[%d] does not match progs[Kept[%d]]", mode, i, i)
 			}
 		}
-		got, err := tester.MeasureCoverage(c, cr.Programs, universe, 1)
+		got, err := tester.MeasureCoverage(c, cr.Programs, universe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestCompactFloorKeepsOneTest(t *testing.T) {
 		{Patterns: []uint64{0}, Expected: []uint64{0}, ResetExpected: 0},
 		{Patterns: []uint64{0, 0}, Expected: []uint64{0, 0}, ResetExpected: 0},
 	}
-	mx, err := BuildMatrix(c, progs, universe, Options{Workers: 1})
+	mx, err := BuildMatrix(c, progs, universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,14 @@ func TestCompactFloorKeepsOneTest(t *testing.T) {
 		t.Skipf("premise broken: %d faults detected by the hold-reset program", mx.Detected)
 	}
 	for _, mode := range []Mode{ModeReverse, ModeDominance, ModeGreedy, ModeAll} {
-		cr, err := Compact(c, progs, universe, mode, Options{Workers: 1})
+		cr, err := Compact(c, progs, universe, mode, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(cr.Programs) != 1 || cr.Kept[0] != 0 {
 			t.Fatalf("mode %s: floor rule kept %v, want [0]", mode, cr.Kept)
 		}
-		again, err := Compact(c, cr.Programs, universe, mode, Options{Workers: 1})
+		again, err := Compact(c, cr.Programs, universe, mode, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestCompactFloorKeepsOneTest(t *testing.T) {
 // TestCompactEmptyProgram: compacting an empty program is a no-op.
 func TestCompactEmptyProgram(t *testing.T) {
 	c := chainCircuit(t)
-	cr, err := Compact(c, nil, faults.InputUniverse(c), ModeAll, Options{Workers: 1})
+	cr, err := Compact(c, nil, faults.InputUniverse(c), ModeAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMatrixRowsFanOutToClassMembers(t *testing.T) {
 	universe := append(faults.OutputUniverse(c), faults.InputUniverse(c)...)
 	rng := rand.New(rand.NewSource(7))
 	progs := randPrograms(rng, c, 10, 5)
-	mx, err := BuildMatrix(c, progs, universe, Options{Workers: 1})
+	mx, err := BuildMatrix(c, progs, universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func sweepRows(c *netlist.Circuit, progs []tester.Program, universe []faults.Fau
 		seqs[i], expected[i], resetExp[i] = p.Patterns, p.Expected, p.ResetExpected
 	}
 	rows, _, err := fsim.DetectionMatrix(c, universe, seqs, expected, resetExp,
-		fsim.Options{Workers: 2, Engine: fsim.EngineSweep, CheckReset: true})
+		fsim.Options{Engine: fsim.EngineSweep, CheckReset: true})
 	return rows, err
 }
 
@@ -95,7 +95,7 @@ func TestMatrixDifferentialAgainstScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				mx, err := BuildMatrix(c, progs, universe, Options{Workers: 2})
+				mx, err := BuildMatrix(c, progs, universe, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -31,19 +31,19 @@ func FuzzCompact(f *testing.F) {
 		sel := faults.Selection(selByte % 3)
 		universe := faults.SelectUniverse(c, faults.InputSA, sel)
 		progs := randPrograms(rng, c, n, ml)
-		orig, err := tester.MeasureCoverage(c, progs, universe, 1)
+		orig, err := tester.MeasureCoverage(c, progs, universe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []Mode{ModeNone, ModeReverse, ModeDominance, ModeGreedy, ModeAll} {
-			cr, err := Compact(c, progs, universe, mode, Options{Workers: 1})
+			cr, err := Compact(c, progs, universe, mode, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cr.After > cr.Before || len(cr.Programs) != cr.After {
 				t.Fatalf("mode %s: size grew: %d -> %d", mode, cr.Before, cr.After)
 			}
-			got, err := tester.MeasureCoverage(c, cr.Programs, universe, 1)
+			got, err := tester.MeasureCoverage(c, cr.Programs, universe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func FuzzCompact(f *testing.F) {
 				t.Fatalf("mode %s: coverage changed: %d/%d vs %d/%d",
 					mode, got.Detected, got.Total, orig.Detected, orig.Total)
 			}
-			again, err := Compact(c, cr.Programs, universe, mode, Options{Workers: 1})
+			again, err := Compact(c, cr.Programs, universe, mode, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,7 +26,7 @@ import (
 // engine.
 func measure(c *netlist.Circuit, progs []tester.Program, universe []faults.Fault, engine fsim.EngineKind) (tester.CoverageSummary, error) {
 	if engine == fsim.EngineEvent {
-		return tester.MeasureCoverage(c, progs, universe, 0)
+		return tester.MeasureCoverage(c, progs, universe)
 	}
 	rows, err := sweepRows(c, progs, universe)
 	if err != nil {

@@ -23,10 +23,10 @@
 //   - fault dropping: a fault is removed from the simulation the moment
 //     one lane guarantees its detection, so late faults never pay for
 //     patterns that early faults already answered;
-//   - sharding: faults are independent once the good trace is computed,
-//     so the representative list is partitioned across workers — the
-//     shard assignment and the per-worker lane machines are sticky
-//     across batches, keeping worker state cache-warm;
+//   - parallelism: faults are independent once the good trace is
+//     computed, so GOMAXPROCS workers take the live classes one at a
+//     time from a shared cursor, each on its own lane machine, which
+//     stays sticky (cache-warm) across batches;
 //   - good-trace caching: the good machine's response to a sequence set
 //     is cached across Simulator instances, so repeated measurements of
 //     the same tests skip the redundant good run.
@@ -43,10 +43,11 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/netlist"
-	"repro/internal/sched"
 )
 
 // EngineKind selects the settling strategy of the fault machines.
@@ -79,9 +80,9 @@ func (k EngineKind) String() string {
 
 // Options tunes the engine.
 type Options struct {
-	// Workers is the number of goroutines the fault list is sharded
-	// across (0: GOMAXPROCS).  The shard assignment is fixed at New and
-	// each worker keeps its lane machine across batches.
+	// Workers caps the goroutines a batch runs its live classes on
+	// (0: GOMAXPROCS, which every caller above fsim uses).  Like Engine,
+	// only tests and benchmarks set it.
 	Workers int
 	// Engine selects event-driven cone-limited settling (default) or
 	// the full-sweep oracle.  Detected sets are identical either way;
@@ -286,29 +287,24 @@ type Simulator struct {
 	// members[r] lists the universe indices equivalent to representative
 	// r (including r itself); nil for non-representatives.
 	members [][]int
-	// units holds the representative indices cut into work units sized
-	// by cone-weight estimates (sched.Partition), fixed at New; each
-	// batch filters them down to live classes and runs them on the
-	// work-stealing pool.  weights[fi] is the per-class cost estimate,
-	// kept for re-weighting live units.
-	units    []sched.Unit
-	weights  []int64
-	nworkers int
+	// reps lists the representatives the batches simulate, fixed at New.
+	reps []int
 	// dead lists the representatives set aside at New because their
 	// faults are faults.Unobservable (event engine only: the sweep
-	// engine stays the unpruned oracle).  No unit holds them; run
+	// engine stays the unpruned oracle).  reps does not hold them; run
 	// answers for them with deadVerdict.
 	dead []int
 	// owned marks the universe indices this Simulator's shard simulates
 	// (nil: unsharded, everything owned).
 	owned []bool
 
-	// liveUnits and liveItems are run's scratch for the units filtered
-	// down to live classes, and found its per-worker detection lists,
-	// all kept across batches.
-	liveUnits []sched.Unit
-	liveItems []int
-	found     [][]Detection
+	// live is run's scratch for reps filtered down to live classes,
+	// next the cursor its workers take them from, and found their
+	// per-worker detection lists, all kept across batches.
+	live  []int
+	next  atomic.Int64
+	found [][]Detection
+	wg    sync.WaitGroup
 
 	topo    *netlist.Topology // cone index; event mode only
 	good    *machine          // built on first use, reused for good runs
@@ -386,6 +382,7 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 		reps = kept
 	}
 	if opts.Engine == EngineEvent {
+		s.topo = c.Topology()
 		// Set the unobservable classes aside after the shard cut, so the
 		// round-robin (and with it Owns) is the same as without pruning,
 		// and once, so no batch pays for filtering them out.
@@ -399,42 +396,11 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 		}
 		reps = observable
 	}
-	nw := opts.workers()
-	if nw > len(reps) {
-		nw = len(reps)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	s.nworkers = nw
+	s.reps = reps
+	s.live = make([]int, 0, len(reps))
+	nw := max(min(opts.workers(), len(reps)), 1)
 	s.workers = make([]*machine, nw)
 	s.found = make([][]Detection, nw)
-
-	// Cut the representative classes into work units sized by a cost
-	// estimate.  For the event engine a class's settling cost scales
-	// with its fanout cone (the only gates it re-evaluates), so the
-	// cone population is the weight; the sweep engine settles the whole
-	// circuit per class, so every class weighs the same.  The units are
-	// re-balanced at run time by the work-stealing pool, so the
-	// estimate only needs to be proportional, not exact.
-	s.weights = make([]int64, len(universe))
-	if opts.Engine == EngineEvent {
-		s.topo = c.Topology()
-		for _, fi := range reps {
-			cone := s.topo.ConeOf(c.Gates[universe[fi].Gate].Out)
-			w := int64(0)
-			for _, cw := range cone {
-				w += int64(bits.OnesCount64(cw))
-			}
-			s.weights[fi] = w
-		}
-	} else {
-		for _, fi := range reps {
-			s.weights[fi] = 1
-		}
-	}
-	s.units = sched.Partition(reps, func(i int) int64 { return s.weights[reps[i]] }, nw*sched.UnitsPerWorker)
-	s.liveItems = make([]int, 0, len(reps))
 	return s, nil
 }
 
@@ -520,7 +486,7 @@ func (s *Simulator) deadLive() bool {
 }
 
 // SimulateBatch evaluates every remaining fault class against the
-// batch, sharded across the configured workers, and returns the
+// batch, spread across the workers, and returns the
 // per-fault detection masks.  Detected faults are dropped from future
 // batches unless NoDrop is set.
 func (s *Simulator) SimulateBatch(b Batch) (*BatchResult, error) {
@@ -649,7 +615,7 @@ func (s *Simulator) computeTrace(needCycles, needStates bool) *goodTrace {
 }
 
 // run simulates one batch: pack, fill the response trace, then settle
-// every live fault class on the work-stealing pool.
+// every live fault class on the workers.
 func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 	pk := &s.pk
 	if err := pack(s.c, b, pk, &s.allocs); err != nil {
@@ -662,32 +628,18 @@ func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 		pk.traceFromResetExpected(s.c, b, &s.allocs)
 	}
 	res := &BatchResult{Lanes: make([]uint64, len(s.universe))}
-	// Filter each unit down to its live classes, re-summing weights so
-	// the pool balances today's survivors, not the seed universe (after
-	// a few batches most classes are detected and dropped — the static
-	// cut would starve every worker but one).  The filtered units are
-	// carved out of the Simulator's scratch, which holds every
-	// representative at most once.
-	liveUnits, items := s.liveUnits[:0], s.liveItems[:0]
-	for _, u := range s.units {
-		start := len(items)
-		var w int64
-		for _, fi := range u.Items {
-			if s.repLive(fi) {
-				items = append(items, fi)
-				w += s.weights[fi]
-			}
-		}
-		if len(items) > start {
-			liveUnits = append(liveUnits, sched.Unit{Items: items[start:len(items):len(items)], Weight: w})
+	live := s.live[:0]
+	for _, fi := range s.reps {
+		if s.repLive(fi) {
+			live = append(live, fi)
 		}
 	}
-	s.liveUnits, s.liveItems = liveUnits, items
+	s.live = live
 	// An unobservable class can detect only where declared responses
 	// contradict the good trace, so without declared responses it has
 	// nothing to answer.
 	deadLive := (b.Expected != nil || s.opts.CheckReset && b.ResetExpected != nil) && s.deadLive()
-	if len(liveUnits) == 0 && !deadLive {
+	if len(live) == 0 && !deadLive {
 		// Nothing left to simulate: skip the good run entirely.
 		return res, nil
 	}
@@ -742,29 +694,37 @@ func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 		}
 	}
 
-	// Class members are disjoint, so workers write disjoint res.Lanes
-	// entries and no synchronisation is needed beyond the pool's join
-	// (the trace and diffs are shared read-only).  A unit is executed
-	// entirely by one worker, on that worker's sticky machine — stealing
-	// moves units, never splits them.
-	// Each worker appends to its own detection list, which the
-	// Simulator keeps across batches.
-	for w := range s.found {
-		s.found[w] = s.found[w][:0]
+	// Each worker takes one class at a time from the shared cursor, so
+	// none finishes more than one class behind the others and no cost
+	// estimate is needed to balance them.  Class members are disjoint,
+	// so workers write disjoint res.Lanes entries (the trace and diffs
+	// are shared read-only).  The caller is worker 0: a one-worker batch
+	// starts no goroutine.
+	s.next.Store(0)
+	nw := min(len(s.workers), len(live))
+	for w := 1; w < nw; w++ {
+		s.wg.Add(1)
+		// Arguments, not captures: a captured tr, df or eager would move
+		// to the heap on every batch, one-worker batches included.
+		go func(w int, tr *goodTrace, df *traceDiffs, lanes []uint64, eager bool) {
+			defer s.wg.Done()
+			s.work(w, tr, df, lanes, eager)
+		}(w, tr, df, res.Lanes, eager)
 	}
-	sched.Run(s.nworkers, liveUnits, func(w int, u sched.Unit) {
-		s.found[w] = s.runUnit(w, tr, df, u.Items, res.Lanes, eager, s.found[w])
-	})
+	if nw > 0 {
+		s.work(0, tr, df, res.Lanes, eager)
+	}
+	s.wg.Wait()
 	n := 0
-	for _, part := range s.found {
+	for _, part := range s.found[:nw] {
 		n += len(part)
 	}
 	res.Detections = slices.Grow(res.Detections, n)
-	for _, part := range s.found {
+	for _, part := range s.found[:nw] {
 		res.Detections = append(res.Detections, part...)
 	}
-	// Stealing makes the execution order nondeterministic; sorting by
-	// fault index keeps the result deterministic regardless.
+	// Which worker takes which class varies from batch to batch; sorting
+	// by fault index keeps the result deterministic regardless.
 	slices.SortFunc(res.Detections, func(a, b Detection) int { return a.Fault - b.Fault })
 	return res, nil
 }
@@ -831,21 +791,27 @@ func deadVerdict(pk *packedBatch, tr *goodTrace, checkReset, noDrop bool) (mask 
 	return mask, lane, cycle, ok
 }
 
-// runUnit simulates the live representatives of one work unit on
-// worker w's sticky machine and fans each verdict out to the class
-// members, appending their Detections to found.
-func (s *Simulator) runUnit(w int, tr *goodTrace, df *traceDiffs, unit []int, lanes []uint64, eager bool, found []Detection) []Detection {
+// work simulates live classes on worker w's sticky machine until the
+// cursor runs past the last one, fanning each verdict out to the class
+// members and collecting their Detections in the worker's found list.
+func (s *Simulator) work(w int, tr *goodTrace, df *traceDiffs, lanes []uint64, eager bool) {
 	m := s.workers[w]
 	if m == nil {
 		m = newMachine(s.c)
 		s.workers[w] = m
 	}
-	for _, fi := range unit {
+	found := s.found[w][:0]
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.live) {
+			break
+		}
+		fi := s.live[i]
 		if mask, lane, cycle, ok := s.runFault(m, tr, df, fi, eager); ok {
 			found = s.fanOut(fi, mask, lane, cycle, lanes, found)
 		}
 	}
-	return found
+	s.found[w] = found
 }
 
 // fanOut records representative fi's detection (lane mask, first lane

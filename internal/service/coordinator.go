@@ -258,16 +258,9 @@ func (s *Server) dispatchShard(ctx context.Context, peerURL string, shard, shard
 // the coordinator computing a shard itself yields exactly the verdicts
 // the assigned worker would have.
 func (s *Server) localShard(ctx context.Context, c *netlist.Circuit, universe []faults.Fault, req *CoverageRequest, shard, shards int) (*atpg.CoverageReport, error) {
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	tests := make([]atpg.Test, len(req.Tests))
 	for i, t := range req.Tests {
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
-	return atpg.CoverageOfCtx(ctx, c, universe, tests, atpg.CoverageOptions{
-		Workers: workers,
-		Shard:   shard, Shards: shards,
-	})
+	return atpg.CoverageOfCtx(ctx, c, universe, tests, atpg.CoverageOptions{Shard: shard, Shards: shards})
 }

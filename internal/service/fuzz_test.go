@@ -48,6 +48,8 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add(uint8(2), compact)
 	f.Add(uint8(1), mustJSON(map[string]any{"circuit": info.ID, "lanes": 256, "tests": tests}))
 	f.Add(uint8(2), mustJSON(map[string]any{"circuit": info.ID, "lanes": 7, "programs": progs}))
+	f.Add(uint8(1), mustJSON(map[string]any{"circuit": info.ID, "workers": 1 << 30, "tests": tests}))
+	f.Add(uint8(2), mustJSON(map[string]any{"circuit": info.ID, "workers": -1, "programs": progs}))
 	f.Add(uint8(1), mustJSON(map[string]any{
 		"circuit": info.ID, "tests": tests, "skip_podem": true, "podem_budget": -1, "podem_cycles": 99,
 	}))

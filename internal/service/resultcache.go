@@ -16,11 +16,10 @@ import (
 // re-simulation — across process restarts, when the store is backed by
 // a directory (`satpgd -store DIR`).
 //
-// Scheduling knobs (workers, streaming) stay out of the key: they
-// change how fast the answer arrives, never what it is.  The shard
-// restriction is hashed even though the engine is parity-pinned
-// across shards — a cache must never be the thing that papers over a
-// parity bug.
+// Streaming stays out of the key: it changes how the answer arrives,
+// never what it is.  The shard restriction is hashed even though the
+// engine is parity-pinned across shards — a cache must never be the
+// thing that papers over a parity bug.
 //
 // The keys keep constants in the slots that once hashed a selectable
 // fault-simulation engine ("event") and lane width (64), so a store

@@ -123,9 +123,6 @@ const (
 
 // Config tunes a Server.
 type Config struct {
-	// Workers is the default fault-shard goroutine count of a coverage
-	// query (0: GOMAXPROCS); a request's "workers" field overrides it.
-	Workers int
 	// CircuitCap bounds the circuit intern store (0: DefaultCircuitCap).
 	CircuitCap int
 	// Peers lists worker base URLs (e.g. "http://10.0.0.2:8714").  When
@@ -361,10 +358,9 @@ type CoverageRequest struct {
 	Circuit     string `json:"circuit,omitempty"`
 	CircuitText string `json:"circuit_text,omitempty"`
 
-	Model   string     `json:"model,omitempty"`   // input (default) | output
-	Faults  string     `json:"faults,omitempty"`  // sa (default) | transition | both
-	Workers int        `json:"workers,omitempty"` // 0: server default
-	Tests   []TestJSON `json:"tests"`
+	Model  string     `json:"model,omitempty"`  // input (default) | output
+	Faults string     `json:"faults,omitempty"` // sa (default) | transition | both
+	Tests  []TestJSON `json:"tests"`
 
 	// Shard/Shards restrict the measurement to one shard of an N-way
 	// class partition (both 0: full universe).  Local setting a
@@ -539,18 +535,11 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	tests := make([]atpg.Test, len(req.Tests))
 	for i, t := range req.Tests {
 		tests[i] = atpg.Test{Patterns: t.Patterns, Expected: t.Expected}
 	}
-	opts := atpg.CoverageOptions{
-		Workers: workers,
-		Shard:   req.Shard, Shards: req.Shards,
-	}
+	opts := atpg.CoverageOptions{Shard: req.Shard, Shards: req.Shards}
 
 	var enc *json.Encoder
 	var flush func()
@@ -674,16 +663,15 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 // GenerateRequest is the POST /v1/generate body: run the full ATPG
 // flow on a circuit and return the generated tests with per-phase
 // attribution.  The decoder ignores unknown fields, so an old client's
-// lanes, skip_podem, podem_budget and podem_cycles are accepted and
-// ignored.
+// lanes, workers, skip_podem, podem_budget and podem_cycles are
+// accepted and ignored.
 type GenerateRequest struct {
 	Circuit     string `json:"circuit,omitempty"`
 	CircuitText string `json:"circuit_text,omitempty"`
 
-	Model   string `json:"model,omitempty"`   // input (default) | output
-	Faults  string `json:"faults,omitempty"`  // sa (default) | transition | both
-	Workers int    `json:"workers,omitempty"` // 0: server default
-	Flow    string `json:"flow,omitempty"`    // auto (default) | cssg | direct
+	Model  string `json:"model,omitempty"`  // input (default) | output
+	Faults string `json:"faults,omitempty"` // sa (default) | transition | both
+	Flow   string `json:"flow,omitempty"`   // auto (default) | cssg | direct
 
 	Seed       int64 `json:"seed,omitempty"`
 	RandomSeqs int   `json:"random_seqs,omitempty"`
@@ -714,14 +702,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	opts := atpg.Options{
 		Seed:            req.Seed,
 		RandomSequences: req.RandomSeqs, RandomLength: req.RandomLen, SkipRandom: req.SkipRandom,
-		FaultSimWorkers: workers,
 	}
 	err := checkGenerateCaps(&req)
 	if err == nil {
@@ -830,7 +813,6 @@ type CompactRequest struct {
 	CircuitText string        `json:"circuit_text,omitempty"`
 	Model       string        `json:"model,omitempty"`
 	Faults      string        `json:"faults,omitempty"`
-	Workers     int           `json:"workers,omitempty"`
 	Mode        string        `json:"mode,omitempty"` // none | reverse | dominance | greedy | all (default)
 	Programs    []ProgramJSON `json:"programs"`
 }
@@ -877,10 +859,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	var storeKey string
 	if s.cfg.Store != nil {
 		storeKey = compactKey(id, &req)
@@ -899,7 +877,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		progs[i] = tester.Program{Patterns: p.Patterns, Expected: p.Expected, ResetExpected: p.ResetExpected}
 	}
 	start := time.Now()
-	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{Workers: workers})
+	cr, err := compact.CompactCtx(r.Context(), c, progs, universe, mode, compact.Options{})
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, err)
 		return

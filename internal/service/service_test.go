@@ -614,6 +614,23 @@ func TestGenerateIgnoresRemovedPodemFields(t *testing.T) {
 // endpoint ignores: a request naming the old width or a width that
 // was never valid gets the bare request's answer.
 func TestRemovedLanesFieldIgnored(t *testing.T) {
+	checkRemovedFieldIgnored(t, "lanes", 256, 7)
+}
+
+// TestRemovedWorkersFieldIgnored: the worker-count request field is
+// gone with the option (GOMAXPROCS sizes fault simulation), so no
+// request can size the server's goroutine pools, not even with a
+// count past any machine's or a negative one.
+func TestRemovedWorkersFieldIgnored(t *testing.T) {
+	checkRemovedFieldIgnored(t, "workers", 1<<30, -1)
+}
+
+// checkRemovedFieldIgnored posts s27 coverage, compaction and
+// direct-flow generation requests (default walk counts) bare and with
+// the removed field set to each value, and requires every answer to be
+// 200 with the bare request's verdicts, kept programs and tests.
+func checkRemovedFieldIgnored(t *testing.T, field string, values ...int) {
+	t.Helper()
 	text, c := loadISCAS(t, "s27")
 	tests := randomTests(c, 70, 6, 23)
 	res, err := satpg.Run(context.Background(), c, satpg.InputStuckAt, satpg.Options{Seed: 3, Flow: satpg.FlowDirect})
@@ -629,16 +646,16 @@ func TestRemovedLanesFieldIgnored(t *testing.T) {
 		t.Helper()
 		rec := postJSON(t, srv, path, body)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s with lanes=%v = %d %s; want 200", path, body["lanes"], rec.Code, rec.Body.String())
+			t.Fatalf("%s with %s=%v = %d %s; want 200", path, field, body[field], rec.Code, rec.Body.String())
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
 			t.Fatal(err)
 		}
 	}
-	with := func(body map[string]any, lanes int) map[string]any {
-		out := map[string]any{"lanes": lanes}
-		for k, v := range body {
-			out[k] = v
+	with := func(body map[string]any, v int) map[string]any {
+		out := map[string]any{field: v}
+		for k, x := range body {
+			out[k] = x
 		}
 		return out
 	}
@@ -655,21 +672,24 @@ func TestRemovedLanesFieldIgnored(t *testing.T) {
 		t.Fatalf("bare requests answered nothing: %d detected, %d kept, %d tests",
 			bareCov.Detected, bareCmp.After, len(bareGen.Tests))
 	}
-	for _, lanes := range []int{256, 7} {
+	for _, v := range values {
 		var gotCov service.CoverageResponse
 		var gotCmp service.CompactResponse
 		var gotGen service.GenerateResponse
-		post("/v1/coverage", with(cov, lanes), &gotCov)
-		post("/v1/compact", with(cmp, lanes), &gotCmp)
-		post("/v1/generate", with(gen, lanes), &gotGen)
-		if gotCov.Detected != bareCov.Detected || !reflect.DeepEqual(gotCov.PerFault, bareCov.PerFault) {
-			t.Errorf("coverage at lanes=%d: %d detected, bare %d, or per-fault verdicts differ", lanes, gotCov.Detected, bareCov.Detected)
+		post("/v1/coverage", with(cov, v), &gotCov)
+		post("/v1/compact", with(cmp, v), &gotCmp)
+		post("/v1/generate", with(gen, v), &gotGen)
+		if gotCov.Detected != bareCov.Detected || gotCov.Workers != bareCov.Workers || !reflect.DeepEqual(gotCov.PerFault, bareCov.PerFault) {
+			t.Errorf("coverage at %s=%d: %d detected on %d workers, bare %d on %d, or per-fault verdicts differ",
+				field, v, gotCov.Detected, gotCov.Workers, bareCov.Detected, bareCov.Workers)
 		}
-		if gotCmp.Detected != bareCmp.Detected || !reflect.DeepEqual(gotCmp.Kept, bareCmp.Kept) {
-			t.Errorf("compact at lanes=%d: kept %v covering %d, bare %v covering %d", lanes, gotCmp.Kept, gotCmp.Detected, bareCmp.Kept, bareCmp.Detected)
+		if gotCmp.Detected != bareCmp.Detected || !reflect.DeepEqual(gotCmp.Kept, bareCmp.Kept) || !reflect.DeepEqual(gotCmp.Programs, bareCmp.Programs) {
+			t.Errorf("compact at %s=%d: kept %v covering %d, bare %v covering %d, or kept programs differ",
+				field, v, gotCmp.Kept, gotCmp.Detected, bareCmp.Kept, bareCmp.Detected)
 		}
 		if gotGen.Covered != bareGen.Covered || !reflect.DeepEqual(gotGen.Tests, bareGen.Tests) {
-			t.Errorf("generate at lanes=%d: %d tests covering %d, bare %d covering %d", lanes, len(gotGen.Tests), gotGen.Covered, len(bareGen.Tests), bareGen.Covered)
+			t.Errorf("generate at %s=%d: %d tests covering %d, bare %d covering %d",
+				field, v, len(gotGen.Tests), gotGen.Covered, len(bareGen.Tests), bareGen.Covered)
 		}
 	}
 }

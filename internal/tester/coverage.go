@@ -46,8 +46,9 @@ func (s CoverageSummary) VerdictsEqual(o CoverageSummary) bool {
 // or a mix (every concrete model fsim accepts) — against the program
 // set with the bit-parallel fault simulator: programs ride the lanes of
 // each 64-lane batch, one representative per
-// structural equivalence class is simulated, the class list is sharded
-// across workers, and detected faults are dropped from later batches.
+// structural equivalence class is simulated, the classes are spread
+// across GOMAXPROCS workers, and detected faults are dropped from later
+// batches.
 // A fault counts as
 // covered only when some cycle's (or the reset) response is guaranteed
 // to differ from the program's expected outputs — Expected per cycle,
@@ -55,9 +56,9 @@ func (s CoverageSummary) VerdictsEqual(o CoverageSummary) bool {
 // compares — under every delay assignment; the same promise MonteCarlo
 // spot-checks on the timed model, established here exhaustively on the
 // untimed one.
-func MeasureCoverage(c *netlist.Circuit, progs []Program, universe []faults.Fault, workers int) (CoverageSummary, error) {
+func MeasureCoverage(c *netlist.Circuit, progs []Program, universe []faults.Fault) (CoverageSummary, error) {
 	start := time.Now()
-	sim, err := fsim.New(c, universe, fsim.Options{Workers: workers, CheckReset: true})
+	sim, err := fsim.New(c, universe, fsim.Options{CheckReset: true})
 	if err != nil {
 		return CoverageSummary{}, err
 	}

@@ -26,7 +26,7 @@ func TestMeasureCoverageInverter(t *testing.T) {
 		ResetExpected: 1,
 	}
 	universe := faults.OutputUniverse(c)
-	sum, err := MeasureCoverage(c, []Program{prog}, universe, 2)
+	sum, err := MeasureCoverage(c, []Program{prog}, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMeasureCoverageHonoursResetExpected(t *testing.T) {
 	// against the model's reset z/SA1 is invisible; a tester expecting
 	// z=0 at reset, however, flags it (the faulty chip shows z=1).
 	prog := Program{ResetExpected: 0}
-	sum, err := MeasureCoverage(c, []Program{prog}, universe, 1)
+	sum, err := MeasureCoverage(c, []Program{prog}, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMeasureCoverageHonoursResetExpected(t *testing.T) {
 		t.Error("z/SA1 differs from the declared ResetExpected=0 and must be covered")
 	}
 	honest := Program{ResetExpected: 1}
-	sum2, err := MeasureCoverage(c, []Program{honest}, universe, 1)
+	sum2, err := MeasureCoverage(c, []Program{honest}, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMeasureCoverageEmptyProgramSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	universe := faults.OutputUniverse(c)
-	sum, err := MeasureCoverage(c, nil, universe, 0)
+	sum, err := MeasureCoverage(c, nil, universe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,10 +184,6 @@ type Options struct {
 	// three-phase test of the CSSG flow; the direct flow has no such
 	// screen, so there it changes nothing.
 	SkipFaultSim bool
-	// FaultSimWorkers shards bit-parallel fault simulation across this
-	// many goroutines (0: GOMAXPROCS).  It affects the ATPG random
-	// phase and the FaultSimBatch / coverage measurements.
-	FaultSimWorkers int
 	// Faults selects which universes Run, GenerateCtx, FaultSimBatch and
 	// MeasureProgramCoverage target: the chosen stuck-at model
 	// (SelectStuckAt, the default), the transition universe
@@ -265,7 +261,6 @@ func (o Options) atpgOpts() atpg.Options {
 		RandomLength:    o.RandomLength,
 		SkipRandom:      o.SkipRandom,
 		SkipFaultSim:    o.SkipFaultSim,
-		FaultSimWorkers: o.FaultSimWorkers,
 	}
 }
 
@@ -387,9 +382,8 @@ func VerifyTest(g *CSSG, f Fault, t Test) bool {
 // transition universe, or both) with the bit-parallel fault simulator:
 // tests ride the lanes of each 64-lane batch, only one representative per
 // structural fault-equivalence class is simulated (verdicts fan out to the
-// whole universe), the class list is sharded across
-// Options.FaultSimWorkers goroutines, and faults are dropped from later
-// batches once detected.
+// whole universe), the classes are spread across GOMAXPROCS goroutines,
+// and faults are dropped from later batches once detected.
 func FaultSimBatch(c *Circuit, model FaultModel, tests []Test, opts Options) (*CoverageReport, error) {
 	return FaultSimBatchCtx(context.Background(), c, model, tests, opts)
 }
@@ -399,9 +393,7 @@ func FaultSimBatch(c *Circuit, model FaultModel, tests []Test, opts Options) (*C
 // ctx.Err() and no report (a partial coverage number undercounts
 // silently).
 func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests []Test, opts Options) (*CoverageReport, error) {
-	return atpg.CoverageOfCtx(ctx, c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers,
-	})
+	return atpg.CoverageOfCtx(ctx, c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{})
 }
 
 // FaultSimBatchShard is FaultSimBatch restricted to shard `shard` of a
@@ -413,8 +405,7 @@ func FaultSimBatchCtx(ctx context.Context, c *Circuit, model FaultModel, tests [
 // bit-identical to the unsharded FaultSimBatch.
 func FaultSimBatchShard(c *Circuit, model FaultModel, tests []Test, shard, shards int, opts Options) (*CoverageReport, error) {
 	return atpg.CoverageOfCtx(context.Background(), c, faults.SelectUniverse(c, model, opts.Faults), tests, atpg.CoverageOptions{
-		Workers: opts.FaultSimWorkers,
-		Shard:   shard, Shards: shards,
+		Shard: shard, Shards: shards,
 	})
 }
 
@@ -429,16 +420,15 @@ func MergeCoverageShards(reports []*CoverageReport) (*CoverageReport, error) {
 // MeasureProgramCoverage is FaultSimBatch for tester programs: the
 // stimulus/response view of the same measurement.
 func MeasureProgramCoverage(c *Circuit, progs []Program, model FaultModel, opts Options) (ProgramCoverageSummary, error) {
-	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.FaultSimWorkers)
+	return tester.MeasureCoverage(c, progs, faults.SelectUniverse(c, model, opts.Faults))
 }
 
 // CompactProgram shrinks a tester program set over the universe
 // Options.Faults selects, running the passes Options.Compact names on
-// the exact detection matrix (one batched fsim pass; the worker option
-// applies to it).  The compacted program's
-// measured coverage is bit-identical to the original's, per fault —
-// only tests whose every detection another kept test carries are
-// dropped.
+// the exact detection matrix (one batched fsim pass).  The compacted
+// program's measured coverage is bit-identical to the original's, per
+// fault — only tests whose every detection another kept test carries
+// are dropped.
 func CompactProgram(c *Circuit, progs []Program, model FaultModel, opts Options) (*CompactionResult, error) {
 	return CompactProgramCtx(context.Background(), c, progs, model, opts)
 }
@@ -449,7 +439,7 @@ func CompactProgram(c *Circuit, progs []Program, model FaultModel, opts Options)
 // ctx.Err() and no result.
 func CompactProgramCtx(ctx context.Context, c *Circuit, progs []Program, model FaultModel, opts Options) (*CompactionResult, error) {
 	return compact.CompactCtx(ctx, c, progs, faults.SelectUniverse(c, model, opts.Faults), opts.Compact,
-		compact.Options{Workers: opts.FaultSimWorkers})
+		compact.Options{})
 }
 
 // Programs converts the result's tests into tester programs (stimulus

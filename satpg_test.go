@@ -167,7 +167,7 @@ func TestFacadeFaultSimBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, res := runCSSG(t, c, InputStuckAt, Options{Seed: 1})
-	rep, err := FaultSimBatch(c, InputStuckAt, res.Tests, Options{FaultSimWorkers: 2})
+	rep, err := FaultSimBatch(c, InputStuckAt, res.Tests, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 // Cancelling mid-run returns promptly and leaks no goroutines: the
-// direct flow's walk-generation workers and the fault-sim shards must
+// direct flow's walk-generation workers and the fault-sim workers must
 // all drain.
 func TestRunCancellationStopsPromptly(t *testing.T) {
 	if testing.Short() {
@@ -395,7 +395,7 @@ func TestOptionsValidate(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"negative workers", Options{FaultSimWorkers: -1}},
+		{"negative random sequences", Options{RandomSequences: -1}},
 		{"unknown flow", Options{Flow: Flow(9)}},
 		{"negative K", Options{K: -1}},
 	}
@@ -408,7 +408,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Errorf("zero options rejected: %v", err)
 	}
 	c := mustBenchmark(t, "fig1a")
-	if _, err := Run(context.Background(), c, InputStuckAt, Options{FaultSimWorkers: -1}); err == nil {
-		t.Error("Run accepted a negative worker count")
+	if _, err := Run(context.Background(), c, InputStuckAt, Options{RandomLength: -1}); err == nil {
+		t.Error("Run accepted a negative walk length")
 	}
 }
