@@ -52,14 +52,20 @@ func runSuite(suite []satpg.Benchmark, opts satpg.Options) {
 	var outTot, outCov, inTot, inCov int
 	start := time.Now()
 	for _, bm := range suite {
-		// The table suites are all explicit-state sized, so Run resolves
-		// FlowAuto to the CSSG flow — the paper's exact configuration.
-		out, err := satpg.Run(context.Background(), bm.Circuit, satpg.OutputStuckAt, opts)
+		// The table suites are all explicit-state sized, so they run the
+		// CSSG flow — the paper's exact configuration — and both models
+		// share one abstraction of the circuit.
+		g, err := satpg.Abstract(bm.Circuit, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tables: %s: %v\n", bm.Name, err)
 			os.Exit(1)
 		}
-		in, err := satpg.Run(context.Background(), bm.Circuit, satpg.InputStuckAt, opts)
+		out, err := satpg.GenerateCtx(context.Background(), g, satpg.OutputStuckAt, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tables: %s: %v\n", bm.Name, err)
+			os.Exit(1)
+		}
+		in, err := satpg.GenerateCtx(context.Background(), g, satpg.InputStuckAt, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tables: %s: %v\n", bm.Name, err)
 			os.Exit(1)

@@ -26,13 +26,23 @@
 //   - Fault simulation (§5.4): every found test is simulated against all
 //     remaining faults, as a one-lane batch on the same simulator, to
 //     drop collaterally-covered ones.
+//
+// The exact machine behind the search and behind every confirmation
+// explores the faulty circuit's settling graph for each (faulty state,
+// vector).  Within a run it takes the good circuit's graph instead
+// wherever the fault provably cannot change it, from one cache per run,
+// and the run's independent confirmations and searches use every core;
+// both leave every test and verdict bit-identical.
 package atpg
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -226,11 +236,19 @@ func (r *Result) Summary() string {
 // exact set-semantics machine confirming every claimed detection
 // either way.
 //
-// Cancellation is checked at every batch and fallback-fault boundary.
-// On cancellation it returns the partial Result accumulated so far
-// together with ctx.Err(): every detection already marked is final
-// (each was exactly confirmed), and the faults not yet reached simply
-// stay undetected.
+// The run keeps one cache of the good circuit's test cycles, which its
+// exact machines share (see exactMachine.goodCycle); it lives as long as
+// the run.  Each confirmation verifies its candidates on
+// min(GOMAXPROCS, n) goroutines, and the fallback searches up to
+// GOMAXPROCS faults at once; both commit their results in serial order,
+// so the Result does not depend on GOMAXPROCS.
+//
+// Cancellation is checked at every batch and fallback-fault boundary;
+// at a fallback-fault boundary that is once the searches in flight have
+// returned.  On cancellation it returns the partial Result accumulated
+// so far together with ctx.Err(): every detection already marked is
+// final (each was exactly confirmed), and the faults not yet reached
+// simply stay undetected.
 func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, universe []faults.Fault, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -241,6 +259,7 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 		panic("atpg: " + err.Error())
 	}
 	res.Graph = g
+	good := newGoodCache(g)
 
 	// confirm re-validates ternary-simulation detections with the exact
 	// set-semantics machine.  Ternary detection corresponds to the fair
@@ -248,10 +267,16 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 	// path-based TCR_k, which is strictly more pessimistic on circuits
 	// with self-oscillating gates.  Re-validation keeps every reported
 	// detection consistent with the pessimistic model (see DESIGN.md §5).
+	// The candidates are independent, so they are verified at once and
+	// kept in candidate order.
 	confirm := func(test Test, cand []int) []int {
+		ok := make([]bool, len(cand))
+		parallel(len(cand), func(i int) {
+			ok[i] = verify(g, universe[cand[i]], test, opts, good)
+		})
 		out := cand[:0]
-		for _, fi := range cand {
-			if Verify(g, universe[fi], test, opts) {
+		for i, fi := range cand {
+			if ok[i] {
 				out = append(out, fi)
 			}
 		}
@@ -326,15 +351,39 @@ func RunUniverseCtx(ctx context.Context, g *core.CSSG, model faults.Type, univer
 	}
 
 	// Phase 2+3: three-phase ATPG per remaining fault, with fault
-	// simulation of each new test over the rest.
+	// simulation of each new test over the rest.  A search is a pure
+	// function of the graph, the fault and the options, so when the head
+	// of remaining has not been searched yet, it and the faults behind it
+	// are searched at once, up to one per core; the results are still
+	// committed one fault at a time, in order.  A searched fault that the
+	// collateral screen of an earlier commit covers never commits, and
+	// its result is dropped.
+	type search struct {
+		test    Test
+		outcome Outcome
+	}
+	searched := map[int]search{}
 	for len(remaining) > 0 {
 		if ctx.Err() != nil {
 			break
 		}
 		fi := remaining[0]
+		if _, ok := searched[fi]; !ok {
+			// Every fault searched so far has committed or been covered:
+			// none of remaining is in the map.
+			clear(searched)
+			batch := remaining[:min(runtime.GOMAXPROCS(0), len(remaining))]
+			found := make([]search, len(batch))
+			parallel(len(batch), func(i int) {
+				found[i].test, found[i].outcome = generateTest(g, universe[batch[i]], opts, good)
+			})
+			for i, fj := range batch {
+				searched[fj] = found[i]
+			}
+		}
+		test, outcome := searched[fi].test, searched[fi].outcome
 		fr := &res.PerFault[fi]
 		res.Fallback++
-		test, outcome := GenerateTest(g, fr.Fault, opts)
 		fs.Drop(fi) // every outcome settles fi
 		switch outcome {
 		case OutcomeFound:
@@ -524,9 +573,19 @@ func Activation(g *core.CSSG, f faults.Fault) []int {
 // detection anywhere along a justification prefix (Figure 3a) naturally
 // yields the shorter test.  If the finite product space is exhausted the
 // fault is proven untestable under the conservative model.
+//
+// Called on its own, GenerateTest explores every faulty test cycle
+// afresh; only the searches inside RunUniverseCtx share the run's cache
+// of good cycles, with identical results.
 func GenerateTest(g *core.CSSG, f faults.Fault, opts Options) (Test, Outcome) {
+	return generateTest(g, f, opts, nil)
+}
+
+// generateTest is GenerateTest with the run's good-cycle cache, which
+// may be nil.
+func generateTest(g *core.CSSG, f faults.Fault, opts Options, good *goodCache) (Test, Outcome) {
 	opts = opts.withDefaults()
-	fm := newExactMachine(g, f, opts)
+	fm := newExactMachine(g, f, opts, good)
 	initSet, ok := fm.reset()
 	if !ok {
 		return Test{}, OutcomeAborted
@@ -581,30 +640,45 @@ type productEntry struct {
 // non-determinism and oscillation in the faulty circuit are represented
 // faithfully rather than approximated with ternary values.
 type exactMachine struct {
+	g      *core.CSSG
 	fc     *netlist.Circuit
 	opts   core.Options
 	setCap int
 	memo   map[[2]uint64][]uint64 // (state, pattern) → reach-at-k
+	// good, when non-nil, answers the cycles the fault cannot change
+	// (see goodCycle); gate is the faulted gate and diff the assignments
+	// under which its excitation differs between the good and the faulty
+	// circuit (core.ExcitationDiff).
+	good *goodCache
+	gate int
+	diff uint64
 }
 
-func newExactMachine(g *core.CSSG, f faults.Fault, opts Options) *exactMachine {
-	return &exactMachine{
+func newExactMachine(g *core.CSSG, f faults.Fault, opts Options, good *goodCache) *exactMachine {
+	m := &exactMachine{
+		g:      g,
 		fc:     faults.Apply(g.C, f),
 		opts:   core.Options{K: g.K},
 		setCap: opts.MaxFaultySet,
 		memo:   make(map[[2]uint64][]uint64),
 	}
+	if good != nil && g.C.ObservationOnly(f.Gate) == m.fc.ObservationOnly(f.Gate) {
+		if diff, ok := core.ExcitationDiff(g.C, m.fc, f.Gate); ok {
+			m.good, m.gate, m.diff = good, f.Gate, diff
+		}
+	}
+	return m
 }
 
 // reset settles the faulty circuit from the declared reset state (which
 // the fault may have destabilised).
 func (m *exactMachine) reset() ([]uint64, bool) {
 	init := m.fc.InitState()
-	cr := core.Explore(m.fc, init, m.opts)
-	if cr.Truncated || len(cr.ReachK) > m.setCap {
+	reach, ok := m.cycle(init, m.fc.InputBits(init))
+	if !ok || len(reach) > m.setCap {
 		return nil, false
 	}
-	return cr.ReachK, true
+	return reach, true
 }
 
 // step applies one test vector to every state in the set and unions the
@@ -616,11 +690,9 @@ func (m *exactMachine) step(set []uint64, pattern uint64) ([]uint64, bool) {
 		key := [2]uint64{s, pattern}
 		reach, ok := m.memo[key]
 		if !ok {
-			cr := core.Explore(m.fc, m.fc.WithInputBits(s, pattern), m.opts)
-			if cr.Truncated {
+			if reach, ok = m.cycle(s, pattern); !ok {
 				return nil, false
 			}
-			reach = cr.ReachK
 			m.memo[key] = reach
 		}
 		for _, t := range reach {
@@ -635,6 +707,122 @@ func (m *exactMachine) step(set []uint64, pattern uint64) ([]uint64, bool) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, true
+}
+
+// cycle explores the faulty circuit's test cycle that applies pattern
+// to state s and returns the states it may occupy after k transitions;
+// ok is false when the exploration hit its cap.
+func (m *exactMachine) cycle(s, pattern uint64) (reach []uint64, ok bool) {
+	start := m.fc.WithInputBits(s, pattern)
+	if gc, same := m.goodCycle(s, start); same {
+		return gc.reach, !gc.truncated
+	}
+	cr := core.Explore(m.fc, start, m.opts)
+	return cr.ReachK, !cr.Truncated
+}
+
+// goodCycle returns the good circuit's cycle from start, which leaves
+// state s, and whether it is also the faulty circuit's.  It looks only
+// when s is a good CSSG node, which bounds the run's cache by the
+// graph's nodes and the vectors applied there, and answers from that
+// cache.  The answer is exact:
+//
+//   - faults.Apply rewrites only the faulted gate's table (a transition
+//     fault also makes the gate read its own output) and keeps every
+//     fanin list, so every other gate is excited identically in both
+//     circuits at every state, and the explorations' affected-gate
+//     masks (a gate plus the readers of its output) agree;
+//   - the partial-order reduction fires an excited observation-only
+//     gate alone, so the two explorations choose alike at every state
+//     where the faulted gate's excitation agrees, provided that gate is
+//     observation-only in both circuits or in neither (newExactMachine
+//     reuses nothing otherwise);
+//   - so if the faulted gate is also excited identically in every state
+//     the good exploration visited — no recorded assignment lies in
+//     diff — both breadth-first searches from the same start discover
+//     the same states in the same id order with the same successors,
+//     stop at the same cap, and the depth DP over that one graph
+//     returns the same CycleResult.
+//
+// A gate wider than a record holds (core.ExcitationDiff) is never
+// reused.
+func (m *exactMachine) goodCycle(s, start uint64) (goodEntry, bool) {
+	if m.good == nil {
+		return goodEntry{}, false
+	}
+	if _, node := m.g.NodeOf(s); !node {
+		return goodEntry{}, false
+	}
+	gc := m.good.get(start)
+	return gc, gc.rec[m.gate]&m.diff == 0
+}
+
+// goodCache is one run's memory of the good circuit's test cycles,
+// shared by all its exact machines: by start state, the cycle under the
+// machines' options (its ReachK and Truncated, as they are) and the
+// record of the settling graph behind it (core.ExploreRecorded).  An
+// entry is filled the first time a machine asks for it, and the run's
+// goroutines share the map under a lock.
+type goodCache struct {
+	c    *netlist.Circuit
+	opts core.Options
+	mu   sync.Mutex
+	m    map[uint64]goodEntry
+}
+
+// goodEntry is one cached good cycle: its ReachK, whether it hit the
+// exploration cap, and the record of its settling graph.
+type goodEntry struct {
+	reach     []uint64
+	truncated bool
+	rec       []uint64
+}
+
+func newGoodCache(g *core.CSSG) *goodCache {
+	return &goodCache{c: g.C, opts: core.Options{K: g.K}, m: make(map[uint64]goodEntry)}
+}
+
+// get returns the good cycle from start, exploring it on a miss.  Two
+// goroutines that miss together both explore; the explorations are
+// equal, and the first stored stays.
+func (gc *goodCache) get(start uint64) goodEntry {
+	gc.mu.Lock()
+	e, ok := gc.m[start]
+	gc.mu.Unlock()
+	if ok {
+		return e
+	}
+	cr, rec := core.ExploreRecorded(gc.c, start, gc.opts)
+	e = goodEntry{reach: cr.ReachK, truncated: cr.Truncated, rec: rec}
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	if prev, ok := gc.m[start]; ok {
+		return prev
+	}
+	gc.m[start] = e
+	return e
+}
+
+// parallel calls fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines, the caller among them, each taking the next index from
+// one atomic cursor.
+func parallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // detectsAt reports whether detection is guaranteed in this product
@@ -668,25 +856,36 @@ func productKey(good int, faultySet []uint64) string {
 
 // Verify replays a test against one fault with the exact-set machine and
 // reports whether detection is guaranteed at some cycle (or at the reset
-// state, for an empty test).
+// state, for an empty test).  Like GenerateTest it shares no cache, so
+// it stays an oracle independent of the reuse inside RunUniverseCtx.
 func Verify(g *core.CSSG, f faults.Fault, t Test, opts Options) bool {
-	opts = opts.withDefaults()
-	fm := newExactMachine(g, f, opts)
-	set, ok := fm.reset()
+	return verify(g, f, t, opts, nil)
+}
+
+// verify is Verify with the run's good-cycle cache, which may be nil.
+func verify(g *core.CSSG, f faults.Fault, t Test, opts Options, good *goodCache) bool {
+	return newExactMachine(g, f, opts.withDefaults(), good).detects(t)
+}
+
+// detects replays t from the reset state and reports whether detection
+// is guaranteed at some cycle.  The machine's memo carries over from one
+// call to the next.
+func (m *exactMachine) detects(t Test) bool {
+	set, ok := m.reset()
 	if !ok {
 		return false
 	}
-	if detectsAt(g, g.Init, set) {
+	if detectsAt(m.g, m.g.Init, set) {
 		return true
 	}
 	for cyc, p := range t.Patterns {
-		set, ok = fm.step(set, p)
+		set, ok = m.step(set, p)
 		if !ok {
 			return false
 		}
 		allDiffer := len(set) > 0
 		for _, s := range set {
-			if g.C.OutputBits(s) == t.Expected[cyc] {
+			if m.g.C.OutputBits(s) == t.Expected[cyc] {
 				allDiffer = false
 				break
 			}

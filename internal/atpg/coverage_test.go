@@ -117,7 +117,8 @@ func TestRunNegativeRandomSequences(t *testing.T) {
 
 // The batched random phase must leave the flow deterministic and
 // worker-count independent: the whole point of the NoDrop matrix replay.
-// GOMAXPROCS sets the fault simulator's worker count.
+// GOMAXPROCS sets the fault simulator's worker count and how many exact
+// confirmations and fallback searches run at once.
 func TestRunIndependentOfFaultSimWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g := buildCSSG(t, pipe2Src, "pipe2")

@@ -147,7 +147,66 @@ type CycleResult struct {
 // to track the exact state set of a faulty circuit.
 func Explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
 	opts = opts.withDefaults(c)
-	return explore(c, start, opts)
+	return explore(c, start, opts, nil)
+}
+
+// maxRecordedFanin is the widest gate whose assignments a record can
+// hold: its fanin values and its output index one bit of a uint64.
+const maxRecordedFanin = 5
+
+// ExploreRecorded is Explore that also returns a record of the states
+// the settling graph holds: for each gate gi, rec[gi] has bit a set
+// when some state the exploration visited gives gi the assignment a,
+// which holds the value of fanin j at bit j and gi's own output at bit
+// len(Fanin).  A gate with more than five fanins records every bit,
+// which reads as "unknown".  The exact fault machine (internal/atpg)
+// reads the record, against ExcitationDiff, to tell whether a fault at
+// one gate could change the exploration at all.
+func ExploreRecorded(c *netlist.Circuit, start uint64, opts Options) (cr CycleResult, rec []uint64) {
+	opts = opts.withDefaults(c)
+	rec = make([]uint64, c.NumGates())
+	return explore(c, start, opts, rec), rec
+}
+
+// assignment returns gate gi's assignment in state as its bit of a
+// record word (see ExploreRecorded).
+func assignment(c *netlist.Circuit, gi int, state uint64) uint64 {
+	g := &c.Gates[gi]
+	n := len(g.Fanin)
+	if n > maxRecordedFanin {
+		return ^uint64(0)
+	}
+	a := uint(state>>uint(g.Out)&1) << uint(n)
+	for j, f := range g.Fanin {
+		a |= uint(state>>uint(f)&1) << uint(j)
+	}
+	return 1 << a
+}
+
+// ExcitationDiff returns, as record bits (see ExploreRecorded), the
+// assignments under which gate gi is excited in exactly one of c and
+// fc, two circuits with the same signals and fanin lists.  Each is
+// evaluated on a state that gives the gate's fanins and output its
+// values.  An assignment no state presents (a signal read twice, with
+// two values) is evaluated as some other one, which is harmless: no
+// record ever holds it.  ok is false for a gate whose record reads
+// "unknown".
+func ExcitationDiff(c, fc *netlist.Circuit, gi int) (diff uint64, ok bool) {
+	g := &c.Gates[gi]
+	n := len(g.Fanin)
+	if n > maxRecordedFanin {
+		return 0, false
+	}
+	for a := range 2 << uint(n) {
+		s := uint64(a>>n&1) << uint(g.Out)
+		for j, f := range g.Fanin {
+			s |= uint64(a>>j&1) << uint(f)
+		}
+		if c.Excited(gi, s) != fc.Excited(gi, s) {
+			diff |= 1 << uint(a)
+		}
+	}
+	return diff, true
 }
 
 // AnalyzeVector explores all gate-firing interleavings after applying
@@ -157,7 +216,7 @@ func Explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
 // reachability DP with stable-state stuttering.
 func AnalyzeVector(c *netlist.Circuit, stable uint64, pattern uint64, opts Options) VectorAnalysis {
 	opts = opts.withDefaults(c)
-	cr := explore(c, c.WithInputBits(stable, pattern), opts)
+	cr := explore(c, c.WithInputBits(stable, pattern), opts, nil)
 	res := VectorAnalysis{
 		StableSuccs: cr.StableSuccs,
 		UnstableAtK: cr.UnstableAtK,
@@ -200,15 +259,27 @@ func AnalyzeVector(c *netlist.Circuit, stable uint64, pattern uint64, opts Optio
 //
 // The state index, the masks, the successor lists and the DP bitsets
 // live in pooled scratch (see exploreScratch).
-func explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
-	x := scratchPool.Get().(*exploreScratch)
-	defer scratchPool.Put(x)
+//
+// A non-nil rec (one word per gate, zero on entry) receives the record
+// ExploreRecorded returns: every gate's assignment in every state the
+// graph holds.  The same argument as for the masks keeps it cheap: the
+// start state records every gate, and a new state records only the
+// gates re-evaluated for it (aff of the gate fired to reach it), since
+// every other gate's fanins and output are its parent's.  A truncated
+// exploration records the states found before the cap.
+func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) CycleResult {
+	x := getScratch()
+	defer putScratch(x)
 	x.prepare(c)
 	x.reset()
 	m := uint(c.NumInputs())
 
 	// Settling graph: ids in BFS order, stable states are sinks.
-	x.insert(start, excitedAmong(c, start, uint64(1)<<uint(c.NumGates())-1))
+	all := uint64(1)<<uint(c.NumGates()) - 1
+	x.insert(start, excitedAmong(c, start, all))
+	if rec != nil {
+		record(c, start, all, rec)
+	}
 	for id := 0; id < len(x.states); id++ {
 		st, ex := x.states[id], x.excited[id]
 		fire := ex
@@ -236,6 +307,9 @@ func explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
 					return CycleResult{Truncated: true, GraphStates: len(x.states)}
 				}
 				nid = x.insert(nx, ex&^x.aff[gi]|excitedAmong(c, nx, x.aff[gi]))
+				if rec != nil {
+					record(c, nx, x.aff[gi], rec)
+				}
 			}
 			x.succ = append(x.succ, nid)
 		}
@@ -326,6 +400,44 @@ type exploreScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(exploreScratch) }}
 
+// largest holds the largest idle scratch where every P can take it.
+// sync.Pool keeps a returned scratch in the returning P's private slot,
+// which no other P takes from.  So once concurrent explorations (the
+// exact fault machine's parallel searches) have left a scratch in each
+// P's pool, a serial caller that moves to another P would grow a second
+// large scratch while the first sat idle; a 65,536-state exploration
+// holds about 3.8 MB.  The price is that a process keeps one scratch of
+// the largest size it has explored.
+var largest struct {
+	sync.Mutex
+	x *exploreScratch
+}
+
+// getScratch takes the largest idle scratch, or one from the pool.
+func getScratch() *exploreScratch {
+	largest.Lock()
+	x := largest.x
+	largest.x = nil
+	largest.Unlock()
+	if x == nil {
+		x = scratchPool.Get().(*exploreScratch)
+	}
+	return x
+}
+
+// putScratch returns x: the larger of x and the held scratch stays in
+// largest, and the other goes to the pool.
+func putScratch(x *exploreScratch) {
+	largest.Lock()
+	if largest.x == nil || cap(largest.x.states) <= cap(x.states) {
+		largest.x, x = x, largest.x
+	}
+	largest.Unlock()
+	if x != nil {
+		scratchPool.Put(x)
+	}
+}
+
 // prepare derives c's gate masks unless the scratch already holds them.
 // The masks depend only on c's structure, which never changes after
 // construction (faults.Apply edits its fresh clone before returning
@@ -379,6 +491,14 @@ func excitedAmong(c *netlist.Circuit, state, set uint64) uint64 {
 		}
 	}
 	return ex
+}
+
+// record adds the assignment in state of every gate of set to rec.
+func record(c *netlist.Circuit, state, set uint64, rec []uint64) {
+	for ; set != 0; set &= set - 1 {
+		gi := bits.TrailingZeros64(set)
+		rec[gi] |= assignment(c, gi, state)
+	}
 }
 
 // home returns state's first probe position: a multiplicative hash,

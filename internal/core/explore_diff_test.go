@@ -21,7 +21,9 @@ import (
 var exploreCaps = []int{3, 17, 2000}
 
 // checkExplore compares Explore against the reference from start, with
-// POR on and off at every cap, on whole CycleResults.
+// POR on and off at every cap, on whole CycleResults; and
+// ExploreRecorded's CycleResult with POR on, the setting of the exact
+// fault machine that reads its record.
 func checkExplore(t *testing.T, c *netlist.Circuit, start uint64) {
 	t.Helper()
 	for _, maxStates := range exploreCaps {
@@ -32,6 +34,13 @@ func checkExplore(t *testing.T, c *netlist.Circuit, start uint64) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s from %s, cap %d, DisablePOR %v:\n got %+v\nwant %+v",
 					c.Name, c.FormatState(start), maxStates, disablePOR, got, want)
+			}
+			if disablePOR {
+				continue
+			}
+			if recorded, _ := core.ExploreRecorded(c, start, opts); !reflect.DeepEqual(recorded, want) {
+				t.Fatalf("%s from %s, cap %d, DisablePOR %v: recording changed the result:\n got %+v\nwant %+v",
+					c.Name, c.FormatState(start), maxStates, disablePOR, recorded, want)
 			}
 		}
 	}

@@ -22,10 +22,21 @@ import (
 // thing that papers over a parity bug.
 //
 // The keys keep constants in the slots that once hashed a selectable
-// fault-simulation engine ("event") and lane width (64), so a store
-// written before the event engine and the 64-lane width became the
-// only ones still serves the requests that never named them
-// (TestStoreKeysStable pins this).
+// fault-simulation engine and lane width (64), so a store written
+// before the event engine and the 64-lane width became the only ones
+// still serves the requests that never named them (TestStoreKeysStable
+// pins this).  The engine slot now names the semantics of the stored
+// answers: storeSemantics.
+
+// storeSemantics salts every store key with the semantics of the
+// engines behind the stored answers.  Bump it whenever a change alters
+// a stored verdict — a coverage verdict, or the programs compaction
+// keeps — so that a store written before the change misses instead of
+// serving stale answers; TestStoreSemanticsDigest trips on such a
+// change.  A bump moves every key, so TestStoreKeysStable is re-pinned
+// with it.  Its value is still "event", the engine name the slot once
+// held, so stores written before the salt keep serving.
+const storeSemantics = "event"
 
 // canon substitutes a keyword's documented default for the empty
 // string so "", "input" and explicit defaults share a key.
@@ -56,8 +67,8 @@ func hashWords(h io.Writer, ws []uint64) {
 // coverageKey derives the result-store key of a coverage request.
 func coverageKey(circuitID string, req *CoverageRequest) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00event\x0064\x00%d\x00%d\x00",
-		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
+	fmt.Fprintf(h, "coverage\x00%s\x00%s\x00%s\x00%s\x0064\x00%d\x00%d\x00",
+		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"), storeSemantics,
 		req.Shard, req.Shards)
 	for _, t := range req.Tests {
 		hashWords(h, t.Patterns)
@@ -70,8 +81,8 @@ func coverageKey(circuitID string, req *CoverageRequest) string {
 // compactKey derives the result-store key of a compaction request.
 func compactKey(circuitID string, req *CompactRequest) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00event\x0064\x00%s\x00",
-		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"),
+	fmt.Fprintf(h, "compact\x00%s\x00%s\x00%s\x00%s\x0064\x00%s\x00",
+		circuitID, canon(req.Model, "input"), canon(req.Faults, "sa"), storeSemantics,
 		canon(req.Mode, "all"))
 	var b [8]byte
 	for _, p := range req.Programs {
