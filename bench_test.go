@@ -925,10 +925,9 @@ func BenchmarkServiceShardThroughput(b *testing.B) {
 // BenchmarkServiceConcurrentQueries measures the resident service
 // under heavy concurrent load: every iteration launches 1024 in-flight
 // identical coverage queries straight into the handler (no sockets),
-// the shape the shared trace cache plus singleflight are built for.
-// Reported metrics include the trace-cache hit rate over the run — the
-// resident-service win the load generator (cmd/satpgload) measures
-// over real HTTP.
+// the load the load generator (cmd/satpgload) drives over real HTTP.
+// Every query interns the same circuit and simulates its own good
+// trace.
 func BenchmarkServiceConcurrentQueries(b *testing.B) {
 	data, err := os.ReadFile(filepath.Join("examples", "iscas", "s27.ckt"))
 	if err != nil {
@@ -955,7 +954,6 @@ func BenchmarkServiceConcurrentQueries(b *testing.B) {
 	}
 	b.Run(fmt.Sprintf("s27/inflight-%d", inflight), func(b *testing.B) {
 		srv := service.New(service.Config{})
-		before := fsim.TraceCacheStats()
 		var patterns, failures int64
 		var patMu sync.Mutex
 		for i := 0; i < b.N; i++ {
@@ -982,12 +980,6 @@ func BenchmarkServiceConcurrentQueries(b *testing.B) {
 				b.Fatalf("%d of %d concurrent queries failed", failures, inflight)
 			}
 		}
-		st := fsim.TraceCacheStats()
-		hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
-		if hits+misses > 0 {
-			b.ReportMetric(100*float64(hits)/float64(hits+misses), "cache-hit-%")
-		}
-		b.ReportMetric(float64(st.Waits-before.Waits), "singleflight-waits")
 		if secs := b.Elapsed().Seconds(); secs > 0 {
 			b.ReportMetric(float64(b.N*inflight)/secs, "queries/sec")
 			b.ReportMetric(float64(patterns)/secs, "patterns/sec")

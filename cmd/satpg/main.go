@@ -42,7 +42,7 @@ func main() {
 		perFault    = flag.Bool("per-fault", false, "print the verdict for every fault")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write an end-of-run heap profile to this file (inspect with go tool pprof)")
-		stats       = flag.Bool("stats", false, "print the fault simulator's work counters (gate-evals/pattern, allocs/pattern, trace-cache hit rate)")
+		stats       = flag.Bool("stats", false, "print the fault simulator's work counters (patterns, gate-evals/pattern, allocs/pattern)")
 	)
 	flag.Parse()
 

@@ -1,12 +1,12 @@
 // Command satpgd is the resident coverage server: it keeps parsed
-// circuits, topology indexes and good traces warm across requests and
-// serves concurrent coverage and compaction queries over HTTP (see
+// circuits and their topology indexes warm across requests and serves
+// concurrent coverage and compaction queries over HTTP (see
 // internal/service for the API).
 //
 // Usage:
 //
 //	satpgd -addr :8714
-//	satpgd -addr :8714 -trace-cache 256 -circuit-cache 128
+//	satpgd -addr :8714 -circuit-cache 128
 //	satpgd -addr :8700 -peers http://127.0.0.1:8714,http://127.0.0.1:8715
 //	satpgd -addr :8714 -store /var/lib/satpgd
 //
@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/fsim"
 	"repro/internal/resultstore"
 	"repro/internal/service"
 )
@@ -41,7 +40,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8714", "listen address (host:port)")
 		peersFlag  = flag.String("peers", "", "comma-separated worker base URLs; enables coordinator mode")
-		traceCap   = flag.Int("trace-cache", 64, "shared good-trace cache capacity in entries (0 disables)")
 		circuitCap = flag.Int("circuit-cache", 0, "interned circuit capacity (0: default)")
 		storeDir   = flag.String("store", "", "result-store directory; persists finished responses across restarts")
 		storeCap   = flag.Int("store-cache", 0, "result-store in-memory LRU capacity in entries (0: default)")
@@ -55,13 +53,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := validateCaps(*traceCap, *circuitCap); err != nil {
+	if err := validateCaps(*circuitCap); err != nil {
 		fatal(err)
 	}
 	if err := validateDispatch(*storeCap, *shardTO, *shardTries); err != nil {
 		fatal(err)
 	}
-	fsim.SetTraceCacheCap(*traceCap)
 
 	var store *resultstore.Store
 	if *storeDir != "" || *storeCap > 0 {
@@ -143,10 +140,7 @@ func parsePeers(s string) ([]string, error) {
 }
 
 // validateCaps rejects nonsensical sizing flags up front.
-func validateCaps(traceCap, circuitCap int) error {
-	if traceCap < 0 {
-		return fmt.Errorf("invalid -trace-cache %d (want a positive entry count, or 0 to disable)", traceCap)
-	}
+func validateCaps(circuitCap int) error {
 	if circuitCap < 0 {
 		return fmt.Errorf("invalid -circuit-cache %d (want a positive entry count, or 0 for the default)", circuitCap)
 	}

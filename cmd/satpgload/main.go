@@ -1,16 +1,19 @@
 // Command satpgload is the load generator for satpgd: it sustains
 // many concurrent coverage queries against a running server and
 // reports client-side throughput (queries/sec, aggregate
-// patterns/sec), latency quantiles, and the server's cache hit rates.
+// patterns/sec), latency quantiles, and the server's circuit-store,
+// topology and result-store counters.
 //
 // Usage:
 //
 //	satpgload -url http://127.0.0.1:8714 -circuit examples/iscas/s953.ckt \
 //	          -concurrency 64 -requests 1000
 //
-// Every request carries the same deterministic random test set, so the
-// run exercises exactly the resident-service win: one good-trace
-// computation (singleflight) amortised over every in-flight query.
+// Every request carries the same circuit text and the same
+// deterministic random test set, so the run exercises the resident
+// service: one interned circuit and one topology index serve every
+// in-flight query, and each query simulates its tests against its own
+// good trace.
 //
 // # Chaos proxy mode
 //
@@ -100,14 +103,14 @@ func main() {
 		fatal(err)
 	}
 	fmt.Print(res.Report())
-	if metrics, err := fetchCacheMetrics(client, *baseURL); err == nil {
+	if metrics, err := fetchServerMetrics(client, *baseURL); err == nil {
 		fmt.Print(metrics)
 	}
 }
 
 // buildRequest assembles the coverage request every query repeats:
 // deterministic random patterns, no declared responses (the server
-// judges against its own good machine — and caches that run).
+// judges against its own good machine).
 func buildRequest(text string, c *netlist.Circuit, ntests, cycles int, seed int64) ([]byte, error) {
 	rng := rand.New(rand.NewSource(seed))
 	mask := uint64(1)<<uint(c.NumInputs()) - 1
@@ -234,9 +237,10 @@ func runChaosProxy(listen, target string, cfg chaos.Config) error {
 	return http.ListenAndServe(listen, p)
 }
 
-// fetchCacheMetrics pulls the server-side cache counters the load run
-// exercised.
-func fetchCacheMetrics(client *http.Client, baseURL string) (string, error) {
+// fetchServerMetrics pulls the server-side counters the load run
+// exercised: the circuit and result stores, topology builds and the
+// in-flight gauge.
+func fetchServerMetrics(client *http.Client, baseURL string) (string, error) {
 	resp, err := client.Get(baseURL + "/metrics")
 	if err != nil {
 		return "", err
@@ -248,7 +252,7 @@ func fetchCacheMetrics(client *http.Client, baseURL string) (string, error) {
 	}
 	var b strings.Builder
 	for _, line := range strings.Split(string(data), "\n") {
-		if strings.Contains(line, "cache") || strings.Contains(line, "topology") || strings.Contains(line, "inflight") {
+		if strings.Contains(line, "_store_") || strings.Contains(line, "topology") || strings.Contains(line, "inflight") {
 			fmt.Fprintln(&b, "server:", line)
 		}
 	}

@@ -55,12 +55,14 @@ func TestRunLoadAgainstService(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
 	}
-	metrics, err := fetchCacheMetrics(client, ts.URL)
+	metrics, err := fetchServerMetrics(client, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(metrics, "satpgd_trace_cache_hit_rate") {
-		t.Fatalf("cache metrics missing hit rate:\n%s", metrics)
+	for _, want := range []string{"satpgd_circuit_store_hits_total", "satpgd_topology_builds_total"} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("server metrics missing %s:\n%s", want, metrics)
+		}
 	}
 }
 

@@ -170,8 +170,8 @@ type Result struct {
 	// FaultSim aggregates the work counters of the run's bit-parallel
 	// fault simulator over the whole run — the random walks and every
 	// single-test screen after a three-phase test (patterns, gate
-	// evaluations, state-buffer allocations, good-trace cache
-	// outcomes) — the raw material of cmd/satpg's -stats line.
+	// evaluations, backing-array allocations) — the raw material of
+	// cmd/satpg's -stats line.
 	FaultSim fsim.Stats
 	// Podem is always zero.  No flow has a PODEM phase; the field stays
 	// only because the atpgbench module still reads these counters.

@@ -210,8 +210,6 @@ func MergeShardReports(reports []*CoverageReport) (*CoverageReport, error) {
 		merged.Stats.Patterns += r.Stats.Patterns
 		merged.Stats.GateEvals += r.Stats.GateEvals
 		merged.Stats.Allocs += r.Stats.Allocs
-		merged.Stats.CacheHits += r.Stats.CacheHits
-		merged.Stats.CacheMisses += r.Stats.CacheMisses
 		if r.Elapsed > merged.Elapsed {
 			merged.Elapsed = r.Elapsed
 		}

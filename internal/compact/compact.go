@@ -9,8 +9,8 @@
 // production tester pays for.  Compaction runs after generation: one
 // batched fsim pass computes the full test × fault detection matrix
 // (each test rides one lane of the pattern-parallel simulator, one
-// representative per structural equivalence class is simulated, the
-// cached good trace and cone limiting apply unchanged), and three
+// representative per structural equivalence class is simulated, each
+// batch's good trace and cone limiting apply unchanged), and three
 // composable passes then drop redundant tests:
 //
 //   - reverse-order drop: tests are scanned last-to-first and kept only

@@ -17,8 +17,8 @@ import (
 // the ground truth every compaction pass argues against, computed in
 // one batched fsim pass (fsim.DetectionMatrix): programs ride lanes,
 // one representative per structural equivalence class is simulated
-// with the cached good trace and cone limiting, and verdicts fan out
-// so equivalent faults carry bit-identical rows.
+// against each batch's good trace with cone limiting, and verdicts fan
+// out so equivalent faults carry bit-identical rows.
 type Matrix struct {
 	NumTests int
 	// Rows maps each universe index to its mask over programs; an empty
@@ -29,9 +29,6 @@ type Matrix struct {
 	// Stats carries the fault-simulation work counters of the pass.
 	Stats fsim.Stats
 }
-
-// Covers reports whether program t detects fault fi.
-func (m *Matrix) Covers(fi, t int) bool { return m.Rows[fi].Has(t) }
 
 // BuildMatrix computes the detection matrix of the programs over the
 // fault universe.  Detection semantics are exactly

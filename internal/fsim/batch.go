@@ -2,7 +2,6 @@ package fsim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/lanevec"
 	"repro/internal/netlist"
@@ -106,7 +105,7 @@ type packedBatch struct {
 	live   []uint64   // [cycle]: lanes whose sequence includes this cycle
 
 	// Good-circuit response trace (definite values only).  These may
-	// alias the cached goodTrace's words (never written through) or
+	// alias the Simulator's goodTrace words (never written through) or
 	// the exp*/reset* arenas below (declared Expected).
 	good1, good0   [][]uint64 // [cycle][output]
 	reset1, reset0 []uint64   // [output], before any pattern
@@ -161,13 +160,10 @@ func pack(c *netlist.Circuit, b *Batch, pk *packedBatch, allocs *int64) error {
 // declared expected outputs (definite by construction).
 func (pk *packedBatch) traceFromExpected(c *netlist.Circuit, b *Batch, allocs *int64) {
 	no := len(c.Outputs)
-	pk.expFlat = grow(pk.expFlat, 2*pk.cycles*no, allocs)
-	pk.expRows = growRows(pk.expRows, 2*pk.cycles, allocs)
-	pk.good1 = pk.expRows[:pk.cycles]
-	pk.good0 = pk.expRows[pk.cycles:]
+	cv := carve(&pk.expFlat, &pk.expRows, 2*pk.cycles*no, 2*pk.cycles, allocs)
+	pk.good1, pk.good0 = cv.pair(pk.cycles, no)
 	for t := 0; t < pk.cycles; t++ {
-		g1 := pk.expFlat[2*t*no : (2*t+1)*no : (2*t+1)*no]
-		g0 := pk.expFlat[(2*t+1)*no : (2*t+2)*no : (2*t+2)*no]
+		g1, g0 := pk.good1[t], pk.good0[t]
 		for l, e := range b.Expected {
 			if t >= len(e) {
 				continue // lane not live; detection is masked anyway
@@ -180,7 +176,6 @@ func (pk *packedBatch) traceFromExpected(c *netlist.Circuit, b *Batch, allocs *i
 				}
 			}
 		}
-		pk.good1[t], pk.good0[t] = g1, g0
 	}
 }
 
@@ -203,9 +198,10 @@ func (pk *packedBatch) traceFromResetExpected(c *netlist.Circuit, b *Batch, allo
 }
 
 // goodTrace is the good machine's definite response trace over one
-// batch's rails: the cacheable part of a packedBatch.  good1/good0 stay
-// nil until some batch actually needs per-cycle good responses (a batch
-// that declares Expected only ever needs the reset pair).
+// batch's rails.  Each Simulator owns one and records it afresh for
+// every batch that needs a good run, into backing arrays it grows and
+// reuses like the packedBatch arenas; workers only read it, and batches
+// on one Simulator never overlap.
 //
 // The event-driven engine additionally needs the good machine's FULL
 // state — every signal, not just the outputs — at both settling
@@ -215,38 +211,24 @@ func (pk *packedBatch) traceFromResetExpected(c *netlist.Circuit, b *Batch, allo
 // out-of-cone signals at the good machine's raised (algorithm-A)
 // fixpoint and phase B at the settled (algorithm-B) fixpoint, or the
 // cone's own fixpoints would not match the full simulation's.  The
-// state trace is filled only when an event engine asks (runEvents);
-// stateB doubles as the source of good1/good0.
-//
-// All per-cycle matrices are carved out of single flat backing arrays:
-// a trace costs a handful of allocations however many cycles it spans,
-// and the rows stay cache-contiguous.
+// state trace is filled only by the event engine (runEvents); stateB
+// doubles as the source of good1/good0.  The sweep oracle records its
+// own outputs-only trace (run).
 type goodTrace struct {
 	all            uint64 // active-lane mask the trace was recorded under
 	reset1, reset0 []uint64
-	good1, good0   [][]uint64
+	good1, good0   [][]uint64 // [cycle][output]; nil when not recorded
 
 	resetA1, resetA0 []uint64   // full state at the reset A fixpoint
 	resetB1, resetB0 []uint64   // full state at the reset B fixpoint
 	stateA1, stateA0 [][]uint64 // [cycle][signal], A fixpoint
 	stateB1, stateB0 [][]uint64 // [cycle][signal], B fixpoint
 
-	allocs int64 // backing-array allocations recording it cost
-
-	diffsOnce sync.Once
-	df        *traceDiffs // lazily derived from the state trace
+	// Reusable backing arrays every vector and matrix row above is
+	// carved from.
+	flat []uint64
+	rows [][]uint64
 }
-
-// diffs returns the per-cycle diff bitsets, computing them once per
-// trace (the trace is shared across Simulators via the cache, and the
-// diffs are a pure function of it).
-func (tr *goodTrace) diffs(c *netlist.Circuit) *traceDiffs {
-	tr.diffsOnce.Do(func() { tr.df = computeDiffs(c, tr) })
-	return tr.df
-}
-
-// hasStates reports whether the full-state trace has been recorded.
-func (tr *goodTrace) hasStates() bool { return tr.resetA1 != nil }
 
 // defOutputsInto extracts the definite output words from a full state.
 func defOutputsInto(c *netlist.Circuit, p1, p0, d1, d0 []uint64) {
@@ -256,21 +238,40 @@ func defOutputsInto(c *netlist.Circuit, p1, p0, d1, d0 []uint64) {
 	}
 }
 
-// arena2 carves a cycles×n matrix pair out of one flat backing array.
-func arena2(cycles, n int) (r1, r0 [][]uint64) {
-	flat := make([]uint64, 2*cycles*n)
-	r1 = make([][]uint64, cycles)
-	r0 = make([][]uint64, cycles)
+// carver hands out consecutive pieces of a pair of backing arrays.
+type carver struct {
+	flat []uint64
+	rows [][]uint64
+}
+
+// words carves the next n words.
+func (cv *carver) words(n int) []uint64 {
+	w := cv.flat[:n:n]
+	cv.flat = cv.flat[n:]
+	return w
+}
+
+// pair carves a cycles×n matrix pair, the two rows of a cycle adjacent.
+func (cv *carver) pair(cycles, n int) (r1, r0 [][]uint64) {
+	r1, r0 = cv.rows[:cycles:cycles], cv.rows[cycles:2*cycles:2*cycles]
+	cv.rows = cv.rows[2*cycles:]
 	for t := 0; t < cycles; t++ {
-		r1[t] = flat[2*t*n : (2*t+1)*n : (2*t+1)*n]
-		r0[t] = flat[(2*t+1)*n : (2*t+2)*n : (2*t+2)*n]
+		r1[t], r0[t] = cv.words(n), cv.words(n)
 	}
 	return r1, r0
 }
 
+// carve grows a pair of reusable backing arrays to nw zeroed words and
+// nr row headers and returns a carver over them.
+func carve(flat *[]uint64, rows *[][]uint64, nw, nr int, allocs *int64) carver {
+	*flat = grow(*flat, nw, allocs)
+	*rows = growRows(*rows, nr, allocs)
+	return carver{*flat, *rows}
+}
+
 // run simulates the good machine over the rails, filling the reset pair
 // and, when cycles is true, the per-cycle definite output words.
-func (tr *goodTrace) run(m *machine, pk *packedBatch, cycles bool) {
+func (tr *goodTrace) run(m *machine, pk *packedBatch, cycles bool, allocs *int64) {
 	c := m.eng.Circuit()
 	no := len(c.Outputs)
 	def := func(d1, d0 []uint64) {
@@ -282,16 +283,19 @@ func (tr *goodTrace) run(m *machine, pk *packedBatch, cycles bool) {
 	tr.all = pk.all
 	m.eng.Inject(nil)
 	m.reset()
-	rflat := make([]uint64, 2*no)
-	tr.reset1, tr.reset0 = rflat[:no:no], rflat[no:]
-	tr.allocs++
+	nc := 0
+	if cycles {
+		nc = pk.cycles
+	}
+	cv := carve(&tr.flat, &tr.rows, 2*no*(1+nc), 2*nc, allocs)
+	tr.reset1, tr.reset0 = cv.words(no), cv.words(no)
 	def(tr.reset1, tr.reset0)
+	tr.good1, tr.good0 = nil, nil
 	if !cycles {
 		return
 	}
-	tr.good1, tr.good0 = arena2(pk.cycles, no)
-	tr.allocs += 3
-	for t := 0; t < pk.cycles; t++ {
+	tr.good1, tr.good0 = cv.pair(nc, no)
+	for t := 0; t < nc; t++ {
 		m.apply(pk.rails[t])
 		def(tr.good1[t], tr.good0[t])
 	}
@@ -300,9 +304,8 @@ func (tr *goodTrace) run(m *machine, pk *packedBatch, cycles bool) {
 // runEvents simulates the good machine event-driven, recording the
 // full state at every phase fixpoint (reset and per cycle) alongside
 // the output trace.  The event settle is bit-identical to the sweeps
-// (both phases are confluent chaotic iterations), so a trace recorded
-// here serves sweep-engine batches too.
-func (tr *goodTrace) runEvents(m *machine, pk *packedBatch, topo *netlist.Topology) {
+// (both phases are confluent chaotic iterations).
+func (tr *goodTrace) runEvents(m *machine, pk *packedBatch, topo *netlist.Topology, allocs *int64) {
 	e := m.eng
 	c := e.Circuit()
 	n := c.NumSignals()
@@ -313,16 +316,14 @@ func (tr *goodTrace) runEvents(m *machine, pk *packedBatch, topo *netlist.Topolo
 	e.ClearOverrides()
 	e.SetGateMask(nil)
 
-	resetFlat := make([]uint64, 4*n+2*no)
-	tr.resetA1, resetFlat = resetFlat[:n:n], resetFlat[n:]
-	tr.resetA0, resetFlat = resetFlat[:n:n], resetFlat[n:]
-	tr.resetB1, resetFlat = resetFlat[:n:n], resetFlat[n:]
-	tr.resetB0, resetFlat = resetFlat[:n:n], resetFlat[n:]
-	tr.reset1, tr.reset0 = resetFlat[:no:no], resetFlat[no:]
-	tr.stateA1, tr.stateA0 = arena2(pk.cycles, n)
-	tr.stateB1, tr.stateB0 = arena2(pk.cycles, n)
-	tr.good1, tr.good0 = arena2(pk.cycles, no)
-	tr.allocs += 1 + 3*3
+	cycles := pk.cycles
+	cv := carve(&tr.flat, &tr.rows, (4+4*cycles)*n+(2+2*cycles)*no, 6*cycles, allocs)
+	tr.resetA1, tr.resetA0 = cv.words(n), cv.words(n)
+	tr.resetB1, tr.resetB0 = cv.words(n), cv.words(n)
+	tr.reset1, tr.reset0 = cv.words(no), cv.words(no)
+	tr.stateA1, tr.stateA0 = cv.pair(cycles, n)
+	tr.stateB1, tr.stateB0 = cv.pair(cycles, n)
+	tr.good1, tr.good0 = cv.pair(cycles, no)
 
 	e.LoadInit()
 	e.EnqueueMaskGates()
@@ -334,7 +335,7 @@ func (tr *goodTrace) runEvents(m *machine, pk *packedBatch, topo *netlist.Topolo
 	defOutputsInto(c, tr.resetB1, tr.resetB0, tr.reset1, tr.reset0)
 
 	all := e.All()
-	for t := 0; t < pk.cycles; t++ {
+	for t := 0; t < cycles; t++ {
 		e.ClearActivity()
 		for i := 0; i < c.NumInputs(); i++ {
 			w := pk.rails[t][i] & all
@@ -359,10 +360,12 @@ func (tr *goodTrace) runEvents(m *machine, pk *packedBatch, topo *netlist.Topolo
 // fixpoints, a[t] those whose A fixpoint differs from the previous
 // cycle's B fixpoint (reset for t=0) and b[t] those whose B fixpoint
 // differs from the same cycle's A fixpoint.  They are
-// fault-independent, computed once per batch, and the word encoding is
-// what lets each fault run intersect them with its cone and support
-// masks at word granularity (netlist.EachSet) instead of testing cone
-// membership per listed signal.
+// fault-independent, computed once per batch right after the trace and
+// before any worker starts, and the word encoding is what lets each
+// fault run intersect them with its cone and support masks at word
+// granularity (netlist.EachSet) instead of testing cone membership per
+// listed signal.  Like the trace, each Simulator owns one and reuses
+// its arrays.
 type traceDiffs struct {
 	w  int // signal-bitset stride in words
 	ra []uint64
@@ -370,7 +373,9 @@ type traceDiffs struct {
 	a  [][]uint64
 	b  [][]uint64
 
-	allocs int64 // backing-array allocations computing them cost
+	// Reusable backing arrays.
+	flat []uint64
+	rows [][]uint64
 }
 
 // diffStatesW marks into dst the signals where the two states differ.
@@ -382,23 +387,19 @@ func diffStatesW(n int, a1, a0, b1, b0, dst []uint64) {
 	}
 }
 
-func computeDiffs(c *netlist.Circuit, tr *goodTrace) *traceDiffs {
+// compute derives the diff bitsets of the trace; initW is the circuit's
+// packed initial state.
+func (df *traceDiffs) compute(c *netlist.Circuit, tr *goodTrace, initW []uint64, allocs *int64) {
 	n := c.NumSignals()
 	W := c.StateWords()
 	cycles := len(tr.stateA1)
-	flat := make([]uint64, (2+2*cycles)*W)
-	df := &traceDiffs{
-		w:      W,
-		a:      make([][]uint64, cycles),
-		b:      make([][]uint64, cycles),
-		allocs: 3,
-	}
-	df.ra, flat = flat[:W:W], flat[W:]
-	df.rb, flat = flat[:W:W], flat[W:]
+	df.w = W
+	cv := carve(&df.flat, &df.rows, (2+2*cycles)*W, 2*cycles, allocs)
+	df.ra, df.rb = cv.words(W), cv.words(W)
+	df.a, df.b = cv.pair(cycles, W)
 
 	// ra: compare the reset A fixpoint against the declared init values
 	// expanded to the trace's active lanes.
-	initW := c.InitWords()
 	all := tr.all
 	for s := 0; s < n; s++ {
 		i1, i0 := uint64(0), all
@@ -412,11 +413,8 @@ func computeDiffs(c *netlist.Circuit, tr *goodTrace) *traceDiffs {
 	diffStatesW(n, tr.resetB1, tr.resetB0, tr.resetA1, tr.resetA0, df.rb)
 	prev1, prev0 := tr.resetB1, tr.resetB0
 	for t := range tr.stateA1 {
-		df.a[t], flat = flat[:W:W], flat[W:]
-		df.b[t], flat = flat[:W:W], flat[W:]
 		diffStatesW(n, tr.stateA1[t], tr.stateA0[t], prev1, prev0, df.a[t])
 		diffStatesW(n, tr.stateB1[t], tr.stateB0[t], tr.stateA1[t], tr.stateA0[t], df.b[t])
 		prev1, prev0 = tr.stateB1[t], tr.stateB0[t]
 	}
-	return df
 }

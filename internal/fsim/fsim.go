@@ -26,10 +26,12 @@
 //   - parallelism: faults are independent once the good trace is
 //     computed, so GOMAXPROCS workers take the live classes one at a
 //     time from a shared cursor, each on its own lane machine, which
-//     stays sticky (cache-warm) across batches;
-//   - good-trace caching: the good machine's response to a sequence set
-//     is cached across Simulator instances, so repeated measurements of
-//     the same tests skip the redundant good run.
+//     stays sticky (cache-warm) across batches.
+//
+// The good trace itself is recorded once per batch, on the Simulator's
+// own good machine into arrays the Simulator reuses, so a stream of
+// same-shaped batches allocates nothing for it.  The package keeps no
+// state outside its Simulators.
 //
 // Detection semantics match the rest of the repository: a fault counts
 // as detected only when some primary output settles to a definite value
@@ -59,7 +61,7 @@ type EngineKind uint8
 const (
 	// EngineEvent (the default) is the event-driven cone-limited
 	// engine: each fault re-simulates only the gates in its fanout
-	// cone whose inputs actually changed relative to the cached good
+	// cone whose inputs actually changed relative to the batch's good
 	// trace, with per-lane activity masks deciding what "changed"
 	// means.  Signals outside the cone provably track the good machine
 	// and are served from the trace.
@@ -222,22 +224,15 @@ type Stats struct {
 	Patterns int64
 	// GateEvals is the number of gate evaluations performed across the
 	// good machine and every fault machine — the work the event-driven
-	// engine exists to shrink.  Good runs served from the shared trace
-	// cache cost nothing, as they should.
+	// engine exists to shrink.
 	GateEvals int64
 	// Allocs is the number of backing-array allocations the engine
-	// performed serving this Simulator's batches: packed-batch arenas,
-	// machine scratch growth, and the good traces and diff bitsets
-	// this Simulator recorded (cache hits cost nothing).  With the
-	// pooled buffers it settles to zero across same-shaped batches —
+	// performed serving this Simulator's batches: growth of the
+	// packed-batch arenas, of the good trace and its diff bitsets, and
+	// of the machines' scratch.  All of them are reused, so it settles
+	// to zero across same-shaped batches, whatever their sequences —
 	// the regression canary for the hot path's allocation discipline.
 	Allocs int64
-	// CacheHits and CacheMisses count this Simulator's good-trace
-	// cache lookups (a cached trace missing the full-state fixpoints
-	// an event engine needs counts as a miss).  The cache-wide
-	// counters, eviction count included, live in TraceCacheStats.
-	CacheHits   int64
-	CacheMisses int64
 }
 
 // EvalsPerPattern returns GateEvals/Patterns (0 when nothing ran).
@@ -256,29 +251,35 @@ func (st Stats) AllocsPerPattern() float64 {
 	return float64(st.Allocs) / float64(st.Patterns)
 }
 
-// CacheHitRate returns CacheHits/(CacheHits+CacheMisses), or 0 before
-// any good-trace lookup.
-func (st Stats) CacheHitRate() float64 {
-	if st.CacheHits+st.CacheMisses == 0 {
-		return 0
-	}
-	return float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
-}
-
 // Line renders the counters as the one-line work summary cmd/satpg
 // prints under -stats.
 func (st Stats) Line() string {
-	return fmt.Sprintf("patterns=%d gate-evals/pattern=%.1f allocs/pattern=%.4f cache hits=%d misses=%d (%.0f%% hit rate)",
-		st.Patterns, st.EvalsPerPattern(), st.AllocsPerPattern(),
-		st.CacheHits, st.CacheMisses, 100*st.CacheHitRate())
+	return fmt.Sprintf("patterns=%d gate-evals/pattern=%.1f allocs/pattern=%.4f",
+		st.Patterns, st.EvalsPerPattern(), st.AllocsPerPattern())
 }
+
+// CacheStats is always zero: there is no good-trace cache, each
+// Simulator records its own trace.  It stays, with TraceCacheStats and
+// SetTraceCacheCap, only because the atpgbench module still reads its
+// fsim.trace_cache_* rows through them, until a benchmark change drops
+// those rows.
+type CacheStats struct {
+	Hits, Misses, Waits int64
+	Cap                 int
+}
+
+// TraceCacheStats returns the zero CacheStats.
+func TraceCacheStats() CacheStats { return CacheStats{} }
+
+// SetTraceCacheCap does nothing; see CacheStats.
+func SetTraceCacheCap(int) {}
 
 // Simulator carries a fault universe across batches, dropping detected
 // faults as it goes.  It simulates one representative per structural
 // equivalence class (faults.Collapse) and fans each verdict out to the
 // class members, unless Options.NoCollapse.  It owns the sticky good
-// machine, the per-worker machines and the batch scratch, so
-// allocations and cache-warm state survive across batches.
+// machine, the per-worker machines, the good trace and the batch
+// scratch, so allocations and cache-warm state survive across batches.
 type Simulator struct {
 	c        *netlist.Circuit
 	universe []faults.Fault
@@ -310,14 +311,15 @@ type Simulator struct {
 	good    *machine          // built on first use, reused for good runs
 	workers []*machine        // sticky per-worker machines
 	pk      packedBatch       // pooled packed-batch arenas, reused per run
+	tr      goodTrace         // the current batch's good trace, reused per run
+	df      traceDiffs        // tr's diff bitsets; event mode only
 
 	dropped  []bool // no longer simulated (detected, unless NoDrop)
 	detected []bool // ever detected
 	ndet     int
 
-	patterns               int64 // applied patterns, summed over lanes
-	allocs                 int64 // packed-batch and trace backing-array allocations
-	cacheHits, cacheMisses int64 // this Simulator's trace-cache outcomes
+	patterns int64 // applied patterns, summed over lanes
+	allocs   int64 // packed-batch and trace backing-array allocations
 }
 
 // New builds a simulator for the fault universe.  Stuck-at faults
@@ -406,7 +408,7 @@ func New(c *netlist.Circuit, universe []faults.Fault, opts Options) (*Simulator,
 
 // Stats returns the cumulative work counters.
 func (s *Simulator) Stats() Stats {
-	st := Stats{Patterns: s.patterns, Allocs: s.allocs, CacheHits: s.cacheHits, CacheMisses: s.cacheMisses}
+	st := Stats{Patterns: s.patterns, Allocs: s.allocs}
 	for _, m := range append([]*machine{s.good}, s.workers...) {
 		if m != nil {
 			st.GateEvals += m.eng.GateEvals()
@@ -553,65 +555,21 @@ func (s *Simulator) SimulateSequencesCtx(ctx context.Context, seqs, expected [][
 	return nil
 }
 
-// sufficientTrace reports whether a trace satisfies the requirement
-// level of a lookup.
-func sufficientTrace(tr *goodTrace, needCycles, needStates bool) bool {
-	return (tr.good1 != nil || !needCycles) && (tr.hasStates() || !needStates)
-}
-
-// traceFor returns the good machine's trace for the batch, serving it
-// from the shared cache when the same sequence set was simulated
-// before (by this or any other Simulator), waiting on an in-flight
-// computation by any other goroutine (singleflight — N identical
-// concurrent queries settle the good circuit once), and
-// computing+publishing it on the sticky good machine otherwise.
-// needCycles requests the per-cycle output trace on top of the reset
-// response; needStates additionally requests the full-state fixpoint
-// trace the cone-limited engine consumes.
-func (s *Simulator) traceFor(b *Batch, needCycles, needStates bool) *goodTrace {
-	key := traceKey{c: s.c, hash: hashSeqs(b.Seqs)}
-	for {
-		if tr := lookupTrace(key, b.Seqs); tr != nil && sufficientTrace(tr, needCycles, needStates) {
-			s.cacheHits++
-			return tr
-		}
-		fl, leader := beginTraceFlight(key, b.Seqs, needCycles, needStates)
-		if !leader {
-			<-fl.done
-			// The flight covered our requirements, so its result (also
-			// published via storeTrace) serves directly; a nil result
-			// means the leader failed — loop and compute ourselves.
-			if fl.tr != nil {
-				s.cacheHits++
-				return fl.tr
-			}
-			continue
-		}
-		s.cacheMisses++
-		tr := s.computeTrace(needCycles, needStates)
-		storeTrace(key, b.Seqs, tr)
-		finishTraceFlight(fl, tr)
-		return tr
-	}
-}
-
-// computeTrace records the good machine's trace for the packed batch.
-func (s *Simulator) computeTrace(needCycles, needStates bool) *goodTrace {
+// computeTrace records the good machine's trace for the packed batch
+// into the Simulator's own trace.  The event engine records the
+// full-state trace and derives its diff bitsets here, before any
+// worker starts; the sweep engine records the reset response and, when
+// needCycles, the per-cycle outputs.
+func (s *Simulator) computeTrace(needCycles bool) {
 	if s.good == nil {
 		s.good = newMachine(s.c)
 	}
-	tr := &goodTrace{}
-	if needStates {
-		tr.runEvents(s.good, &s.pk, s.topo)
-		// Derive the diff bitsets eagerly so their cost is accounted to
-		// the Simulator that recorded the trace (cache hits then find
-		// them precomputed).
-		s.allocs += tr.diffs(s.c).allocs
-	} else {
-		tr.run(s.good, &s.pk, needCycles)
+	if s.opts.Engine == EngineEvent {
+		s.tr.runEvents(s.good, &s.pk, s.topo, &s.allocs)
+		s.df.compute(s.c, &s.tr, s.good.initW, &s.allocs)
+		return
 	}
-	s.allocs += tr.allocs
-	return tr
+	s.tr.run(s.good, &s.pk, needCycles, &s.allocs)
 }
 
 // run simulates one batch: pack, fill the response trace, then settle
@@ -648,24 +606,17 @@ func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 	// that declares its Expected responses and doesn't check reset
 	// needs no good run for the sweep engine; the event engine always
 	// needs the good machine's state trace to seed its cones (one good
-	// run buys every fault a cone-limited ride, and the trace cache
-	// often buys it back entirely).
+	// run buys every fault a cone-limited ride).
+	event := s.opts.Engine == EngineEvent
 	needReset := s.opts.CheckReset && b.ResetExpected == nil
 	needCycles := pk.good1 == nil
-	var tr *goodTrace
-	var df *traceDiffs
-	if s.opts.Engine == EngineEvent {
-		tr = s.traceFor(b, true, true)
-		df = tr.diffs(s.c)
-	} else if needReset || needCycles {
-		tr = s.traceFor(b, needCycles, false)
-	}
-	if tr != nil {
+	if event || needReset || needCycles {
+		s.computeTrace(needCycles)
 		if pk.reset1 == nil {
-			pk.reset1, pk.reset0 = tr.reset1, tr.reset0
+			pk.reset1, pk.reset0 = s.tr.reset1, s.tr.reset0
 		}
 		if needCycles {
-			pk.good1, pk.good0 = tr.good1, tr.good0
+			pk.good1, pk.good0 = s.tr.good1, s.tr.good0
 		}
 	}
 
@@ -678,8 +629,8 @@ func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 	// trace, an out-of-cone output could detect at that lane for every
 	// fault, so the batch falls back to eager full maintenance.
 	eager := s.opts.eagerSeed
-	if s.opts.Engine == EngineEvent && !eager {
-		eager = !expectedMatchesGood(b, pk, tr, s.opts.CheckReset)
+	if event && !eager {
+		eager = !expectedMatchesGood(b, pk, &s.tr, s.opts.CheckReset)
 	}
 
 	// On a lazy batch the unobservable classes detect nothing: the
@@ -687,7 +638,7 @@ func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 	// outputs ever show.  On an eager batch they get the good trace's
 	// own contradiction of the declared responses.
 	if eager && deadLive {
-		if mask, lane, cycle, ok := deadVerdict(pk, tr, s.opts.CheckReset, s.opts.NoDrop); ok {
+		if mask, lane, cycle, ok := deadVerdict(pk, &s.tr, s.opts.CheckReset, s.opts.NoDrop); ok {
 			for _, fi := range s.dead {
 				res.Detections = s.fanOut(fi, mask, lane, cycle, res.Lanes, res.Detections)
 			}
@@ -704,15 +655,15 @@ func (s *Simulator) run(b *Batch) (*BatchResult, error) {
 	nw := min(len(s.workers), len(live))
 	for w := 1; w < nw; w++ {
 		s.wg.Add(1)
-		// Arguments, not captures: a captured tr, df or eager would move
-		// to the heap on every batch, one-worker batches included.
-		go func(w int, tr *goodTrace, df *traceDiffs, lanes []uint64, eager bool) {
+		// Arguments, not captures: a captured eager would move to the
+		// heap on every batch, one-worker batches included.
+		go func(w int, lanes []uint64, eager bool) {
 			defer s.wg.Done()
-			s.work(w, tr, df, lanes, eager)
-		}(w, tr, df, res.Lanes, eager)
+			s.work(w, lanes, eager)
+		}(w, res.Lanes, eager)
 	}
 	if nw > 0 {
-		s.work(0, tr, df, res.Lanes, eager)
+		s.work(0, res.Lanes, eager)
 	}
 	s.wg.Wait()
 	n := 0
@@ -794,7 +745,7 @@ func deadVerdict(pk *packedBatch, tr *goodTrace, checkReset, noDrop bool) (mask 
 // work simulates live classes on worker w's sticky machine until the
 // cursor runs past the last one, fanning each verdict out to the class
 // members and collecting their Detections in the worker's found list.
-func (s *Simulator) work(w int, tr *goodTrace, df *traceDiffs, lanes []uint64, eager bool) {
+func (s *Simulator) work(w int, lanes []uint64, eager bool) {
 	m := s.workers[w]
 	if m == nil {
 		m = newMachine(s.c)
@@ -807,7 +758,7 @@ func (s *Simulator) work(w int, tr *goodTrace, df *traceDiffs, lanes []uint64, e
 			break
 		}
 		fi := s.live[i]
-		if mask, lane, cycle, ok := s.runFault(m, tr, df, fi, eager); ok {
+		if mask, lane, cycle, ok := s.runFault(m, fi, eager); ok {
 			found = s.fanOut(fi, mask, lane, cycle, lanes, found)
 		}
 	}
@@ -842,18 +793,18 @@ func (s *Simulator) fanOut(fi int, mask uint64, lane, cycle int, lanes []uint64,
 // directional gate's extra read is its own output, which lies inside
 // its own cone, so cone limiting applies to SlowRise/SlowFall
 // unchanged.  The fault machines therefore admit only cone gates to
-// their event queues and serve everything else from the cached
+// their event queues and serve everything else from the batch's
 // good-state trace, which also means DetectVs sees exactly the values
 // the full simulation would produce: bit-identical detection, a
 // fraction of the gate evaluations.
-func (s *Simulator) runFault(m *machine, tr *goodTrace, df *traceDiffs, fi int, eager bool) (mask uint64, lane, cycle int, ok bool) {
+func (s *Simulator) runFault(m *machine, fi int, eager bool) (mask uint64, lane, cycle int, ok bool) {
 	pk := &s.pk
 	event := s.opts.Engine == EngineEvent
 	m.setAll(pk.all)
 	if event {
 		f := &s.universe[fi]
 		cone := s.topo.ConeOf(s.c.Gates[f.Gate].Out)
-		m.eventReset(f, cone, s.topo, tr, df, eager)
+		m.eventReset(f, cone, s.topo, &s.tr, &s.df, eager)
 	} else {
 		m.eng.Inject(&s.universe[fi])
 		m.reset()
@@ -875,7 +826,7 @@ func (s *Simulator) runFault(m *machine, tr *goodTrace, df *traceDiffs, fi int, 
 	}
 	for t := 0; t < pk.cycles; t++ {
 		if event {
-			m.eventApply(t, tr, df)
+			m.eventApply(t, &s.tr, &s.df)
 		} else {
 			m.apply(pk.rails[t])
 		}

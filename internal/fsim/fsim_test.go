@@ -1,11 +1,14 @@
 package fsim
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/randckt"
 )
 
 const toySrc = `
@@ -293,5 +296,61 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := s.SimulateBatch(Batch{Seqs: [][]uint64{{0}, {0}}, Expected: [][]uint64{{0}}}); err == nil {
 		t.Error("Expected lane-count mismatch must be rejected")
+	}
+}
+
+// TestConcurrentSimulatorsAgree runs eight Simulators over one circuit
+// and one sequence set at once: every report must be bit-identical.
+// Each Simulator records its own good trace; what they share is the
+// circuit's Topology, which the race job checks here.
+func TestConcurrentSimulatorsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(777))
+	var c *netlist.Circuit
+	for c == nil {
+		if cand, ok := randckt.New(rng, randckt.Config{}); ok {
+			c = cand
+		}
+	}
+	universe := faults.OutputUniverse(c)
+	seqs := randSeqs(rng, c.NumInputs(), 32, 8)
+
+	const n = 8
+	var wg sync.WaitGroup
+	results := make([][]Detection, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := New(c, universe, Options{Engine: EngineEvent})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			errs[i] = s.SimulateSequences(seqs, nil, nil, func(base int, br *BatchResult) {
+				results[i] = append(results[i], br.Detections...)
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("simulator %d: %v", i, err)
+		}
+	}
+	if len(results[0]) == 0 {
+		t.Fatal("no detections — the run proved nothing")
+	}
+	for i := 1; i < n; i++ {
+		if len(results[i]) != len(results[0]) {
+			t.Fatalf("simulator %d found %d detections, simulator 0 found %d",
+				i, len(results[i]), len(results[0]))
+		}
+		for j := range results[i] {
+			if results[i][j] != results[0][j] {
+				t.Fatalf("simulator %d detection %d = %+v, simulator 0 = %+v",
+					i, j, results[i][j], results[0][j])
+			}
+		}
 	}
 }

@@ -16,7 +16,7 @@ type machine struct {
 	eng *lanevec.Engine
 
 	gm      []uint64 // scratch gate-mask buffer for cone-limited runs
-	initW   []uint64 // cached multi-word initial state
+	initW   []uint64 // the circuit's packed initial state
 	support []uint64 // cone ∪ fanins of cone gates: the maintained signal set
 	swap    []uint64 // swap mask: which out-of-cone diff signals get trace values
 	chgSpan []uint64 // mask covering every possible activity bit (nil: all signals)
@@ -27,7 +27,7 @@ type machine struct {
 }
 
 func newMachine(c *netlist.Circuit) *machine {
-	return &machine{eng: lanevec.NewEngine(c)}
+	return &machine{eng: lanevec.NewEngine(c), initW: c.InitWords()}
 }
 
 // setAll selects the active lanes; safe to change between batches on a
@@ -94,7 +94,7 @@ func (m *machine) growMask(dst []uint64, n int) []uint64 {
 //
 // Correctness rests on the cone theorem (see runFault in fsim.go):
 // signals outside the cone are bit-identical to the good machine at
-// every phase fixpoint, so loading them from the cached trace and
+// every phase fixpoint, so loading them from the good trace and
 // evaluating only cone gates reproduces the full simulation exactly.
 //
 // The default path seeds lazily: only the fault's support — the cone
@@ -142,9 +142,6 @@ func (m *machine) eventReset(f *faults.Fault, cone []uint64, topo *netlist.Topol
 	e.Inject(f)
 	m.gm = topo.GateMaskW(cone, m.gm)
 	e.SetGateMask(m.gm)
-	if m.initW == nil {
-		m.initW = c.InitWords()
-	}
 	all := e.All()
 
 	if eager {

@@ -26,7 +26,7 @@
 // The gate mask restricts which gates the queue will ever admit: the
 // pattern-parallel fault simulator sets it to the fault's fanout cone,
 // because signals outside the cone provably track the fault-free
-// machine and are loaded from the cached good trace instead of being
+// machine and are loaded from the batch's good trace instead of being
 // re-simulated.
 package lanevec
 
@@ -108,7 +108,7 @@ func (e *Engine) ClearActivityOn(mask []uint64) {
 // MarkSignal assigns signal s the possibility words (m1, m0) and
 // accumulates the lanes that actually changed into the activity mask.
 // This is how externally-known values — rails, and out-of-cone signals
-// served from the cached good trace — enter an event settle.
+// served from the batch's good trace — enter an event settle.
 func (e *Engine) MarkSignal(s netlist.SigID, m1, m0 uint64) {
 	d := (m1 ^ e.p1[s]) | (m0 ^ e.p0[s])
 	if d == 0 {

@@ -131,11 +131,6 @@ func (t *Topology) SupportOf(c *Circuit, cone, dst []uint64) []uint64 {
 	return dst
 }
 
-// GateMask converts a single signal-set word into the set of gates
-// driving those signals.  It is the one-word special case of GateMaskW,
-// valid only when the circuit's signals fit one word.
-func (t *Topology) GateMask(signals uint64) uint64 { return signals >> uint(t.NumInputs) }
-
 // GateMaskW converts a signal bitset (such as a ConeOf entry) into the
 // gate bitset of the gates driving those signals: a cross-word right
 // shift by NumInputs.  The result is written into dst (grown as

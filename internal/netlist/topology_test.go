@@ -81,8 +81,8 @@ func TestTopologyLevelsAndCones(t *testing.T) {
 	if topo.ConeOf(invSig)[0]>>uint(nSig)&1 == 1 {
 		t.Fatalf("cone of inv (%b) must not contain n", topo.ConeOf(invSig)[0])
 	}
-	// GateMask drops the rails and aligns gate bits.
-	gm := topo.GateMask(aCone)
+	// GateMaskW drops the rails and aligns gate bits.
+	gm := topo.GateMaskW(topo.ConeOf(aSig), nil)[0]
 	for _, s := range []SigID{nSig, invSig, ySig} {
 		if gm>>uint(c.GateOf(s))&1 == 0 {
 			t.Fatalf("gate mask %b missing gate of %s", gm, c.SignalName(s))

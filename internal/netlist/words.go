@@ -138,25 +138,6 @@ func (c *Circuit) InputBitsW(state []uint64) uint64 {
 	return state[0] & (1<<uint(len(c.Inputs)) - 1)
 }
 
-// WithInputBitsW replaces the rails of a multi-word state with pattern
-// in place.
-func (c *Circuit) WithInputBitsW(state []uint64, pattern uint64) {
-	m := uint(len(c.Inputs))
-	state[0] = state[0]&^(1<<m-1) | pattern&(1<<m-1)
-}
-
-// OutputBitsW extracts the primary-output values from a multi-word
-// state, output j at bit j (outputs are capped at WordBits).
-func (c *Circuit) OutputBitsW(state []uint64) uint64 {
-	var w uint64
-	for j, s := range c.Outputs {
-		if state[s>>6]>>uint(s&63)&1 == 1 {
-			w |= 1 << uint(j)
-		}
-	}
-	return w
-}
-
 // FormatStateW renders a multi-word packed state as a digit string in
 // signal order (the multi-word FormatState).
 func (c *Circuit) FormatStateW(state []uint64) string {

@@ -16,7 +16,8 @@ import (
 // with s27 interned.  Whatever the body, the answer is 200, 400 or 413
 // — a malformed request is the client's fault, so it is never a 5xx, a
 // 422 after work started or a panic — and a 200 body decodes into the
-// endpoint's response type.  /v1/generate stays out: its caps admit up
+// endpoint's response type.  One seed posts a test one pattern past
+// MaxTraceCells.  /v1/generate stays out: its caps admit up
 // to MaxRandomVectors walk vectors, far too slow for one fuzz
 // execution, and TestRequestValidation covers its validation.
 func FuzzServiceRequest(f *testing.F) {
@@ -56,6 +57,8 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add(uint8(1), coverage[:len(coverage)/2])
 	f.Add(uint8(2), compact[:len(compact)/2])
 	f.Add(uint8(0), []byte(text[:len(text)/2]))
+	long := make([]uint64, service.MaxTraceCells/c.NumSignals()+1)
+	f.Add(uint8(1), mustJSON(service.CoverageRequest{Circuit: info.ID, Tests: []service.TestJSON{{Patterns: long}}}))
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		path := paths[int(which)%len(paths)]

@@ -1,10 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resultstore"
 )
 
 // White-box checks of the failover plumbing: the default peer client,
@@ -130,6 +136,43 @@ func TestSleepBackoff(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("cancelled backoff still slept")
+	}
+}
+
+// TestStoredCacheFieldsIgnored: a coverage response stored while
+// responses still carried the good-trace cache's cache_hits and
+// cache_misses fields replays as a store hit, without those fields.
+func TestStoredCacheFieldsIgnored(t *testing.T) {
+	text := "circuit demo\ninput A B\noutput y\ngate na NOT A\ngate c C na B\ngate y OR c B\ninit A=0 B=0 na=1 c=1 y=1\n"
+	store, err := resultstore.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s := New(Config{Store: store})
+	defer s.Close()
+	req := &CoverageRequest{CircuitText: text, Tests: []TestJSON{{Patterns: []uint64{1, 3, 2}}}}
+	old := `{"kind":"report","circuit_id":"x","total":1,"detected":1,"coverage":1,"classes":1,"workers":1,` +
+		`"per_fault":[{"detected":true,"test":0,"cycle":2}],"patterns":3,"gate_evals":9,` +
+		`"cache_hits":4,"cache_misses":1,"elapsed_ns":5}`
+	if err := store.Put(coverageKey(CircuitID(text), req), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/coverage", bytes.NewReader(body)))
+	var resp CoverageResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+		t.Fatalf("replaying an old record = %d %s", rec.Code, rec.Body.String())
+	}
+	if !resp.FromStore || resp.Detected != 1 || resp.Patterns != 3 {
+		t.Fatalf("old record not served as stored: %+v", resp)
+	}
+	if strings.Contains(rec.Body.String(), "cache_") {
+		t.Fatalf("replayed response still carries the cache fields: %s", rec.Body.String())
 	}
 }
 

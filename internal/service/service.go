@@ -2,8 +2,8 @@
 // an HTTP API that accepts circuits and test programs, measures
 // guaranteed fault coverage with the shard-parallel fsim engine, and
 // optionally compacts programs — while sharing the expensive state
-// (parsed circuits, Topology indexes, good traces) across every
-// request the process serves.
+// (parsed circuits and their Topology indexes) across every request
+// the process serves.  Each measurement records its own good trace.
 //
 // # API
 //
@@ -18,8 +18,9 @@
 //	                    (full ATPG: random walks and — CSSG flow —
 //	                    three-phase targeting)
 //	POST /v1/compact    body: CompactRequest JSON → CompactResponse JSON
-//	GET  /metrics       plain-text counters (cache hit rates, query and
-//	                    pattern totals, in-flight gauge)
+//	GET  /metrics       plain-text counters (query and pattern totals,
+//	                    circuit- and result-store outcomes, in-flight
+//	                    gauge)
 //	GET  /healthz       liveness probe
 //	GET  /debug/pprof/  the standard Go profiler endpoints
 //
@@ -66,11 +67,12 @@
 //
 // Every POST body is capped at MaxRequestBytes (413 past it), and every
 // request field is validated — circuit, model, faults, mode, flow, the
-// lengths of declared responses, the shard index, and generation's
+// lengths of declared responses, the shard index, the longest test or
+// program against the circuit's size (MaxTraceCells), and generation's
 // walk count and length (each capped by a Max* constant) — before the
-// result store is probed, any peer is contacted or any generation
-// runs, so a malformed query is a 400 that costs neither a store miss
-// nor a peer's health.
+// result store is probed, any peer is contacted or any simulation or
+// generation runs, so a malformed query is a 400 that costs neither a
+// store miss nor a peer's health.
 package service
 
 import (
@@ -120,6 +122,20 @@ const (
 	MaxRandomLen     = 1 << 9  // random_len
 	MaxRandomVectors = 1 << 24 // random_seqs × random_len
 )
+
+// MaxTraceCells caps the good trace one /v1/coverage or /v1/compact
+// request can make the fault simulator record: the longest test's (or
+// program's) pattern count times the circuit's signal count, one cell
+// per signal per cycle.  Each batch records the good machine's full
+// state at both settling fixpoints of every cycle, 32 bytes a cell,
+// whatever the body's size: without the cap a body inside
+// MaxRequestBytes could ask for millions of cycles, tens of GB.  The
+// largest trace the repository's own clients ask for is 12 cycles on
+// s953's 989 signals (11,868 cells: the audit benchmark workload and
+// satpgload's default), and the cap sits 88× above it: 32 MiB of trace
+// per in-flight request, 1,060 patterns on s953 and 36,157 on s27's 29
+// signals.
+const MaxTraceCells = 1 << 20
 
 // Config tunes a Server.
 type Config struct {
@@ -407,8 +423,6 @@ type CoverageResponse struct {
 	PerFault  []VerdictJSON `json:"per_fault"`
 	Patterns  int64         `json:"patterns"`
 	GateEvals int64         `json:"gate_evals"`
-	CacheHits int64         `json:"cache_hits"`
-	CacheMiss int64         `json:"cache_misses"`
 	ElapsedNS int64         `json:"elapsed_ns"`
 }
 
@@ -452,15 +466,33 @@ func resolveFaults(model, sel string) (faults.Type, faults.Selection, error) {
 
 // checkCoverageShape rejects a declared response trace whose length
 // differs from its test's pattern count (a test without one is judged
-// against the good machine) and a shard index outside its partition.
-func checkCoverageShape(req *CoverageRequest) error {
+// against the good machine), a test too long for MaxTraceCells on c
+// and a shard index outside its partition.
+func checkCoverageShape(c *netlist.Circuit, req *CoverageRequest) error {
+	longest := 0
 	for i, t := range req.Tests {
 		if t.Expected != nil && len(t.Expected) != len(t.Patterns) {
 			return fmt.Errorf("test %d: %d expected responses for %d patterns", i, len(t.Expected), len(t.Patterns))
 		}
+		longest = max(longest, len(t.Patterns))
+	}
+	if err := checkTraceCells(c, "test", longest); err != nil {
+		return err
 	}
 	if req.Shards > 0 && (req.Shard < 0 || req.Shard >= req.Shards) {
 		return fmt.Errorf("shard %d out of range for %d shards", req.Shard, req.Shards)
+	}
+	return nil
+}
+
+// checkTraceCells rejects a longest test (or program) whose good trace
+// on c would pass MaxTraceCells.
+func checkTraceCells(c *netlist.Circuit, what string, longest int) error {
+	// longest is bounded by the body cap, so the product cannot overflow.
+	n := c.NumSignals()
+	if cells := longest * n; cells > MaxTraceCells {
+		return fmt.Errorf("a %s of %d patterns on %d signals needs %d good-trace cells, past the service cap %d (at most %d patterns on this circuit)",
+			what, longest, n, cells, MaxTraceCells, MaxTraceCells/n)
 	}
 	return nil
 }
@@ -496,7 +528,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	}
 	universe, err := resolveUniverse(c, req.Model, req.Faults)
 	if err == nil {
-		err = checkCoverageShape(&req)
+		err = checkCoverageShape(c, &req)
 	}
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
@@ -609,8 +641,6 @@ func coverageResponse(circuitID string, rep *atpg.CoverageReport) *CoverageRespo
 		PerFault:  make([]VerdictJSON, len(rep.PerFault)),
 		Patterns:  rep.Stats.Patterns,
 		GateEvals: rep.Stats.GateEvals,
-		CacheHits: rep.Stats.CacheHits,
-		CacheMiss: rep.Stats.CacheMisses,
 		ElapsedNS: rep.Elapsed.Nanoseconds(),
 	}
 	for i, fc := range rep.PerFault {
@@ -641,11 +671,8 @@ func coverageReport(resp *CoverageResponse, universe []faults.Fault) (*atpg.Cove
 		Classes: resp.Classes, Workers: resp.Workers,
 		Shard: resp.Shard, Shards: resp.Shards,
 		PerFault: make([]atpg.FaultCoverage, resp.Total),
-		Stats: fsim.Stats{
-			Patterns: resp.Patterns, GateEvals: resp.GateEvals,
-			CacheHits: resp.CacheHits, CacheMisses: resp.CacheMiss,
-		},
-		Elapsed: time.Duration(resp.ElapsedNS),
+		Stats:    fsim.Stats{Patterns: resp.Patterns, GateEvals: resp.GateEvals},
+		Elapsed:  time.Duration(resp.ElapsedNS),
 	}
 	for i, v := range resp.PerFault {
 		rep.PerFault[i] = atpg.FaultCoverage{
@@ -853,11 +880,17 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	longest := 0
 	for i, p := range req.Programs {
 		if len(p.Expected) != len(p.Patterns) {
 			s.httpError(w, http.StatusBadRequest, fmt.Errorf("program %d: %d expected responses for %d patterns", i, len(p.Expected), len(p.Patterns)))
 			return
 		}
+		longest = max(longest, len(p.Patterns))
+	}
+	if err := checkTraceCells(c, "program", longest); err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	var storeKey string
 	if s.cfg.Store != nil {
@@ -903,7 +936,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	tc := fsim.TraceCacheStats()
 	cs := s.circuits.Stats()
 	fmt.Fprintf(w, "satpgd_uptime_seconds %.0f\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(w, "satpgd_inflight_requests %d\n", s.metrics.InFlight.Load())
@@ -914,12 +946,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "satpgd_errors_total %d\n", s.metrics.Errors.Load())
 	fmt.Fprintf(w, "satpgd_patterns_simulated_total %d\n", s.metrics.Patterns.Load())
 	fmt.Fprintf(w, "satpgd_faults_measured_total %d\n", s.metrics.FaultsMeasured.Load())
-	fmt.Fprintf(w, "satpgd_trace_cache_hits_total %d\n", tc.Hits)
-	fmt.Fprintf(w, "satpgd_trace_cache_misses_total %d\n", tc.Misses)
-	fmt.Fprintf(w, "satpgd_trace_cache_evictions_total %d\n", tc.Evictions)
-	fmt.Fprintf(w, "satpgd_trace_cache_waits_total %d\n", tc.Waits)
-	fmt.Fprintf(w, "satpgd_trace_cache_hit_rate %.4f\n", tc.HitRate())
-	fmt.Fprintf(w, "satpgd_trace_cache_entries %d\n", tc.Entries)
 	fmt.Fprintf(w, "satpgd_circuit_store_hits_total %d\n", cs.Hits)
 	fmt.Fprintf(w, "satpgd_circuit_store_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "satpgd_circuit_store_entries %d\n", cs.Entries)

@@ -332,15 +332,19 @@ func TestRequestValidation(t *testing.T) {
 			t.Fatalf("request %+v = %d %s; want 400 containing %q", tc.req, rec.Code, rec.Body.String(), tc.want)
 		}
 	}
-	// Compaction rejects an unknown mode, and generation rejects a
-	// negative or over-cap walk count or walk length, and a walk count
-	// × length past its cap with each field under its own, before any
-	// work.
+	// Coverage and compaction reject a test or program one pattern
+	// longer than MaxTraceCells admits on the circuit, compaction an
+	// unknown mode, and generation a negative or over-cap walk count or
+	// walk length, and a walk count × length past its cap with each
+	// field under its own, before any work.
+	long := make([]uint64, service.MaxTraceCells/c.NumSignals()+1)
 	for _, tc := range []struct {
 		path string
 		req  any
 		want string
 	}{
+		{"/v1/coverage", &service.CoverageRequest{CircuitText: text, Tests: append(tests, service.TestJSON{Patterns: long})}, "good-trace cells"},
+		{"/v1/compact", &service.CompactRequest{CircuitText: text, Programs: []service.ProgramJSON{{Patterns: long, Expected: long}}}, "good-trace cells"},
 		{"/v1/compact", &service.CompactRequest{CircuitText: text, Mode: "fast"}, "none, reverse, dominance, greedy or all"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomSeqs: -1}, "RandomSequences"},
 		{"/v1/generate", &service.GenerateRequest{CircuitText: text, RandomLen: -1}, "RandomLength"},
@@ -440,8 +444,8 @@ func TestCompactEndpointPreservesCoverage(t *testing.T) {
 }
 
 // TestConcurrentIdenticalQueries: many in-flight identical queries
-// must agree bit-for-bit and lean on the shared caches (the
-// singleflight makes N concurrent good runs cost ~1).
+// over one interned circuit and its shared Topology must agree
+// bit-for-bit.
 func TestConcurrentIdenticalQueries(t *testing.T) {
 	text, c := loadISCAS(t, "s27")
 	srv := service.New(service.Config{})
@@ -493,13 +497,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"satpgd_coverage_queries_total 1",
 		"satpgd_patterns_simulated_total",
-		"satpgd_trace_cache_hit_rate",
 		"satpgd_topology_builds_total",
 		"satpgd_inflight_requests",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "trace_cache") {
+		t.Fatalf("/metrics still reports a good-trace cache:\n%s", out)
 	}
 
 	hreq := httptest.NewRequest("GET", "/healthz", nil)

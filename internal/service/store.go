@@ -14,11 +14,10 @@ const DefaultCircuitCap = 64
 
 // CircuitStore interns parsed circuits by content hash so every
 // request naming the same circuit text shares one canonical
-// *netlist.Circuit pointer.  The pointer identity is load-bearing:
-// fsim's good-trace cache and the per-Circuit Topology index are both
-// keyed by it, so interning is what lets concurrent requests over the
-// same circuit hit those caches instead of re-deriving everything per
-// request.
+// *netlist.Circuit pointer.  The pointer identity is load-bearing: the
+// Topology index (cones, observable signals) is built once per
+// Circuit, so interning is what lets concurrent requests over the same
+// circuit share one index instead of re-deriving it per request.
 //
 // The store is a sized LRU (lookups refresh recency, inserts beyond
 // the capacity evict the least recently used circuit) with hit/miss
