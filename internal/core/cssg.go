@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -147,7 +148,9 @@ type CycleResult struct {
 // to track the exact state set of a faulty circuit.
 func Explore(c *netlist.Circuit, start uint64, opts Options) CycleResult {
 	opts = opts.withDefaults(c)
-	return explore(c, start, opts, nil)
+	x := getScratch()
+	defer putScratch(x)
+	return x.result(x.explore(c, start, opts, nil))
 }
 
 // maxRecordedFanin is the widest gate whose assignments a record can
@@ -165,7 +168,9 @@ const maxRecordedFanin = 5
 func ExploreRecorded(c *netlist.Circuit, start uint64, opts Options) (cr CycleResult, rec []uint64) {
 	opts = opts.withDefaults(c)
 	rec = make([]uint64, c.NumGates())
-	return explore(c, start, opts, rec), rec
+	x := getScratch()
+	defer putScratch(x)
+	return x.result(x.explore(c, start, opts, rec)), rec
 }
 
 // assignment returns gate gi's assignment in state as its bit of a
@@ -216,25 +221,86 @@ func ExcitationDiff(c, fc *netlist.Circuit, gi int) (diff uint64, ok bool) {
 // reachability DP with stable-state stuttering.
 func AnalyzeVector(c *netlist.Circuit, stable uint64, pattern uint64, opts Options) VectorAnalysis {
 	opts = opts.withDefaults(c)
-	cr := explore(c, c.WithInputBits(stable, pattern), opts, nil)
+	x := getScratch()
+	defer putScratch(x)
+	cy := x.explore(c, c.WithInputBits(stable, pattern), opts, nil)
 	res := VectorAnalysis{
-		StableSuccs: cr.StableSuccs,
-		UnstableAtK: cr.UnstableAtK,
-		GraphStates: cr.GraphStates,
-		SettleDepth: cr.SettleDepth,
+		Class:       cy.class(),
+		UnstableAtK: cy.stable < cy.reach,
+		GraphStates: cy.states,
+		SettleDepth: cy.depth,
 	}
-	switch {
-	case cr.Truncated:
-		res.Class = Truncated
-	case len(res.StableSuccs) > 1:
-		res.Class = NonConfluent
-	case res.UnstableAtK || len(res.StableSuccs) == 0:
-		res.Class = Unsettled
-	default:
-		res.Class = Valid
+	if cy.stable > 0 {
+		res.StableSuccs = x.appendReach(make([]uint64, 0, cy.stable), true)
 	}
 	return res
 }
+
+// cycle is what explore returns: the settling graph's size and, unless
+// the exploration was truncated, the depth the DP reached its fixpoint
+// at and how many states reach[k] holds, and how many of those are
+// stable.  reach[k] itself stays in the scratch (see appendReach).
+type cycle struct {
+	truncated     bool
+	states, depth int
+	reach, stable int
+}
+
+// class classifies the cycle per the CSSG_k definition.
+func (cy cycle) class() EdgeClass {
+	switch {
+	case cy.truncated:
+		return Truncated
+	case cy.stable > 1:
+		return NonConfluent
+	case cy.stable < cy.reach || cy.stable == 0:
+		return Unsettled
+	}
+	return Valid
+}
+
+// result returns the cycle explore just ran as a CycleResult.
+func (x *exploreScratch) result(cy cycle) CycleResult {
+	if cy.truncated {
+		return CycleResult{Truncated: true, GraphStates: cy.states}
+	}
+	res := CycleResult{
+		ReachK:      x.appendReach(make([]uint64, 0, cy.reach), false),
+		UnstableAtK: cy.stable < cy.reach,
+		GraphStates: cy.states,
+		SettleDepth: cy.depth,
+	}
+	if cy.stable > 0 {
+		res.StableSuccs = x.appendReach(make([]uint64, 0, cy.stable), true)
+	}
+	return res
+}
+
+// appendReach appends to dst, in ascending order, the states of the
+// reach[k] that explore left in the scratch: every one, or only the
+// stable ones.  Ids are not in state order, hence the sort.
+func (x *exploreScratch) appendReach(dst []uint64, stableOnly bool) []uint64 {
+	n := len(dst)
+	for w, word := range x.cur {
+		if stableOnly {
+			word &= x.stable[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, x.states[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+	slices.Sort(dst[n:])
+	return dst
+}
+
+// succBudget is how many successor entries an exploration stores for
+// its depth DP to read.  Past it the DP re-derives a state's successors
+// from its excited-gate mask through the state index, so the largest
+// explorations hold no successor lists of their own size (a complete
+// 47,430-state exploration of hf/trimos-send has 255,520 successors)
+// while the small and medium ones that most calls are keep reading
+// stored lists.
+const succBudget = 1 << 16
 
 // explore builds the settling graph of one test cycle from start and
 // runs the depth DP over it.
@@ -257,8 +323,10 @@ func AnalyzeVector(c *netlist.Circuit, stable uint64, pattern uint64, opts Optio
 // itself is always re-evaluated.  A state's mask is zero exactly when
 // it is stable.
 //
-// The state index, the masks, the successor lists and the DP bitsets
-// live in pooled scratch (see exploreScratch).
+// The BFS stores the successor lists of the states it scans first, as
+// long as they fit the scratch's budget (succBudget); the DP reads
+// those and re-derives the rest by the same rule, so both give every
+// state the same successors with the same ids.
 //
 // A non-nil rec (one word per gate, zero on entry) receives the record
 // ExploreRecorded returns: every gate's assignment in every state the
@@ -267,12 +335,11 @@ func AnalyzeVector(c *netlist.Circuit, stable uint64, pattern uint64, opts Optio
 // gates re-evaluated for it (aff of the gate fired to reach it), since
 // every other gate's fanins and output are its parent's.  A truncated
 // exploration records the states found before the cap.
-func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) CycleResult {
-	x := getScratch()
-	defer putScratch(x)
+func (x *exploreScratch) explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) cycle {
 	x.prepare(c)
 	x.reset()
 	m := uint(c.NumInputs())
+	por := !opts.DisablePOR
 
 	// Settling graph: ids in BFS order, stable states are sinks.
 	all := uint64(1)<<uint(c.NumGates()) - 1
@@ -282,19 +349,10 @@ func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) Cycle
 	}
 	for id := 0; id < len(x.states); id++ {
 		st, ex := x.states[id], x.excited[id]
-		fire := ex
-		if obs := ex & x.obs; obs != 0 && !opts.DisablePOR {
-			// Partial-order reduction: if an observation-only gate (zero
-			// fanout, e.g. a pure output tap) is excited, fire it alone.
-			// Such firings commute with every other firing, so the set of
-			// reachable stable states and the cycle structure are
-			// preserved while the interleaving hypercube of concurrent
-			// taps collapses to a single order.  (Depth counts on the
-			// reduced graph can be marginally shorter than the true worst
-			// case when a tap could glitch; the default k is far above
-			// either bound.)
-			fire = obs & -obs
-		}
+		fire := x.fireable(ex, por)
+		// Store id's successors if every earlier state's are stored
+		// and they fit the budget.
+		keep := len(x.off) == id+1 && len(x.succ)+bits.OnesCount64(fire) <= x.budget
 		for ; fire != 0; fire &= fire - 1 {
 			gi := bits.TrailingZeros64(fire)
 			nx := st ^ 1<<(m+uint(gi))
@@ -304,18 +362,22 @@ func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) Cycle
 					// No state can be added from here on, so the
 					// outcome is settled: the graph holds exactly
 					// the states found so far.
-					return CycleResult{Truncated: true, GraphStates: len(x.states)}
+					return cycle{truncated: true, states: len(x.states)}
 				}
 				nid = x.insert(nx, ex&^x.aff[gi]|excitedAmong(c, nx, x.aff[gi]))
 				if rec != nil {
 					record(c, nx, x.aff[gi], rec)
 				}
 			}
-			x.succ = append(x.succ, nid)
+			if keep {
+				x.succ = append(x.succ, nid)
+			}
 		}
-		x.off = append(x.off, int32(len(x.succ)))
+		if keep {
+			x.off = append(x.off, int32(len(x.succ)))
+		}
 	}
-	res := CycleResult{GraphStates: len(x.states)}
+	cy := cycle{states: len(x.states)}
 
 	// Depth DP: reach[d+1] = post(reach[d]), stable nodes self-loop.
 	nw := (len(x.states) + 63) / 64
@@ -325,6 +387,7 @@ func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) Cycle
 			x.stable[id>>6] |= 1 << uint(id&63)
 		}
 	}
+	stored := len(x.off) - 1
 	cur, next := x.cur, x.next
 	cur[0] = 1 // {start}
 	depth := 0
@@ -335,7 +398,17 @@ func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) Cycle
 		for w, word := range cur {
 			for rem := word &^ x.stable[w]; rem != 0; rem &= rem - 1 {
 				id := w<<6 | bits.TrailingZeros64(rem)
-				for _, s := range x.succ[x.off[id]:x.off[id+1]] {
+				if id < stored {
+					for _, s := range x.succ[x.off[id]:x.off[id+1]] {
+						next[s>>6] |= 1 << uint(s&63)
+					}
+					continue
+				}
+				// Re-derive the successors the BFS found; the graph
+				// is complete, so each has an id.
+				st := x.states[id]
+				for fire := x.fireable(x.excited[id], por); fire != 0; fire &= fire - 1 {
+					s, _ := x.lookup(st ^ 1<<(m+uint(bits.TrailingZeros64(fire))))
 					next[s>>6] |= 1 << uint(s&63)
 				}
 			}
@@ -346,47 +419,48 @@ func explore(c *netlist.Circuit, start uint64, opts Options, rec []uint64) Cycle
 			break
 		}
 	}
-	res.SettleDepth = depth
-
-	// Inspect reach[k].  Ids are not in state order, so sort.
-	nk, ns := 0, 0
+	x.cur, x.next = cur, next
+	cy.depth = depth
 	for w, word := range cur {
-		nk += bits.OnesCount64(word)
-		ns += bits.OnesCount64(word & x.stable[w])
+		cy.reach += bits.OnesCount64(word)
+		cy.stable += bits.OnesCount64(word & x.stable[w])
 	}
-	res.ReachK = make([]uint64, 0, nk)
-	if ns > 0 {
-		res.StableSuccs = make([]uint64, 0, ns)
-	}
-	for w, word := range cur {
-		for rem := word; rem != 0; rem &= rem - 1 {
-			id := w<<6 | bits.TrailingZeros64(rem)
-			res.ReachK = append(res.ReachK, x.states[id])
-			if x.excited[id] == 0 {
-				res.StableSuccs = append(res.StableSuccs, x.states[id])
-			}
-		}
-	}
-	res.UnstableAtK = ns < nk
-	slices.Sort(res.ReachK)
-	slices.Sort(res.StableSuccs)
-	return res
+	return cy
 }
 
-// exploreScratch is the working memory of one explore call, pooled
-// because explorations run concurrently (the service builds CSSGs on
-// many goroutines at once).
+// fireable returns the gates explore fires from a state whose excited
+// gates are ex.  Under partial-order reduction (por), if an
+// observation-only gate (zero fanout, e.g. a pure output tap) is
+// excited, the lowest one fires alone.  Such firings commute with every
+// other firing, so the set of reachable stable states and the cycle
+// structure are preserved while the interleaving hypercube of
+// concurrent taps collapses to a single order.  (Depth counts on the
+// reduced graph can be marginally shorter than the true worst case when
+// a tap could glitch; the default k is far above either bound.)
+func (x *exploreScratch) fireable(ex uint64, por bool) uint64 {
+	if obs := ex & x.obs; obs != 0 && por {
+		return obs & -obs
+	}
+	return ex
+}
+
+// exploreScratch is the working memory of explore.  Build's workers
+// each hold one for a whole Build; every other call takes one from the
+// idle list for one exploration.
 type exploreScratch struct {
 	// Per-circuit masks, rebuilt only when the circuit changes.
 	c   *netlist.Circuit
 	obs uint64   // the observation-only gates (POR candidates)
 	aff []uint64 // per gate g: g plus every gate reading out(g)
 
-	// The settling graph, by state id.
+	// The settling graph, by state id.  Only the first len(off)-1
+	// states have their successors stored: state id's are
+	// succ[off[id]:off[id+1]], at most budget entries in all.
 	states  []uint64
 	excited []uint64 // excited-gate mask; zero for a stable state
-	off     []int32  // state id's successors are succ[off[id]:off[id+1]]
+	off     []int32
 	succ    []int32
+	budget  int // succBudget, unless a test lowers it
 
 	// Open-addressing state index with linear probing.  Only the first
 	// 1<<(64-shift) slots are in use this call; a slot holds a state id
@@ -394,48 +468,58 @@ type exploreScratch struct {
 	table []int32
 	shift uint
 
-	// Depth-DP reach sets and the stable-state set, one bit per id.
+	// Depth-DP reach sets and the stable-state set, one bit per id;
+	// after explore, cur is reach[k].
 	cur, next, stable []uint64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(exploreScratch) }}
-
-// largest holds the largest idle scratch where every P can take it.
-// sync.Pool keeps a returned scratch in the returning P's private slot,
-// which no other P takes from.  So once concurrent explorations (the
-// exact fault machine's parallel searches) have left a scratch in each
-// P's pool, a serial caller that moves to another P would grow a second
-// large scratch while the first sat idle; a 65,536-state exploration
-// holds about 3.8 MB.  The price is that a process keeps one scratch of
-// the largest size it has explored.
-var largest struct {
+// idle holds the idle scratches, in ascending size, where every
+// goroutine can take one.  sync.Pool would keep a returned scratch in
+// the returning P's private slot, which no other P takes from, so a
+// caller that moved to another P would grow a second large scratch
+// while the first sat idle.  The list keeps at most max scratches, the
+// largest ones: max is GOMAXPROCS as of the last time getScratch made
+// a scratch, which it does only when none is idle, so reading it there
+// keeps GOMAXPROCS off the path of every call.  The price is that a
+// process keeps up to GOMAXPROCS scratches of the largest sizes it has
+// explored, about 2 MB each at the default settling-graph cap.
+var idle struct {
 	sync.Mutex
-	x *exploreScratch
+	list []*exploreScratch
+	max  int
 }
 
-// getScratch takes the largest idle scratch, or one from the pool.
+// getScratch takes the largest idle scratch, or makes one.
 func getScratch() *exploreScratch {
-	largest.Lock()
-	x := largest.x
-	largest.x = nil
-	largest.Unlock()
-	if x == nil {
-		x = scratchPool.Get().(*exploreScratch)
+	idle.Lock()
+	n := len(idle.list)
+	if n == 0 {
+		idle.max = runtime.GOMAXPROCS(0)
+		idle.Unlock()
+		return &exploreScratch{budget: succBudget}
 	}
+	x := idle.list[n-1]
+	idle.list[n-1] = nil
+	idle.list = idle.list[:n-1]
+	idle.Unlock()
 	return x
 }
 
-// putScratch returns x: the larger of x and the held scratch stays in
-// largest, and the other goes to the pool.
+// putScratch returns x to the idle list, dropping the smallest scratch
+// if that leaves more than max.
 func putScratch(x *exploreScratch) {
-	largest.Lock()
-	if largest.x == nil || cap(largest.x.states) <= cap(x.states) {
-		largest.x, x = x, largest.x
+	idle.Lock()
+	list := append(idle.list, x)
+	for i := len(list) - 1; i > 0 && cap(list[i-1].states) > cap(list[i].states); i-- {
+		list[i-1], list[i] = list[i], list[i-1]
 	}
-	largest.Unlock()
-	if x != nil {
-		scratchPool.Put(x)
+	if n := len(list); n > idle.max {
+		copy(list, list[1:])
+		list[n-1] = nil
+		list = list[:n-1]
 	}
+	idle.list = list
+	idle.Unlock()
 }
 
 // prepare derives c's gate masks unless the scratch already holds them.
@@ -550,8 +634,21 @@ func (x *exploreScratch) place(state uint64, id int32) {
 	x.table[h] = id + 1
 }
 
+// buildWindow is how many vectors per worker Build may have handed out
+// past the next one it commits.
+const buildWindow = 64
+
 // Build constructs the CSSG_k of the circuit from its declared reset
 // state, exploring every input pattern (2^m − 1 per stable state).
+//
+// The (node, pattern) vectors are independent explorations, analysed on
+// min(GOMAXPROCS, 2^m − 1) goroutines, the caller among them, each
+// holding one scratch for the whole Build.  They are handed out and
+// committed in the serial order (node id, then pattern), so node ids,
+// edges, Stats and the stable-state-cap error are the same at any
+// GOMAXPROCS.  A vector is handed out only once its node exists and
+// while fewer than buildWindow per worker are uncommitted, and none
+// after the cap error.
 func Build(c *netlist.Circuit, opts Options) (*CSSG, error) {
 	opts = opts.withDefaults(c)
 	if err := c.Validate(); err != nil {
@@ -565,54 +662,168 @@ func Build(c *netlist.Circuit, opts Options) (*CSSG, error) {
 			c.Name, c.NumSignals(), netlist.WordBits)
 	}
 	init := c.InitState()
-	g := &CSSG{
-		C:     c,
-		K:     opts.K,
-		Init:  0,
-		Nodes: []uint64{init},
-		Edges: [][]Edge{nil},
-		index: map[uint64]int{init: 0},
+	b := &builder{
+		c:        c,
+		opts:     opts,
+		patterns: uint64(1) << uint(c.NumInputs()),
+		g: &CSSG{
+			C:     c,
+			K:     opts.K,
+			Init:  0,
+			Nodes: []uint64{init},
+			Edges: [][]Edge{nil},
+			index: map[uint64]int{init: 0},
+		},
 	}
-	m := c.NumInputs()
-	numPatterns := uint64(1) << uint(m)
-	for id := 0; id < len(g.Nodes); id++ {
-		s := g.Nodes[id]
-		cu := c.InputBits(s)
-		for p := uint64(0); p < numPatterns; p++ {
-			if p == cu {
-				continue
+	b.wake.L = &b.mu
+	workers := max(1, min(runtime.GOMAXPROCS(0), int(b.patterns-1)))
+	b.window = make([]vector, buildWindow*workers)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			b.work()
+		}()
+	}
+	b.work()
+	wg.Wait()
+	if b.err != nil {
+		return nil, b.err
+	}
+	b.g.Stats.NumStates = len(b.g.Nodes)
+	return b.g, nil
+}
+
+// builder is one Build's shared state; mu guards every field below it.
+type builder struct {
+	c        *netlist.Circuit
+	opts     Options
+	patterns uint64 // 2^m
+
+	mu   sync.Mutex
+	wake sync.Cond // a vector was committed or the build failed
+	g    *CSSG
+	err  error
+
+	// The next vector to hand out: pattern of node.
+	node    int
+	pattern uint64
+	// Vectors are numbered in serial order; vector i sits in
+	// window[i%len(window)] from being handed out until committed.
+	issued, committed int
+	window            []vector
+}
+
+// vector is one (node, pattern) exploration of Build and, once done,
+// its outcome.
+type vector struct {
+	node     int
+	from     uint64 // the node's stable state
+	pattern  uint64
+	done     bool
+	cy       cycle
+	stableTo uint64 // the successor of a Valid vector
+}
+
+// work analyses vectors on its own scratch until none is left to hand
+// out and none is in flight, or the build has failed.
+func (b *builder) work() {
+	x := getScratch()
+	defer putScratch(x)
+	var succ []uint64
+	b.mu.Lock()
+	for {
+		i, ok := b.take()
+		if !ok {
+			if b.err != nil || b.committed == b.issued {
+				b.mu.Unlock()
+				return
 			}
-			an := AnalyzeVector(c, s, p, opts)
-			g.Stats.SettlingStates += an.GraphStates
-			if an.SettleDepth > g.Stats.MaxSettleDepth && an.Class == Valid {
-				g.Stats.MaxSettleDepth = an.SettleDepth
-			}
-			switch an.Class {
-			case Valid:
-				t := an.StableSuccs[0]
-				tid, ok := g.index[t]
-				if !ok {
-					if len(g.Nodes) >= opts.MaxStableStates {
-						return nil, fmt.Errorf("core: stable-state cap %d exceeded for %s", opts.MaxStableStates, c.Name)
-					}
-					tid = len(g.Nodes)
-					g.index[t] = tid
-					g.Nodes = append(g.Nodes, t)
-					g.Edges = append(g.Edges, nil)
+			// The window is full, or a vector in flight may add the
+			// next node.
+			b.wake.Wait()
+			continue
+		}
+		v := b.window[i%len(b.window)]
+		b.mu.Unlock()
+		cy := x.explore(b.c, b.c.WithInputBits(v.from, v.pattern), b.opts, nil)
+		if cy.class() == Valid {
+			succ = x.appendReach(succ[:0], true)
+			v.stableTo = succ[0]
+		}
+		b.mu.Lock()
+		v.cy, v.done = cy, true
+		b.window[i%len(b.window)] = v
+		b.commit()
+		b.wake.Broadcast()
+	}
+}
+
+// take hands out the next vector in serial order, unless the build has
+// failed, the window is full or every vector of the nodes found so far
+// is out.
+func (b *builder) take() (int, bool) {
+	if b.err != nil || b.issued-b.committed == len(b.window) {
+		return 0, false
+	}
+	for b.node < len(b.g.Nodes) {
+		if b.pattern == b.patterns {
+			b.node, b.pattern = b.node+1, 0
+			continue
+		}
+		p, s := b.pattern, b.g.Nodes[b.node]
+		b.pattern++
+		if p == b.c.InputBits(s) {
+			continue
+		}
+		i := b.issued
+		b.issued++
+		b.window[i%len(b.window)] = vector{node: b.node, from: s, pattern: p}
+		return i, true
+	}
+	return 0, false
+}
+
+// commit adds the done vectors at the head of the window to the graph,
+// in serial order, until one is still in flight or the stable-state cap
+// is exceeded.
+func (b *builder) commit() {
+	g := b.g
+	for b.err == nil && b.committed < b.issued {
+		v := &b.window[b.committed%len(b.window)]
+		if !v.done {
+			return
+		}
+		b.committed++
+		class := v.cy.class()
+		g.Stats.SettlingStates += v.cy.states
+		if v.cy.depth > g.Stats.MaxSettleDepth && class == Valid {
+			g.Stats.MaxSettleDepth = v.cy.depth
+		}
+		switch class {
+		case Valid:
+			tid, ok := g.index[v.stableTo]
+			if !ok {
+				if len(g.Nodes) >= b.opts.MaxStableStates {
+					b.err = fmt.Errorf("core: stable-state cap %d exceeded for %s", b.opts.MaxStableStates, b.c.Name)
+					return
 				}
-				g.Edges[id] = append(g.Edges[id], Edge{Pattern: p, To: tid})
-				g.Stats.NumEdges++
-			case NonConfluent:
-				g.Stats.NonConfluent++
-			case Unsettled:
-				g.Stats.Unsettled++
-			case Truncated:
-				g.Stats.Truncated++
+				tid = len(g.Nodes)
+				g.index[v.stableTo] = tid
+				g.Nodes = append(g.Nodes, v.stableTo)
+				g.Edges = append(g.Edges, nil)
 			}
+			g.Edges[v.node] = append(g.Edges[v.node], Edge{Pattern: v.pattern, To: tid})
+			g.Stats.NumEdges++
+		case NonConfluent:
+			g.Stats.NonConfluent++
+		case Unsettled:
+			g.Stats.Unsettled++
+		case Truncated:
+			g.Stats.Truncated++
 		}
 	}
-	g.Stats.NumStates = len(g.Nodes)
-	return g, nil
 }
 
 // NumNodes returns the number of stable states in the graph.

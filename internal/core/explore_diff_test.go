@@ -20,10 +20,17 @@ import (
 // default cap the reference alone needs minutes for those).
 var exploreCaps = []int{3, 17, 2000}
 
+// lowBudget is the stored-successor budget every differential case
+// also runs at, since no case comes near the production budget: the
+// depth DP reads the first few states' stored successor lists and
+// re-derives every other state's.
+const lowBudget = 7
+
 // checkExplore compares Explore against the reference from start, with
-// POR on and off at every cap, on whole CycleResults; and
-// ExploreRecorded's CycleResult with POR on, the setting of the exact
-// fault machine that reads its record.
+// POR on and off at every cap, on whole CycleResults, also with the
+// successor budget lowered; and ExploreRecorded's CycleResult with POR
+// on, the setting of the exact fault machine that reads its record,
+// whose record must not depend on the budget either.
 func checkExplore(t *testing.T, c *netlist.Circuit, start uint64) {
 	t.Helper()
 	for _, maxStates := range exploreCaps {
@@ -35,12 +42,22 @@ func checkExplore(t *testing.T, c *netlist.Circuit, start uint64) {
 				t.Fatalf("%s from %s, cap %d, DisablePOR %v:\n got %+v\nwant %+v",
 					c.Name, c.FormatState(start), maxStates, disablePOR, got, want)
 			}
+			low, lowRec := core.ExploreBudget(c, start, opts, lowBudget, !disablePOR)
+			if !reflect.DeepEqual(low, want) {
+				t.Fatalf("%s from %s, cap %d, DisablePOR %v, successor budget %d:\n got %+v\nwant %+v",
+					c.Name, c.FormatState(start), maxStates, disablePOR, lowBudget, low, want)
+			}
 			if disablePOR {
 				continue
 			}
-			if recorded, _ := core.ExploreRecorded(c, start, opts); !reflect.DeepEqual(recorded, want) {
+			recorded, rec := core.ExploreRecorded(c, start, opts)
+			if !reflect.DeepEqual(recorded, want) {
 				t.Fatalf("%s from %s, cap %d, DisablePOR %v: recording changed the result:\n got %+v\nwant %+v",
 					c.Name, c.FormatState(start), maxStates, disablePOR, recorded, want)
+			}
+			if !reflect.DeepEqual(lowRec, rec) {
+				t.Fatalf("%s from %s, cap %d, successor budget %d: record %x, want %x",
+					c.Name, c.FormatState(start), maxStates, lowBudget, lowRec, rec)
 			}
 		}
 	}

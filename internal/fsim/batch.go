@@ -130,7 +130,7 @@ func pack(c *netlist.Circuit, b *Batch, pk *packedBatch, allocs *int64) error {
 	pk.good1, pk.good0 = nil, nil
 	pk.reset1, pk.reset0 = nil, nil
 	m := c.NumInputs()
-	resetRails := c.InputBitsW(c.InitWords())
+	resetRails := c.Init[:m].Bits() // the inputs are signals 0..m-1
 	pk.railsFlat = grow(pk.railsFlat, pk.cycles*m, allocs)
 	pk.live = grow(pk.live, pk.cycles, allocs)
 	pk.rails = growRows(pk.rails, pk.cycles, allocs)
